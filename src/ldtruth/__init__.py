@@ -21,7 +21,7 @@ from .rdf_ingest import (Claim, ClaimStore, ConflictSet, Diagnostic,
                          parse_triples)
 from .similarity import SimilarityConfig, sim
 from .truth_engine import (EngineConfig, ResolutionResult, TrustState,
-                           TruthDecision, build_field, object_base_trust,
+                           TruthDecision, object_base_trust,
                            resolve_all, select_truth, smooth_trust,
                            source_trustworthiness)
 from .values import normalize_object

@@ -17,13 +17,12 @@ import sys
 
 from .baselines import (METHOD_TRUTHFINDER, METHOD_VOTE, truthfinder,
                         vote_all)
-from .eval_harness import (METHOD_ENGINE, SynthConfig, SynthConfigError,
-                           generate, run_benchmark)
+from .eval_harness import METHOD_ENGINE, SynthConfig, generate, run_benchmark
 from .graph_model import (build_sameas_graph, project_to_sbg, sbg_to_tsv)
 from .pipeline import assemble, parse_files
 from .prior_belief import EmptyGraphError, PriorConfig, compute_prior
-from .rdf_ingest import (MalformedLineError, POLICY_HOST, POLICY_NAMED_GRAPH,
-                         POLICY_PLD, load_alignment)
+from .rdf_ingest import (POLICY_HOST, POLICY_NAMED_GRAPH, POLICY_PLD,
+                         load_alignment)
 from .truth_engine import EngineConfig, resolve_all
 
 EXIT_OK = 0
@@ -41,92 +40,103 @@ def _atomic_write(path: str, text: str):
     os.replace(tmp, path)
 
 
+# (INI section, INI key, flag or None, type); a flag's dest is its INI key.
+# The prior, engine and synth rows are fields of PriorConfig, EngineConfig
+# and SynthConfig, except the four ends of the two synth range fields.
+SETTINGS = (
+    ("run", "policy", "--policy", str),
+    ("run", "threads", "--threads", int),
+    ("prior", "damping", "--damping", float),
+    ("prior", "tolerance", None, float),
+    ("prior", "max_sweeps", None, int),
+    ("engine", "t0", "--t0", float),
+    ("engine", "outer_max", "--outer-max", int),
+    ("engine", "outer_threshold", "--outer-threshold", float),
+    ("engine", "bp_damping", "--bp-damping", float),
+    ("engine", "coupling", "--coupling", float),
+    ("engine", "edge_threshold", "--edge-threshold", float),
+    ("engine", "bp_tol", None, float),
+    ("engine", "bp_max", None, int),
+    ("engine", "dissimilar_false_factor", None, float),
+    ("synth", "n_sources", "--sources", int),
+    ("synth", "n_entities", "--entities", int),
+    ("synth", "n_conflict_predicates", "--conflicts", int),
+    ("synth", "values_per_conflict", "--values", int),
+    ("synth", "attachment_m", "--attachment", int),
+    ("synth", "sameas_fidelity", "--fidelity", float),
+    ("synth", "reliability_low", "--rel-low", float),
+    ("synth", "reliability_high", "--rel-high", float),
+    ("synth", "claims_min", "--claims-min", int),
+    ("synth", "claims_max", "--claims-max", int),
+    ("synth", "support_skew", "--support-skew", float),
+    ("synth", "seed", "--seed", int),
+)
+
+_FLAG_EXTRAS = {
+    "policy": {"choices": sorted(_POLICY_FLAGS),
+               "help": "source granularity (default host)"},
+    "threads": {"help": "accepted for compatibility; files are parsed "
+                        "in input order on one thread"},
+    "damping": {"help": "prior damping factor"},
+}
+
+# what each section builds; "run" settings stay a plain dict
+_CONFIGS = {"run": dict, "prior": PriorConfig, "engine": EngineConfig,
+            "synth": SynthConfig}
+
+# tuple fields of a config object, each end set by its own row
+_RANGES = {"reliability_range": ("reliability_low", "reliability_high"),
+           "claims_per_conflict": ("claims_min", "claims_max")}
+
+
 def _load_config(path: str | None) -> dict:
+    """Read an INI settings file; unknown sections and keys are errors."""
     if not path:
         return {}
-    parser = configparser.ConfigParser()
-    with open(path, encoding="utf-8") as handle:
-        parser.read_file(handle)
-    return {section: dict(parser.items(section))
-            for section in parser.sections()}
+    # an empty default section name turns off the [DEFAULT] fallback, so a
+    # [DEFAULT] header is checked like any other section
+    parser = configparser.ConfigParser(default_section="")
+    try:
+        with open(path, encoding="utf-8") as handle:
+            parser.read_file(handle)
+        filecfg = {section: dict(parser.items(section))
+                   for section in parser.sections()}
+    except configparser.Error as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    keys = {row[:2] for row in SETTINGS}
+    for section, entries in filecfg.items():
+        if section not in _CONFIGS:
+            raise ValueError(f"{path}: unknown section [{section}]")
+        for key in entries:
+            if (section, key) not in keys:
+                raise ValueError(f"{path}: unknown key {key!r} in [{section}]")
+    return filecfg
 
 
-def _pick(cli_value, filecfg: dict, section: str, key: str, cast, default):
-    if cli_value is not None:
-        return cli_value
-    raw = filecfg.get(section, {}).get(key)
-    if raw is not None:
-        if cast is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
-        return cast(raw)
-    return default
-
-
-def _prior_config(args, filecfg) -> PriorConfig:
-    base = PriorConfig()
-    return PriorConfig(
-        damping=_pick(getattr(args, "damping", None), filecfg, "prior",
-                      "damping", float, base.damping),
-        tolerance=_pick(None, filecfg, "prior", "tolerance", float,
-                        base.tolerance),
-        max_sweeps=_pick(None, filecfg, "prior", "max_sweeps", int,
-                         base.max_sweeps))
-
-
-def _engine_config(args, filecfg) -> EngineConfig:
-    base = EngineConfig()
-    return EngineConfig(
-        t0=_pick(getattr(args, "t0", None), filecfg, "engine", "t0",
-                 float, base.t0),
-        outer_threshold=_pick(getattr(args, "outer_threshold", None), filecfg,
-                              "engine", "outer_threshold", float,
-                              base.outer_threshold),
-        outer_max=_pick(getattr(args, "outer_max", None), filecfg, "engine",
-                        "outer_max", int, base.outer_max),
-        bp_damping=_pick(getattr(args, "bp_damping", None), filecfg, "engine",
-                         "bp_damping", float, base.bp_damping),
-        bp_tol=_pick(None, filecfg, "engine", "bp_tol", float, base.bp_tol),
-        bp_max=_pick(None, filecfg, "engine", "bp_max", int, base.bp_max),
-        edge_threshold=_pick(getattr(args, "edge_threshold", None), filecfg,
-                             "engine", "edge_threshold", float,
-                             base.edge_threshold),
-        coupling=_pick(getattr(args, "coupling", None), filecfg, "engine",
-                       "coupling", float, base.coupling),
-        dissimilar_false_factor=_pick(None, filecfg, "engine",
-                                      "dissimilar_false_factor", float,
-                                      base.dissimilar_false_factor))
-
-
-def _synth_config(args, filecfg) -> SynthConfig:
-    base = SynthConfig()
-    pick = lambda attr, key, cast, default: _pick(
-        getattr(args, attr, None), filecfg, "synth", key, cast, default)
-    rel_low = pick("rel_low", "reliability_low", float,
-                   base.reliability_range[0])
-    rel_high = pick("rel_high", "reliability_high", float,
-                    base.reliability_range[1])
-    cmin = pick("claims_min", "claims_min", int, base.claims_per_conflict[0])
-    cmax = pick("claims_max", "claims_max", int, base.claims_per_conflict[1])
-    return SynthConfig(
-        n_sources=pick("sources", "n_sources", int, base.n_sources),
-        n_entities=pick("entities", "n_entities", int, base.n_entities),
-        n_conflict_predicates=pick("conflicts", "n_conflict_predicates", int,
-                                   base.n_conflict_predicates),
-        attachment_m=pick("attachment", "attachment_m", int, base.attachment_m),
-        reliability_range=(rel_low, rel_high),
-        values_per_conflict=pick("values", "values_per_conflict", int,
-                                 base.values_per_conflict),
-        sameas_fidelity=pick("fidelity", "sameas_fidelity", float,
-                             base.sameas_fidelity),
-        seed=pick("seed", "seed", int, base.seed),
-        claims_per_conflict=(cmin, cmax),
-        support_skew=pick("support_skew", "support_skew", float,
-                          base.support_skew))
-
-
-def _print_parse_warnings(tagged_diagnostics):
-    for path, diag in tagged_diagnostics:
-        print(f"WARN {path}:{diag.line} {diag.reason}", file=sys.stderr)
+def _config(args, filecfg: dict, section: str):
+    """Build the config of ``section``: each setting comes from its flag,
+    else the file, else the config object's own default."""
+    entries = filecfg.get(section, {})
+    given = {}
+    for row_section, key, _, cast in SETTINGS:
+        if row_section != section:
+            continue
+        value = getattr(args, key, None)
+        if value is None and key in entries:
+            try:
+                value = cast(entries[key])
+            except ValueError:
+                raise ValueError(f"[{section}] {key}: not a valid "
+                                 f"{cast.__name__}: {entries[key]!r}") from None
+        if value is not None:
+            given[key] = value
+    cls = _CONFIGS[section]
+    for name, (low, high) in _RANGES.items():
+        if low in given or high in given:
+            default_low, default_high = getattr(cls(), name)
+            given[name] = (given.pop(low, default_low),
+                           given.pop(high, default_high))
+    return cls(**given)
 
 
 def _value_json(value) -> dict:
@@ -134,12 +144,11 @@ def _value_json(value) -> dict:
 
 
 def _decisions_jsonl(decisions, store, method: str, iterations=None,
-                     converged=None, taus=None) -> str:
+                     converged=None) -> str:
     lines = []
     for d in decisions:
         cs = store.conflict_sets[(d.entity, d.predicate)]
-        tau = list(getattr(d, "tau_final", ())) or \
-            (list(taus[(d.entity, d.predicate)]) if taus else None)
+        tau = getattr(d, "tau_final", ())  # baseline decisions carry none
         objects = []
         for i, obj in enumerate(cs.objects):
             entry = {"sources": sorted(obj.sources), **_value_json(obj.value)}
@@ -165,29 +174,30 @@ def _trace_csv(trace) -> str:
 
 
 def _ingest(args, filecfg):
-    policy = _POLICY_FLAGS[_pick(args.policy, filecfg, "run", "policy",
-                                 str, "host")]
-    mode = "strict" if args.strict else "lenient"
-    threads = _pick(args.threads, filecfg, "run", "threads", int, 1)
-    if threads < 1:
+    run = _config(args, filecfg, "run")
+    policy = run.get("policy", "host")
+    if policy not in _POLICY_FLAGS:
+        raise ValueError(f"unknown policy {policy!r}, expected one of "
+                         f"{', '.join(sorted(_POLICY_FLAGS))}")
+    if run.get("threads", 1) < 1:
         raise ValueError("--threads must be at least 1")
+    mode = "strict" if args.strict else "lenient"
     diagnostics = []
     statements = parse_files(args.input, fmt=args.format, mode=mode,
-                             threads=threads, diagnostics=diagnostics)
-    _print_parse_warnings(diagnostics)
+                             diagnostics=diagnostics)
+    for path, diag in diagnostics:
+        print(f"WARN {path}:{diag.line} {diag.reason}", file=sys.stderr)
     alignment = load_alignment(args.alignment) if args.alignment else None
-    return statements, policy, alignment
+    return statements, _POLICY_FLAGS[policy], alignment
 
 
-def cmd_resolve(args) -> int:
-    filecfg = _load_config(args.config)
+def cmd_resolve(args, filecfg: dict) -> int:
     statements, policy, alignment = _ingest(args, filecfg)
-    prior_cfg = _prior_config(args, filecfg)
-    engine_cfg = _engine_config(args, filecfg)
     built = assemble(statements, policy=policy, alignment=alignment,
-                     prior_cfg=prior_cfg)
+                     prior_cfg=_config(args, filecfg, "prior"))
     store = built.store
-    result = resolve_all(store, built.priors, engine_cfg)
+    result = resolve_all(store, built.priors,
+                         _config(args, filecfg, "engine"))
 
     os.makedirs(args.out, exist_ok=True)
     _atomic_write(os.path.join(args.out, "decisions.jsonl"),
@@ -215,10 +225,9 @@ def cmd_resolve(args) -> int:
     return EXIT_OK
 
 
-def cmd_prior(args) -> int:
-    filecfg = _load_config(args.config)
+def cmd_prior(args, filecfg: dict) -> int:
     statements, policy, _ = _ingest(args, filecfg)
-    prior_cfg = _prior_config(args, filecfg)
+    prior_cfg = _config(args, filecfg, "prior")
     graph = build_sameas_graph(statements)
     sbg = project_to_sbg(graph, policy)
     try:
@@ -240,9 +249,8 @@ def cmd_prior(args) -> int:
     return EXIT_OK if priors.converged else EXIT_NONCONVERGED
 
 
-def cmd_synth(args) -> int:
-    filecfg = _load_config(args.config)
-    cfg = _synth_config(args, filecfg)
+def cmd_synth(args, filecfg: dict) -> int:
+    cfg = _config(args, filecfg, "synth")
     result = generate(cfg)
     os.makedirs(args.out, exist_ok=True)
     _atomic_write(os.path.join(args.out, "corpus.nt"), result.triples)
@@ -261,14 +269,14 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
-    filecfg = _load_config(args.config)
-    cfg = _synth_config(args, filecfg)
-    engine_cfg = _engine_config(args, filecfg)
+def cmd_eval(args, filecfg: dict) -> int:
+    cfg = _config(args, filecfg, "synth")
     seeds = [int(s) for s in args.seeds.split(",")] if args.seeds \
         else list(range(cfg.seed, cfg.seed + args.runs))
     methods = args.methods.split(",")
-    rows = run_benchmark(cfg, seeds, methods, engine_cfg)
+    rows = run_benchmark(cfg, seeds, methods,
+                         _config(args, filecfg, "engine"),
+                         prior_cfg=_config(args, filecfg, "prior"))
     report = {"seeds": seeds, "methods": methods, "rows": []}
     for row in rows:
         flat = {"seed": row["seed"], "conflict_sets": row["conflict_sets"]}
@@ -295,8 +303,7 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def cmd_baseline(args) -> int:
-    filecfg = _load_config(args.config)
+def cmd_baseline(args, filecfg: dict) -> int:
     statements, policy, alignment = _ingest(args, filecfg)
     built = assemble(statements, policy=policy, alignment=alignment)
     store = built.store
@@ -315,108 +322,63 @@ def cmd_baseline(args) -> int:
     return code
 
 
-def _add_ingest_flags(sub):
-    sub.add_argument("--input", nargs="+", required=True,
-                     help="triple files (.nt/.nq, optionally .gz)")
-    sub.add_argument("--format", choices=["ntriples", "nquads"], default=None)
-    sub.add_argument("--policy", choices=sorted(_POLICY_FLAGS), default=None,
-                     help="source granularity (default host)")
-    sub.add_argument("--alignment", default=None,
-                     help="TSV mapping predicate IRIs to canonical ids")
-    sub.add_argument("--strict", action="store_true",
-                     help="abort on the first malformed line")
-    sub.add_argument("--threads", type=int, default=None,
-                     help="parallel workers for file parsing")
-
-
-def _add_engine_flags(sub):
-    sub.add_argument("--damping", type=float, default=None,
-                     help="prior damping factor")
-    sub.add_argument("--t0", type=float, default=None)
-    sub.add_argument("--outer-max", dest="outer_max", type=int, default=None)
-    sub.add_argument("--outer-threshold", dest="outer_threshold", type=float,
-                     default=None)
-    sub.add_argument("--bp-damping", dest="bp_damping", type=float,
-                     default=None)
-    sub.add_argument("--coupling", type=float, default=None)
-    sub.add_argument("--edge-threshold", dest="edge_threshold", type=float,
-                     default=None)
-
-
-def _add_synth_flags(sub):
-    sub.add_argument("--sources", type=int, default=None)
-    sub.add_argument("--entities", type=int, default=None)
-    sub.add_argument("--conflicts", type=int, default=None)
-    sub.add_argument("--values", type=int, default=None)
-    sub.add_argument("--attachment", type=int, default=None)
-    sub.add_argument("--fidelity", type=float, default=None)
-    sub.add_argument("--rel-low", dest="rel_low", type=float, default=None)
-    sub.add_argument("--rel-high", dest="rel_high", type=float, default=None)
-    sub.add_argument("--claims-min", dest="claims_min", type=int, default=None)
-    sub.add_argument("--claims-max", dest="claims_max", type=int, default=None)
-    sub.add_argument("--support-skew", dest="support_skew", type=float,
-                     default=None)
-    sub.add_argument("--seed", type=int, default=None)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ldtruth",
         description="Resolve conflicting Linked Data claims")
     sub = parser.add_subparsers(dest="command", required=True)
+    # name, handler, help, default --out, settings sections; the commands
+    # with a "run" section are those that read triple files
+    commands = (
+        ("resolve", cmd_resolve, "run full conflict resolution", "out",
+         ("run", "prior", "engine")),
+        ("prior", cmd_prior, "score sources from identity links only", "out",
+         ("run", "prior")),
+        ("synth", cmd_synth, "generate a synthetic corpus", "synth",
+         ("synth",)),
+        ("eval", cmd_eval, "benchmark methods on synthetic corpora", "eval",
+         ("synth", "prior", "engine")),
+        ("baseline", cmd_baseline, "run a single baseline method", "out",
+         ("run",)),
+    )
+    subs = {}
+    for name, func, text, out, sections in commands:
+        p = subs[name] = sub.add_parser(name, help=text)
+        p.set_defaults(func=func)
+        if "run" in sections:
+            p.add_argument("--input", nargs="+", required=True,
+                           help="triple files (.nt/.nq, optionally .gz)")
+            p.add_argument("--format", choices=["ntriples", "nquads"])
+            p.add_argument("--alignment",
+                           help="TSV mapping predicate IRIs to canonical ids")
+            p.add_argument("--strict", action="store_true",
+                           help="abort on the first malformed line")
+        for section, key, flag, cast in SETTINGS:
+            if flag and section in sections:
+                p.add_argument(flag, dest=key, type=cast,
+                               **_FLAG_EXTRAS.get(key, {}))
+        p.add_argument("--out", default=out)
+        p.add_argument("--config")
 
-    p = sub.add_parser("resolve", help="run full conflict resolution")
-    _add_ingest_flags(p)
-    _add_engine_flags(p)
-    p.add_argument("--out", default="out")
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_resolve)
-
-    p = sub.add_parser("prior", help="score sources from identity links only")
-    _add_ingest_flags(p)
-    p.add_argument("--damping", type=float, default=None)
-    p.add_argument("--out", default="out")
-    p.add_argument("--sbg-out", dest="sbg_out", default=None,
+    p = subs["prior"]
+    p.add_argument("--sbg-out", dest="sbg_out",
                    help="also dump the endorsement multigraph as TSV")
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_prior)
-
-    p = sub.add_parser("synth", help="generate a synthetic corpus")
-    _add_synth_flags(p)
-    p.add_argument("--out", default="synth")
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("eval", help="benchmark methods on synthetic corpora")
-    _add_synth_flags(p)
-    _add_engine_flags(p)
+    p = subs["eval"]
     p.add_argument("--runs", type=int, default=1,
                    help="number of consecutive seeds starting at --seed")
-    p.add_argument("--seeds", default=None,
-                   help="explicit comma-separated seed list")
+    p.add_argument("--seeds", help="explicit comma-separated seed list")
     p.add_argument("--methods", default=f"{METHOD_ENGINE},{METHOD_VOTE}")
-    p.add_argument("--out", default="eval")
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("baseline", help="run a single baseline method")
-    _add_ingest_flags(p)
-    p.add_argument("--method", choices=[METHOD_VOTE, METHOD_TRUTHFINDER],
-                   default=METHOD_VOTE)
-    p.add_argument("--out", default="out")
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_baseline)
+    subs["baseline"].add_argument(
+        "--method", choices=[METHOD_VOTE, METHOD_TRUTHFINDER],
+        default=METHOD_VOTE)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except MalformedLineError as exc:
-        print(f"ERROR: {exc}", file=sys.stderr)
-        return EXIT_FATAL
-    except (SynthConfigError, ValueError, OSError) as exc:
+        return args.func(args, _load_config(args.config))
+    except (ValueError, OSError) as exc:
         print(f"ERROR: {exc}", file=sys.stderr)
         return EXIT_FATAL
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 from .baselines import (DEFAULT_TRUTHFINDER, METHOD_TRUTHFINDER, METHOD_VOTE,
                         TruthFinderParams, truthfinder, vote_all)
 from .pipeline import assemble
+from .prior_belief import DEFAULT_PRIOR, PriorConfig
 from .rdf_ingest import FORMAT_NTRIPLES, OWL_SAMEAS, parse_triples
 from .similarity import DEFAULT_SIMILARITY, SimilarityConfig
 from .truth_engine import DEFAULT_ENGINE, EngineConfig, resolve_all
@@ -442,14 +443,15 @@ def run_methods(store, priors, gold: GoldStandard, methods,
 
 def run_benchmark(base_cfg: SynthConfig, seeds, methods=None,
                   engine_cfg: EngineConfig = DEFAULT_ENGINE,
-                  policy: str = "host") -> list:
+                  policy: str = "host",
+                  prior_cfg: PriorConfig = DEFAULT_PRIOR) -> list:
     """Generate, assemble and score one corpus per seed."""
     methods = list(methods or (METHOD_ENGINE, METHOD_VOTE))
     rows = []
     for seed in seeds:
         synth = generate(replace(base_cfg, seed=seed))
         statements = list(parse_triples(synth.triples, FORMAT_NTRIPLES))
-        built = assemble(statements, policy=policy)
+        built = assemble(statements, policy=policy, prior_cfg=prior_cfg)
         report = run_methods(built.store, built.priors, synth.gold, methods,
                              engine_cfg)
         rows.append({"seed": seed, "report": report,

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import gzip
 import io
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .graph_model import build_sameas_graph, project_to_sbg, sameas_closure
@@ -15,7 +14,6 @@ from .rdf_ingest import (FORMAT_NQUADS, FORMAT_NTRIPLES, build_claims,
 
 @dataclass
 class Assembled:
-    statements: list
     store: object
     clusters: object
     sbg: object
@@ -31,34 +29,23 @@ def format_for_path(path: str, fmt: str | None = None) -> str:
     return FORMAT_NTRIPLES
 
 
-def _parse_one(path: str, fmt: str | None, mode: str):
-    diagnostics = []
-    opener = gzip.open if path.endswith(".gz") else open
-    with opener(path, "rb") as handle:
-        buffered = io.BufferedReader(handle) if not isinstance(
-            handle, io.BufferedReader) else handle
-        statements = list(parse_triples(
-            buffered, format_for_path(path, fmt), mode, diagnostics))
-    return statements, diagnostics
-
-
 def parse_files(paths, fmt: str | None = None, mode: str = "lenient",
-                threads: int = 1, diagnostics: list | None = None) -> list:
-    """Parse several files, in input order, optionally in parallel.
+                diagnostics: list | None = None) -> list:
+    """Parse several files one after another, in the order given.
 
-    The per-file statement lists are concatenated in the order the paths
-    were given, so thread count never changes the result.
+    ``diagnostics``, when given, collects ``(path, diagnostic)`` pairs.
     """
-    if threads > 1 and len(paths) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda p: _parse_one(p, fmt, mode), paths))
-    else:
-        results = [_parse_one(p, fmt, mode) for p in paths]
     statements = []
-    for path, (stmts, diags) in zip(paths, results):
-        statements.extend(stmts)
+    for path in paths:
+        found = []
+        opener = gzip.open if path.endswith(".gz") else open
+        with opener(path, "rb") as handle:
+            buffered = io.BufferedReader(handle) if not isinstance(
+                handle, io.BufferedReader) else handle
+            statements.extend(parse_triples(
+                buffered, format_for_path(path, fmt), mode, found))
         if diagnostics is not None:
-            diagnostics.extend((path, d) for d in diags)
+            diagnostics.extend((path, d) for d in found)
     return statements
 
 
@@ -71,5 +58,4 @@ def assemble(statements, policy: str = "host", alignment: dict | None = None,
     sbg = project_to_sbg(graph, policy, diagnostics=None)
     priors = compute_prior(sbg, prior_cfg) if sbg.vertices else None
     store = build_claims(statements, clusters, alignment, policy, diagnostics)
-    return Assembled(statements=statements, store=store, clusters=clusters,
-                     sbg=sbg, priors=priors)
+    return Assembled(store=store, clusters=clusters, sbg=sbg, priors=priors)

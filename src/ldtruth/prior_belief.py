@@ -99,15 +99,3 @@ def normalize_prior(br: dict) -> dict:
     if spread == 0.0:
         return {s: 0.5 for s in br}
     return {s: (v - low) / spread for s, v in br.items()}
-
-
-def recurrence_residual(sbg: SourceBeliefGraph, br: dict,
-                        damping: float = 0.85) -> float:
-    """Largest gap between ``br`` and one application of the recurrence."""
-    worst = 0.0
-    for j in sbg.vertices:
-        total = 0.0
-        for i in sorted(sbg.in_neighbors.get(j, ())):
-            total += br[i] * sbg.multiplicity[(i, j)] / sbg.out_degree[i]
-        worst = max(worst, abs((1.0 - damping) + damping * total - br[j]))
-    return worst

@@ -106,12 +106,6 @@ class ClaimStore:
     sources: dict
     drop_counts: dict = field(default_factory=dict)
 
-    def conflicting_claims_of(self, source: str) -> list:
-        """Claims by ``source`` that sit inside some conflict set."""
-        keys = self.conflict_sets
-        return [c for c in self.sources.get(source, ())
-                if (c.entity, c.predicate) in keys]
-
 
 _IRI_BODY = r'[^<>"{}|^`\\\x00-\x20]*'
 _IRI_RE = re.compile(r"<(%s)>" % _IRI_BODY)

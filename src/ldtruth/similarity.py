@@ -16,14 +16,11 @@ from .values import KIND_DATE, KIND_NUMBER, KIND_REFERENCE, KIND_TEXT, Normalize
 @dataclass(frozen=True)
 class SimilarityConfig:
     numeric_floor: float = 1e-12
-    string_metric: str = "normalized_edit_distance"
     cross_kind_similarity: float = 0.0
 
     def __post_init__(self):
         if self.numeric_floor <= 0:
             raise ValueError("numeric_floor must be positive")
-        if self.string_metric != "normalized_edit_distance":
-            raise ValueError(f"unknown string metric: {self.string_metric!r}")
         if not 0.0 <= self.cross_kind_similarity <= 1.0:
             raise ValueError("cross_kind_similarity must be in [0, 1]")
 

@@ -78,8 +78,6 @@ class TrustState:
     t: dict
     t_smoothed: dict
     tau: dict
-    tau_base: dict
-    iteration: int
 
 
 @dataclass(frozen=True)
@@ -89,7 +87,6 @@ class TruthDecision:
     chosen: object
     tau_final: tuple
     support: frozenset
-    trace: ConvergenceTrace
 
 
 @dataclass
@@ -162,14 +159,6 @@ def pairwise_tables(values, cfg: EngineConfig = DEFAULT_ENGINE,
             mixed = math.exp(-cfg.coupling * s)
             edges.append((i, j, ((both_false, mixed), (mixed, agree))))
     return edges
-
-
-def build_field(cs: ConflictSet, tau_base: list,
-                cfg: EngineConfig = DEFAULT_ENGINE,
-                sim_cfg: SimilarityConfig = DEFAULT_SIMILARITY) -> MarkovField:
-    """Field over one conflict set from its candidates' base trust."""
-    edges = pairwise_tables([obj.value for obj in cs.objects], cfg, sim_cfg)
-    return MarkovField(unary=_unary_from_base(tau_base, cfg), edges=edges)
 
 
 def _unary_from_base(tau_base: list, cfg: EngineConfig) -> list:
@@ -258,17 +247,14 @@ def resolve_all(store: ClaimStore, priors=None,
             converged = True
             break
 
-    tau_base = {k: object_base_trust(cs, t_smoothed)
-                for k, cs in zip(keys, sets)}
     decisions = []
     for k, cs in zip(keys, sets):
         winner = select_truth(cs, tau[k], t_smoothed)
         decisions.append(TruthDecision(
             entity=cs.entity, predicate=cs.predicate,
             chosen=cs.objects[winner].value, tau_final=tuple(tau[k]),
-            support=cs.objects[winner].sources, trace=trace))
-    state = TrustState(t=t, t_smoothed=t_smoothed, tau=tau,
-                       tau_base=tau_base, iteration=iteration)
+            support=cs.objects[winner].sources))
+    state = TrustState(t=t, t_smoothed=t_smoothed, tau=tau)
     return ResolutionResult(decisions=decisions, trust=state, trace=trace,
                             iterations=iteration, converged=converged,
                             bp_converged=bp_converged)

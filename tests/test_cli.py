@@ -1,11 +1,13 @@
 """End-to-end command line behavior, run in process through main()."""
 
+import argparse
 import gzip
 import json
 
 import pytest
 
-from ldtruth.cli import main
+from ldtruth import eval_harness
+from ldtruth.cli import build_parser, main
 
 SYNTH_FLAGS = ["--sources", "10", "--entities", "30", "--conflicts", "40",
                "--seed", "6"]
@@ -226,3 +228,114 @@ class TestEvalCommand:
         assert 0.0 <= report["mean_ldtruth"] <= 1.0
         assert 0.0 <= report["mean_vote"] <= 1.0
         assert "mean" in capsys.readouterr().out
+
+
+class _Stop(Exception):
+    """Ends a command once a spied call has seen its arguments."""
+
+
+class TestEvalCommandSettings:
+
+    def test_prior_settings_reach_assemble(self, tmp_path, monkeypatch):
+        seen = {}
+
+        def assemble(statements, **kwargs):
+            seen.update(kwargs)
+            raise _Stop
+
+        monkeypatch.setattr(eval_harness, "assemble", assemble)
+        cfgfile = tmp_path / "prior.ini"
+        cfgfile.write_text("[prior]\ntolerance = 1e-5\n")
+        with pytest.raises(_Stop):
+            main(["eval", *SYNTH_FLAGS, "--seeds", "0", "--damping", "0.0",
+                  "--config", str(cfgfile), "--out", str(tmp_path / "e")])
+        assert seen["prior_cfg"].damping == 0.0
+        assert seen["prior_cfg"].tolerance == 1e-5
+
+
+class TestConfigFileErrors:
+
+    @pytest.mark.parametrize("text", [
+        "[engine]\nouter_mx = 1\n",
+        "[run]\npolicy = bogus\n",
+        "outer_max = 1\n",
+        "[enigne]\nouter_max = 1\n",
+        "[DEFAULT]\nouter_max = 1\n",
+        "[engine]\nouter_max = many\n",
+    ], ids=["unknown_key", "bad_policy", "no_section_header",
+            "unknown_section", "default_section", "bad_number"])
+    def test_fails_loudly(self, corpus_dir, tmp_path, capsys, text):
+        cfgfile = tmp_path / "bad.ini"
+        cfgfile.write_text(text)
+        code = main(["resolve", "--input", str(corpus_dir / "corpus.nt"),
+                     "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR: ")
+        assert not (tmp_path / "o").exists()
+
+
+# option string -> (type, default, choices) of each subcommand, as
+# released; str and untyped options both read None
+INGEST = {"--input": (None, None, None),
+          "--format": (None, None, ("ntriples", "nquads")),
+          "--policy": (None, None, ("graph", "host", "pld")),
+          "--alignment": (None, None, None),
+          "--strict": (None, False, None),
+          "--threads": (int, None, None),
+          "--out": (None, "out", None),
+          "--config": (None, None, None)}
+ENGINE = {"--damping": (float, None, None),
+          "--t0": (float, None, None),
+          "--outer-max": (int, None, None),
+          "--outer-threshold": (float, None, None),
+          "--bp-damping": (float, None, None),
+          "--coupling": (float, None, None),
+          "--edge-threshold": (float, None, None)}
+SYNTH = {"--sources": (int, None, None),
+         "--entities": (int, None, None),
+         "--conflicts": (int, None, None),
+         "--values": (int, None, None),
+         "--attachment": (int, None, None),
+         "--fidelity": (float, None, None),
+         "--rel-low": (float, None, None),
+         "--rel-high": (float, None, None),
+         "--claims-min": (int, None, None),
+         "--claims-max": (int, None, None),
+         "--support-skew": (float, None, None),
+         "--seed": (int, None, None),
+         "--config": (None, None, None)}
+
+SURFACE = {
+    "resolve": {**INGEST, **ENGINE},
+    "prior": {**INGEST, "--damping": (float, None, None),
+              "--sbg-out": (None, None, None)},
+    "synth": {**SYNTH, "--out": (None, "synth", None)},
+    "eval": {**SYNTH, **ENGINE, "--runs": (int, 1, None),
+             "--seeds": (None, None, None),
+             "--methods": (None, "ldtruth,vote", None),
+             "--out": (None, "eval", None)},
+    "baseline": {**INGEST, "--method": (None, "vote", ("vote", "truthfinder"))},
+}
+
+
+def _subcommands():
+    parser = build_parser()
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+class TestOptionSurface:
+
+    @pytest.mark.parametrize("command", sorted(SURFACE))
+    def test_options_types_and_defaults(self, command):
+        got = {}
+        for action in _subcommands()[command]._actions:
+            if "-h" in action.option_strings:
+                continue
+            kind = None if action.type in (None, str) else action.type
+            choices = tuple(action.choices) if action.choices else None
+            for option in action.option_strings:
+                got[option] = (kind, action.default, choices)
+        assert got == SURFACE[command]

@@ -11,7 +11,6 @@ from ldtruth.prior_belief import (
     PriorConfig,
     compute_prior,
     normalize_prior,
-    recurrence_residual,
 )
 
 
@@ -62,7 +61,6 @@ class TestFixedPoint:
             rhs = prior_rhs(sbg, beliefs.br)
             worst = max(abs(beliefs.br[v] - rhs[v]) for v in sbg.vertices)
             assert worst < 1e-8
-            assert recurrence_residual(sbg, beliefs.br) < 1e-8
 
     def test_agrees_with_direct_linear_solve(self):
         rng = random.Random(555)

@@ -236,15 +236,6 @@ class TestBuildClaims:
                    for s in obj.sources}
         assert sources == {"one.example.org", "two.example.org"}
 
-    def test_conflicting_claims_of(self):
-        clusters = EntityClusterMap(cluster_of={
-            "http://one.example.org/e": "http://one.example.org/e",
-            "http://two.example.org/e": "http://one.example.org/e",
-        }, members={})
-        store = build_claims(statements_from(CORPUS), clusters)
-        inside = store.conflicting_claims_of("one.example.org")
-        assert [c.value.render() for c in inside] == ["93"]
-
 
 class TestAlignmentTable:
     def test_load_and_skip_comments(self, tmp_path):

@@ -9,8 +9,9 @@ from ldtruth.prior_belief import PriorBeliefs
 from ldtruth.rdf_ingest import ConflictSet, ObjectSupport
 from ldtruth.similarity import sim
 from ldtruth.truth_engine import (
+    DEFAULT_ENGINE,
     EngineConfig,
-    build_field,
+    _unary_from_base,
     object_base_trust,
     pairwise_tables,
     resolve_all,
@@ -120,20 +121,18 @@ class TestPairwiseTables:
         assert pairwise_tables(values) == []
 
 
-class TestBuildField:
+class TestUnaryFromBase:
 
     def test_unary_comes_from_clamped_base(self):
-        cs = two_object_set({"s1.example"}, {"s2.example"})
-        field = build_field(cs, [0.25, 1.0])
-        assert field.unary[0] == (0.75, 0.25)
+        unary = _unary_from_base([0.25, 1.0], DEFAULT_ENGINE)
+        assert unary[0] == (0.75, 0.25)
         # base trust of exactly 1.0 is pulled inside the open interval
-        assert field.unary[1][1] == 1.0 - 1e-6
-        assert field.unary[1][0] == pytest.approx(1e-6, rel=1e-9)
+        assert unary[1][1] == 1.0 - 1e-6
+        assert unary[1][0] == pytest.approx(1e-6, rel=1e-9)
 
     def test_zero_base_stays_positive(self):
-        cs = two_object_set({"s1.example"}, {"s2.example"})
-        field = build_field(cs, [0.0, 0.5])
-        assert field.unary[0] == (1.0 - 1e-6, 1e-6)
+        unary = _unary_from_base([0.0, 0.5], DEFAULT_ENGINE)
+        assert unary[0] == (1.0 - 1e-6, 1e-6)
 
 
 class TestSelectTruth:
@@ -246,10 +245,9 @@ class TestResolveAll:
         store = store_from_claims(ladder_rows())
         cfg = EngineConfig(outer_threshold=1e-15, outer_max=3)
         result = resolve_all(store, ladder_priors(), cfg)
-        for key, cs in store.conflict_sets.items():
-            assert result.trust.tau_base[key] == \
-                object_base_trust(cs, result.trust.t_smoothed)
-        assert result.trust.tau_base[("e1", "p")] == [0.96875, 0.03125]
+        base = object_base_trust(store.conflict_sets[("e1", "p")],
+                                 result.trust.t_smoothed)
+        assert base == [0.96875, 0.03125]
 
     def test_no_priors_means_neutral_start_and_instant_convergence(self):
         store = store_from_claims(ladder_rows())
