@@ -67,9 +67,9 @@ def vote_all(store: ClaimStore) -> list:
 
 def _confidences(cs: ConflictSet, trust: dict, sims, params) -> list:
     scores = []
-    for obj in cs.objects:
+    for supporters in cs.supporters:
         score = 0.0
-        for source in sorted(obj.sources):
+        for source in supporters:
             clipped = min(trust[source], 1.0 - 1e-12)
             score += -math.log1p(-clipped)
         scores.append(score)
@@ -102,8 +102,6 @@ def truthfinder(store: ClaimStore,
                 table[i][j] = table[j][i] = sim(values[i], values[j], sim_cfg)
         sim_tables.append(table)
 
-    position = {k: {obj.value: i for i, obj in enumerate(cs.objects)}
-                for k, cs in zip(keys, sets)}
     trust = {s: params.initial_trust for s in sorted(store.sources)}
     confidences = {k: [0.0] * len(cs.objects) for k, cs in zip(keys, sets)}
     converged = False
@@ -113,16 +111,11 @@ def truthfinder(store: ClaimStore,
             confidences[k] = _confidences(cs, trust, sims, params)
         fresh = {}
         for source in trust:
+            hits = store.incidence[source]
             total = 0.0
-            count = 0
-            for claim in store.sources[source]:
-                key = (claim.entity, claim.predicate)
-                slots = position.get(key)
-                if slots is None:
-                    continue
-                total += confidences[key][slots[claim.value]]
-                count += 1
-            fresh[source] = total / count if count else trust[source]
+            for key, slot in hits:
+                total += confidences[key][slot]
+            fresh[source] = total / len(hits) if hits else trust[source]
         shift = max(abs(fresh[s] - trust[s]) for s in trust) if trust else 0.0
         trust = fresh
         if shift < params.tol:

@@ -195,6 +195,8 @@ def cmd_resolve(args, filecfg: dict) -> int:
     statements, policy, alignment = _ingest(args, filecfg)
     built = assemble(statements, policy=policy, alignment=alignment,
                      prior_cfg=_config(args, filecfg, "prior"))
+    n_statements = len(statements)
+    del statements  # nothing downstream needs them; free them before inference
     store = built.store
     result = resolve_all(store, built.priors,
                          _config(args, filecfg, "engine"))
@@ -215,12 +217,13 @@ def cmd_resolve(args, filecfg: dict) -> int:
     _atomic_write(os.path.join(args.out, "source_trust.tsv"),
                   "\n".join(trust_lines) + "\n")
 
-    print(f"statements={len(statements)} claims={len(store.claims)} "
+    print(f"statements={n_statements} claims={len(store.claims)} "
           f"conflict_sets={len(store.conflict_sets)} "
-          f"iterations={result.iterations} converged={result.converged}",
+          f"iterations={result.iterations} converged={result.converged} "
+          f"bp_converged={result.bp_converged} bp_rounds={result.bp_rounds}",
           file=sys.stderr)
     priors_ok = built.priors is None or built.priors.converged
-    if not result.converged or not priors_ok:
+    if not (result.converged and result.bp_converged and priors_ok):
         return EXIT_NONCONVERGED
     return EXIT_OK
 

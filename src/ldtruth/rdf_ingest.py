@@ -13,6 +13,7 @@ from __future__ import annotations
 import io
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from urllib.parse import urlsplit
 
 from .public_suffix import pay_level_domain
@@ -98,6 +99,11 @@ class ConflictSet:
         if len(self.objects) < 2:
             raise ValueError("a conflict set needs at least two candidates")
 
+    @cached_property
+    def supporters(self) -> tuple:
+        """Each candidate's supporting sources, sorted, in object order."""
+        return tuple(tuple(sorted(obj.sources)) for obj in self.objects)
+
 
 @dataclass
 class ClaimStore:
@@ -105,6 +111,21 @@ class ClaimStore:
     conflict_sets: dict
     sources: dict
     drop_counts: dict = field(default_factory=dict)
+
+    @cached_property
+    def incidence(self) -> dict:
+        """source -> [(conflict-set key, candidate slot)], one entry per
+        claim of the source that falls in a conflict set, in claim order."""
+        slot_of = {key: {obj.value: i for i, obj in enumerate(cs.objects)}
+                   for key, cs in self.conflict_sets.items()}
+        incidence = {}
+        for source, claims in self.sources.items():
+            hits = incidence[source] = []
+            for claim in claims:
+                key = (claim.entity, claim.predicate)
+                if key in slot_of:
+                    hits.append((key, slot_of[key][claim.value]))
+        return incidence
 
 
 _IRI_BODY = r'[^<>"{}|^`\\\x00-\x20]*'

@@ -9,6 +9,9 @@ probabilities fixed, each source is scored by the mean probability of
 the candidates it backed, then blended half and half with its
 structural prior.  Iteration stops when no candidate's probability
 moves by more than the outer threshold.
+
+Each set's field is built once and only its unary potentials change per
+sweep, with propagation warm-started from the set's previous messages.
 """
 
 from __future__ import annotations
@@ -97,6 +100,7 @@ class ResolutionResult:
     iterations: int
     converged: bool
     bp_converged: bool
+    bp_rounds: int      # BP rounds summed over every set and sweep
 
 
 def source_trustworthiness(store: ClaimStore, tau: dict,
@@ -106,21 +110,13 @@ def source_trustworthiness(store: ClaimStore, tau: dict,
     A source with no claim inside any conflict set keeps the starting
     trust; unanimous claims carry no signal about reliability here.
     """
-    position = {}
-    for key, cs in store.conflict_sets.items():
-        position[key] = {obj.value: i for i, obj in enumerate(cs.objects)}
     trust = {}
     for source in sorted(store.sources):
+        hits = store.incidence[source]
         total = 0.0
-        count = 0
-        for claim in store.sources[source]:
-            key = (claim.entity, claim.predicate)
-            slots = position.get(key)
-            if slots is None:
-                continue
-            total += tau[key][slots[claim.value]]
-            count += 1
-        trust[source] = total / count if count else t0
+        for key, slot in hits:
+            total += tau[key][slot]
+        trust[source] = total / len(hits) if hits else t0
     return trust
 
 
@@ -132,11 +128,11 @@ def smooth_trust(t: dict, nbr: dict) -> dict:
 def object_base_trust(cs: ConflictSet, t_smoothed: dict) -> list:
     """Mean smoothed supporter trust per candidate, in object order."""
     base = []
-    for obj in cs.objects:
+    for supporters in cs.supporters:
         total = 0.0
-        for source in sorted(obj.sources):
+        for source in supporters:
             total += t_smoothed[source]
-        base.append(total / len(obj.sources))
+        base.append(total / len(supporters))
     return base
 
 
@@ -190,8 +186,8 @@ def _beats(cs, tau, t_smoothed, i, best) -> bool:
     a, b = cs.objects[i], cs.objects[best]
     if len(a.sources) != len(b.sources):
         return len(a.sources) > len(b.sources)
-    sum_a = sum(t_smoothed.get(s, 0.5) for s in sorted(a.sources))
-    sum_b = sum(t_smoothed.get(s, 0.5) for s in sorted(b.sources))
+    sum_a = sum(t_smoothed.get(s, 0.5) for s in cs.supporters[i])
+    sum_b = sum(t_smoothed.get(s, 0.5) for s in cs.supporters[best])
     if sum_a != sum_b:
         return sum_a > sum_b
     return a.value.sort_key() < b.value.sort_key()
@@ -208,10 +204,9 @@ def resolve_all(store: ClaimStore, priors=None,
     """
     keys = sorted(store.conflict_sets)
     sets = [store.conflict_sets[k] for k in keys]
-    cached_edges = [
-        pairwise_tables([obj.value for obj in cs.objects], cfg, sim_cfg)
-        for cs in sets
-    ]
+    fields = [MarkovField([(0.5, 0.5)] * len(cs.objects), pairwise_tables(
+        [obj.value for obj in cs.objects], cfg, sim_cfg)) for cs in sets]
+    messages = [None] * len(sets)
     nbr_map = priors.nbr if priors is not None else {}
     nbr = {s: nbr_map.get(s, 0.5) for s in store.sources}
 
@@ -222,28 +217,26 @@ def resolve_all(store: ClaimStore, priors=None,
     trace = ConvergenceTrace(source_snapshots=[] if cfg.track_sources else None)
     converged = False
     bp_converged = True
+    bp_rounds = 0
     iteration = 0
     for iteration in range(1, cfg.outer_max + 1):
         deltas = []
-        max_delta = 0.0
-        for k, cs, edges in zip(keys, sets, cached_edges):
-            base = object_base_trust(cs, t_smoothed)
-            fld = MarkovField(unary=_unary_from_base(base, cfg), edges=edges)
-            result = loopy_bp(fld, cfg.bp_damping, cfg.bp_tol, cfg.bp_max)
+        for n, (k, cs, fld) in enumerate(zip(keys, sets, fields)):
+            fld.unary = _unary_from_base(object_base_trust(cs, t_smoothed), cfg)
+            result = loopy_bp(fld, cfg.bp_damping, cfg.bp_tol, cfg.bp_max,
+                              messages[n])
+            messages[n] = result.messages
             bp_converged = bp_converged and result.converged
-            previous = tau[k]
-            for old, new in zip(previous, result.marginals):
-                gap = abs(new - old)
-                deltas.append(gap)
-                if gap > max_delta:
-                    max_delta = gap
+            bp_rounds += result.rounds
+            deltas.extend(abs(new - old)
+                          for old, new in zip(tau[k], result.marginals))
             tau[k] = result.marginals
         trace.record(iteration, deltas)
         t = source_trustworthiness(store, tau, cfg.t0)
         t_smoothed = smooth_trust(t, nbr)
         if trace.source_snapshots is not None:
             trace.source_snapshots.append(dict(t_smoothed))
-        if max_delta < cfg.outer_threshold:
+        if trace.rows[-1].max_delta_tau < cfg.outer_threshold:
             converged = True
             break
 
@@ -257,4 +250,4 @@ def resolve_all(store: ClaimStore, priors=None,
     state = TrustState(t=t, t_smoothed=t_smoothed, tau=tau)
     return ResolutionResult(decisions=decisions, trust=state, trace=trace,
                             iterations=iteration, converged=converged,
-                            bp_converged=bp_converged)
+                            bp_converged=bp_converged, bp_rounds=bp_rounds)

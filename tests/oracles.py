@@ -9,7 +9,10 @@ import itertools
 import numpy as np
 
 from ldtruth.graph_model import SourceBeliefGraph
+from ldtruth.mrf import MarkovField, loopy_bp
 from ldtruth.rdf_ingest import Claim, ClaimStore, ConflictSet, ObjectSupport
+from ldtruth.truth_engine import (DEFAULT_ENGINE, _unary_from_base,
+                                  pairwise_tables, select_truth, smooth_trust)
 
 
 def enum_marginals(unary, edges):
@@ -177,3 +180,66 @@ def random_sbg(rng, n_vertices, n_edges):
         b = names[rng.randrange(n_vertices)]
         sbg.add_edge(a, b)
     return sbg
+
+
+def rescan_trust(store, tau, t0=0.5):
+    """Mean conflict-claim probability per source, found by scanning every
+    claim of every source."""
+    position = {}
+    for key, cs in store.conflict_sets.items():
+        position[key] = {obj.value: i for i, obj in enumerate(cs.objects)}
+    trust = {}
+    for source in sorted(store.sources):
+        total = 0.0
+        count = 0
+        for claim in store.sources[source]:
+            key = (claim.entity, claim.predicate)
+            slots = position.get(key)
+            if slots is None:
+                continue
+            total += tau[key][slots[claim.value]]
+            count += 1
+        trust[source] = total / count if count else t0
+    return trust
+
+
+def reference_resolve(store, priors=None, cfg=DEFAULT_ENGINE):
+    """The alternating loop with nothing carried between sweeps: a fresh
+    field and a cold-start propagation per set per sweep, and a full claim
+    rescan for the trust update.  Returns (chosen value per conflict key,
+    tau per key, raw trust, sweeps, converged, BP rounds summed)."""
+    keys = sorted(store.conflict_sets)
+    sets = [store.conflict_sets[k] for k in keys]
+    edges = [pairwise_tables([obj.value for obj in cs.objects], cfg)
+             for cs in sets]
+    nbr_map = priors.nbr if priors is not None else {}
+    nbr = {s: nbr_map.get(s, 0.5) for s in store.sources}
+    t = {s: cfg.t0 for s in sorted(store.sources)}
+    t_smoothed = smooth_trust(t, nbr)
+    tau = {k: [0.5] * len(cs.objects) for k, cs in zip(keys, sets)}
+    converged = False
+    iteration = rounds = 0
+    for iteration in range(1, cfg.outer_max + 1):
+        max_delta = 0.0
+        for k, cs, set_edges in zip(keys, sets, edges):
+            base = []
+            for obj in cs.objects:
+                total = 0.0
+                for source in sorted(obj.sources):
+                    total += t_smoothed[source]
+                base.append(total / len(obj.sources))
+            field = MarkovField(unary=_unary_from_base(base, cfg),
+                                edges=set_edges)
+            result = loopy_bp(field, cfg.bp_damping, cfg.bp_tol, cfg.bp_max)
+            rounds += result.rounds
+            for old, new in zip(tau[k], result.marginals):
+                max_delta = max(max_delta, abs(new - old))
+            tau[k] = result.marginals
+        t = rescan_trust(store, tau, cfg.t0)
+        t_smoothed = smooth_trust(t, nbr)
+        if max_delta < cfg.outer_threshold:
+            converged = True
+            break
+    chosen = {k: cs.objects[select_truth(cs, tau[k], t_smoothed)].value
+              for k, cs in zip(keys, sets)}
+    return chosen, tau, t, iteration, converged, rounds

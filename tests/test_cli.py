@@ -145,6 +145,32 @@ class TestResolveCommand:
                      "--out", str(tmp_path / "cap")])
         assert code == 2
 
+    def test_bp_round_cap_reports_nonconvergence(self, tmp_path, capsys):
+        # three linked copies of one entity give three close numbers for
+        # one slot: a triangle field, which needs more than one BP round
+        same = "<http://www.w3.org/2002/07/owl#sameAs>"
+        integer = "<http://www.w3.org/2001/XMLSchema#integer>"
+        lines = [f"<http://a.example/e> {same} <http://{h}.example/e> ."
+                 for h in ("b", "c")]
+        lines += [f'<http://{h}.example/e> <http://p.example/pop> '
+                  f'"{n}"^^{integer} .' for h, n in zip("abc", (100, 101, 102))]
+        corpus = tmp_path / "triangle.nt"
+        corpus.write_text("\n".join(lines) + "\n")
+        cfgfile = tmp_path / "bp.ini"
+        cfgfile.write_text("[engine]\nbp_max = 1\n")
+        code = main(["resolve", "--input", str(corpus), "--config",
+                     str(cfgfile), "--out", str(tmp_path / "capped")])
+        summary = capsys.readouterr().err.splitlines()[-1]
+        assert code == 2
+        assert "conflict_sets=1 " in summary
+        assert "bp_converged=False" in summary
+        assert "bp_rounds=" in summary
+        code = main(["resolve", "--input", str(corpus),
+                     "--out", str(tmp_path / "free")])
+        summary = capsys.readouterr().err.splitlines()[-1]
+        assert code == 0
+        assert "converged=True bp_converged=True" in summary
+
     def test_zero_threads_rejected(self, corpus_dir, tmp_path, capsys):
         code = main(["resolve", "--input", str(corpus_dir / "corpus.nt"),
                      "--threads", "0", "--out", str(tmp_path / "x")])

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ldtruth.mrf import MarkovField, loopy_bp
 
@@ -48,6 +50,18 @@ class TestTwoNodeField:
         assert result.marginals[0] == pytest.approx(6.0 / 9.0, abs=1e-12)
         assert result.marginals[1] == pytest.approx(5.0 / 9.0, abs=1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(min_value=1e-3, max_value=1e3),
+                    min_size=8, max_size=8))
+    def test_closed_form_is_exact_and_takes_no_rounds(self, xs):
+        unary = [(xs[0], xs[1]), (xs[2], xs[3])]
+        edges = [(0, 1, ((xs[4], xs[5]), (xs[6], xs[7])))]
+        result = loopy_bp(MarkovField(unary=unary, edges=edges))
+        assert result.converged
+        assert result.rounds == 0
+        for got, want in zip(result.marginals, enum_marginals(unary, edges)):
+            assert abs(got - want) <= 1e-12
+
 
 class TestTreeExactness:
 
@@ -86,6 +100,37 @@ class TestLoopyApproximation:
             exact = enum_marginals(unary, edges)
             for got, want in zip(result.marginals, exact):
                 assert abs(got - want) <= 0.05
+
+
+class TestWarmStart:
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.integers(min_value=3, max_value=10))
+    def test_converged_messages_restart_converged(self, seed, size):
+        unary, edges = random_loopy_field(random.Random(seed), size)
+        field = MarkovField(unary=unary, edges=edges)
+        tol = 1e-6
+        cold = loopy_bp(field, tol=tol)
+        assume(cold.converged)
+        warm = loopy_bp(field, tol=tol, messages=cold.messages)
+        assert warm.converged
+        assert warm.rounds <= 1
+        for a, b in zip(cold.marginals, warm.marginals):
+            assert abs(a - b) <= 10 * tol
+
+    def test_new_unary_converges_in_fewer_rounds(self):
+        unary, edges = random_loopy_field(random.Random(8), 9)
+        field = MarkovField(unary=unary, edges=edges)
+        first = loopy_bp(field, tol=1e-10, max_rounds=1000)
+        field.unary = [(p0 * 1.01, p1) for p0, p1 in unary]
+        cold = loopy_bp(field, tol=1e-10, max_rounds=1000)
+        warm = loopy_bp(field, tol=1e-10, max_rounds=1000,
+                        messages=first.messages)
+        assert cold.converged and warm.converged
+        assert warm.rounds < cold.rounds
+        for a, b in zip(cold.marginals, warm.marginals):
+            assert abs(a - b) <= 1e-8
 
 
 class TestDegenerateShapes:

@@ -2,11 +2,15 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
+from ldtruth.eval_harness import SynthConfig, generate, no_dominant_config
+from ldtruth.pipeline import assemble
 from ldtruth.prior_belief import PriorBeliefs
-from ldtruth.rdf_ingest import ConflictSet, ObjectSupport
+from ldtruth.rdf_ingest import (FORMAT_NTRIPLES, ConflictSet, ObjectSupport,
+                                parse_triples)
 from ldtruth.similarity import sim
 from ldtruth.truth_engine import (
     DEFAULT_ENGINE,
@@ -21,7 +25,7 @@ from ldtruth.truth_engine import (
 )
 from ldtruth.values import NormalizedValue
 
-from oracles import store_from_claims
+from oracles import reference_resolve, rescan_trust, store_from_claims
 
 
 def number(x):
@@ -70,6 +74,20 @@ class TestSourceTrustworthiness:
         trust = source_trustworthiness(store, tau, t0=0.42)
         assert trust["lone.example"] == 0.42
         assert trust["w.example"] == 1.0
+
+    def test_equals_a_full_claim_rescan(self):
+        rng = random.Random(5120)
+        sources = [f"s{i}.example" for i in range(8)]
+        rows = []
+        for k in range(30):
+            for v in rng.sample(range(9), rng.randrange(1, 4)):
+                for s in rng.sample(sources, rng.randrange(1, 4)):
+                    rows.append((f"e{k}", "p", number(v), s))
+        store = store_from_claims(rows)
+        tau = {key: [rng.random() for _ in cs.objects]
+               for key, cs in store.conflict_sets.items()}
+        assert source_trustworthiness(store, tau, 0.3) == \
+            rescan_trust(store, tau, 0.3)
 
 
 class TestSmoothTrust:
@@ -274,3 +292,35 @@ class TestResolveAll:
         assert first.trust.t_smoothed == second.trust.t_smoothed
         assert [r.mean_delta_tau for r in first.trace.rows] == \
             [r.mean_delta_tau for r in second.trace.rows]
+
+
+class TestMatchesReference:
+    """Carrying fields, messages and the claim incidence across sweeps
+    changes no decision and no sweep count, and moves tau only by the
+    propagation tolerance, which is tight here."""
+
+    @pytest.mark.parametrize("cfg", [
+        SynthConfig(n_sources=12, n_entities=40, n_conflict_predicates=60,
+                    seed=2),
+        replace(no_dominant_config(3), n_entities=60,
+                n_conflict_predicates=150),
+    ], ids=["default_shape", "no_dominant"])
+    def test_decisions_sweeps_and_tau(self, cfg):
+        built = assemble(list(parse_triples(generate(cfg).triples,
+                                            FORMAT_NTRIPLES)), policy="host")
+        engine = EngineConfig(bp_tol=1e-13, bp_max=5000)
+        result = resolve_all(built.store, built.priors, engine)
+        chosen, tau, t, sweeps, converged, cold_rounds = reference_resolve(
+            built.store, built.priors, engine)
+        assert any(len(cs.objects) > 2
+                   for cs in built.store.conflict_sets.values())
+        assert {(d.entity, d.predicate): d.chosen
+                for d in result.decisions} == chosen
+        assert (result.iterations, result.converged) == (sweeps, converged)
+        assert result.bp_converged
+        assert 0 < result.bp_rounds < cold_rounds   # warm starts pay off
+        for key, probs in tau.items():
+            for got, want in zip(result.trust.tau[key], probs):
+                assert abs(got - want) <= 1e-9
+        for source, value in t.items():
+            assert abs(result.trust.t[source] - value) <= 1e-9
