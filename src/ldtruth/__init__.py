@@ -9,7 +9,7 @@ evaluation harness.  The ``ldtruth`` command wires it together.
 
 from .baselines import TruthFinderParams, truthfinder, vote, vote_all
 from .eval_harness import (GoldStandard, SynthConfig, SynthResult, accuracy,
-                           generate, run_benchmark)
+                           generate, run_benchmark, run_method)
 from .graph_model import (EntityClusterMap, SameAsGraph, SourceBeliefGraph,
                           build_sameas_graph, project_to_sbg, sameas_closure)
 from .mrf import BpResult, MarkovField, loopy_bp
@@ -19,9 +19,9 @@ from .rdf_ingest import (Claim, ClaimStore, ConflictSet, Diagnostic,
                          NormalizedValue, ObjectSupport, RdfStatement, Term,
                          build_claims, extract_source, format_statement,
                          parse_triples)
-from .similarity import SimilarityConfig, sim
-from .truth_engine import (EngineConfig, ResolutionResult, TrustState,
-                           TruthDecision, object_base_trust,
+from .similarity import sim
+from .truth_engine import (Decision, EngineConfig, ResolutionResult,
+                           TrustState, object_base_trust,
                            resolve_all, select_truth, smooth_trust,
                            source_trustworthiness)
 from .values import normalize_object

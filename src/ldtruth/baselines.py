@@ -13,20 +13,11 @@ import math
 from dataclasses import dataclass
 
 from .rdf_ingest import ClaimStore, ConflictSet
-from .similarity import DEFAULT_SIMILARITY, SimilarityConfig, sim
-from .truth_engine import select_truth
+from .similarity import sim
+from .truth_engine import Decision, select_truth, source_trustworthiness
 
 METHOD_VOTE = "vote"
 METHOD_TRUTHFINDER = "truthfinder"
-
-
-@dataclass(frozen=True)
-class BaselineDecision:
-    entity: str
-    predicate: str
-    chosen: object
-    method: str
-    scores: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -51,13 +42,12 @@ class TruthFinderParams:
 DEFAULT_TRUTHFINDER = TruthFinderParams()
 
 
-def vote(cs: ConflictSet) -> BaselineDecision:
+def vote(cs: ConflictSet) -> Decision:
     """Widest support wins; ties resolve exactly like the engine's."""
     counts = [float(len(obj.sources)) for obj in cs.objects]
     winner = select_truth(cs, counts, {})
-    return BaselineDecision(cs.entity, cs.predicate,
-                            cs.objects[winner].value, METHOD_VOTE,
-                            tuple(counts))
+    return Decision(cs.entity, cs.predicate, cs.objects[winner].value,
+                    tuple(counts))
 
 
 def vote_all(store: ClaimStore) -> list:
@@ -85,8 +75,7 @@ def _confidences(cs: ConflictSet, trust: dict, sims, params) -> list:
 
 
 def truthfinder(store: ClaimStore,
-                params: TruthFinderParams = DEFAULT_TRUTHFINDER,
-                sim_cfg: SimilarityConfig = DEFAULT_SIMILARITY):
+                params: TruthFinderParams = DEFAULT_TRUTHFINDER):
     """Iterate trust and confidence to a fixed point, then decide.
 
     Returns (decisions, source trust, iterations, converged).
@@ -99,7 +88,7 @@ def truthfinder(store: ClaimStore,
         table = [[0.0] * len(values) for _ in values]
         for i in range(len(values)):
             for j in range(i + 1, len(values)):
-                table[i][j] = table[j][i] = sim(values[i], values[j], sim_cfg)
+                table[i][j] = table[j][i] = sim(values[i], values[j])
         sim_tables.append(table)
 
     trust = {s: params.initial_trust for s in sorted(store.sources)}
@@ -109,13 +98,9 @@ def truthfinder(store: ClaimStore,
     for iterations in range(1, params.max_iter + 1):
         for k, cs, sims in zip(keys, sets, sim_tables):
             confidences[k] = _confidences(cs, trust, sims, params)
-        fresh = {}
-        for source in trust:
-            hits = store.incidence[source]
-            total = 0.0
-            for key, slot in hits:
-                total += confidences[key][slot]
-            fresh[source] = total / len(hits) if hits else trust[source]
+        # a source with no claim in any conflict set keeps its initial trust
+        fresh = source_trustworthiness(store, confidences,
+                                       params.initial_trust)
         shift = max(abs(fresh[s] - trust[s]) for s in trust) if trust else 0.0
         trust = fresh
         if shift < params.tol:
@@ -125,7 +110,7 @@ def truthfinder(store: ClaimStore,
     decisions = []
     for k, cs in zip(keys, sets):
         winner = select_truth(cs, confidences[k], trust)
-        decisions.append(BaselineDecision(
-            cs.entity, cs.predicate, cs.objects[winner].value,
-            METHOD_TRUTHFINDER, tuple(confidences[k])))
+        decisions.append(Decision(cs.entity, cs.predicate,
+                                  cs.objects[winner].value,
+                                  tuple(confidences[k])))
     return decisions, trust, iterations, converged

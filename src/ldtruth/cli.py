@@ -15,12 +15,12 @@ import json
 import os
 import sys
 
-from .baselines import (METHOD_TRUTHFINDER, METHOD_VOTE, truthfinder,
-                        vote_all)
-from .eval_harness import METHOD_ENGINE, SynthConfig, generate, run_benchmark
-from .graph_model import (build_sameas_graph, project_to_sbg, sbg_to_tsv)
-from .pipeline import assemble, parse_files
-from .prior_belief import EmptyGraphError, PriorConfig, compute_prior
+from .baselines import METHOD_TRUTHFINDER, METHOD_VOTE
+from .eval_harness import (METHOD_ENGINE, SynthConfig, generate, run_benchmark,
+                           run_method)
+from .graph_model import build_sameas_graph, sbg_to_tsv
+from .pipeline import assemble, parse_files, source_prior
+from .prior_belief import DEFAULT_PRIOR, PriorConfig
 from .rdf_ingest import (POLICY_HOST, POLICY_NAMED_GRAPH, POLICY_PLD,
                          load_alignment)
 from .truth_engine import EngineConfig, resolve_all
@@ -148,12 +148,12 @@ def _decisions_jsonl(decisions, store, method: str, iterations=None,
     lines = []
     for d in decisions:
         cs = store.conflict_sets[(d.entity, d.predicate)]
-        tau = getattr(d, "tau_final", ())  # baseline decisions carry none
         objects = []
-        for i, obj in enumerate(cs.objects):
+        for obj, score in zip(cs.objects, d.scores):
             entry = {"sources": sorted(obj.sources), **_value_json(obj.value)}
-            if tau:
-                entry["tau"] = tau[i]
+            # only the engine's scores are truth probabilities
+            if method == METHOD_ENGINE:
+                entry["tau"] = score
             objects.append(entry)
         record = {"entity": d.entity, "predicate": d.predicate,
                   "chosen": _value_json(d.chosen), "objects": objects,
@@ -191,12 +191,27 @@ def _ingest(args, filecfg):
     return statements, _POLICY_FLAGS[policy], alignment
 
 
-def cmd_resolve(args, filecfg: dict) -> int:
+def _assemble(args, filecfg, prior_cfg: PriorConfig = DEFAULT_PRIOR):
+    """Parse and assemble the input; returns (assembled, statement count).
+    The statements are freed on return: nothing downstream needs them."""
     statements, policy, alignment = _ingest(args, filecfg)
     built = assemble(statements, policy=policy, alignment=alignment,
-                     prior_cfg=_config(args, filecfg, "prior"))
-    n_statements = len(statements)
-    del statements  # nothing downstream needs them; free them before inference
+                     prior_cfg=prior_cfg)
+    for category in ("no_source", "missing_graph"):
+        _warn_dropped(built.store.drop_counts.get(category, 0),
+                      "statements", category)
+    _warn_dropped(built.links_dropped, "identity links", "no_source")
+    return built, len(statements)
+
+
+def _warn_dropped(count: int, what: str, category: str):
+    if count:
+        print(f"WARN dropped {count} {what}: {category}", file=sys.stderr)
+
+
+def cmd_resolve(args, filecfg: dict) -> int:
+    built, n_statements = _assemble(args, filecfg,
+                                    _config(args, filecfg, "prior"))
     store = built.store
     result = resolve_all(store, built.priors,
                          _config(args, filecfg, "engine"))
@@ -230,12 +245,10 @@ def cmd_resolve(args, filecfg: dict) -> int:
 
 def cmd_prior(args, filecfg: dict) -> int:
     statements, policy, _ = _ingest(args, filecfg)
-    prior_cfg = _config(args, filecfg, "prior")
-    graph = build_sameas_graph(statements)
-    sbg = project_to_sbg(graph, policy)
-    try:
-        priors = compute_prior(sbg, prior_cfg)
-    except EmptyGraphError:
+    sbg, priors = source_prior(build_sameas_graph(statements), policy,
+                               _config(args, filecfg, "prior"))
+    _warn_dropped(sbg.no_source_dropped, "identity links", "no_source")
+    if priors is None:
         print("ERROR: no usable identity links, source graph is empty",
               file=sys.stderr)
         return EXIT_FATAL
@@ -307,22 +320,14 @@ def cmd_eval(args, filecfg: dict) -> int:
 
 
 def cmd_baseline(args, filecfg: dict) -> int:
-    statements, policy, alignment = _ingest(args, filecfg)
-    built = assemble(statements, policy=policy, alignment=alignment)
-    store = built.store
+    store = _assemble(args, filecfg)[0].store
+    decisions, iterations, converged, _ = run_method(args.method, store)
     os.makedirs(args.out, exist_ok=True)
-    if args.method == METHOD_VOTE:
-        decisions = vote_all(store)
-        text = _decisions_jsonl(decisions, store, METHOD_VOTE)
-        code = EXIT_OK
-    else:
-        decisions, _, iterations, converged = truthfinder(store)
-        text = _decisions_jsonl(decisions, store, METHOD_TRUTHFINDER,
-                                iterations, converged)
-        code = EXIT_OK if converged else EXIT_NONCONVERGED
-    _atomic_write(os.path.join(args.out, "decisions.jsonl"), text)
+    _atomic_write(os.path.join(args.out, "decisions.jsonl"),
+                  _decisions_jsonl(decisions, store, args.method,
+                                   iterations, converged))
     print(f"conflict_sets={len(store.conflict_sets)}", file=sys.stderr)
-    return code
+    return EXIT_NONCONVERGED if converged is False else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -16,14 +16,12 @@ import string
 import time
 from dataclasses import dataclass, field, replace
 
-from .baselines import (DEFAULT_TRUTHFINDER, METHOD_TRUTHFINDER, METHOD_VOTE,
-                        TruthFinderParams, truthfinder, vote_all)
+from .baselines import METHOD_TRUTHFINDER, METHOD_VOTE, truthfinder, vote_all
 from .pipeline import assemble
 from .prior_belief import DEFAULT_PRIOR, PriorConfig
 from .rdf_ingest import FORMAT_NTRIPLES, OWL_SAMEAS, parse_triples
-from .similarity import DEFAULT_SIMILARITY, SimilarityConfig
 from .truth_engine import DEFAULT_ENGINE, EngineConfig, resolve_all
-from .values import NormalizedValue, normalize_object
+from .values import NormalizedValue
 
 METHOD_ENGINE = "ldtruth"
 
@@ -94,34 +92,9 @@ class GoldStandard:
             lines.append(f"{entity}\t{predicate}\t{value.kind}\t{value.render()}")
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_tsv(cls, text: str) -> "GoldStandard":
-        truths = {}
-        rows = text.splitlines()
-        for row in rows[1:]:
-            if not row.strip():
-                continue
-            entity, predicate, kind, rendered = row.split("\t")
-            truths[(entity, predicate)] = _value_from_rendered(kind, rendered)
-        return cls(truths)
-
-
-def _value_from_rendered(kind: str, rendered: str) -> NormalizedValue:
-    if kind == "number":
-        return NormalizedValue.from_number(rendered)
-    if kind == "reference":
-        return NormalizedValue.from_reference(rendered)
-    if kind == "date":
-        value = normalize_object(rendered)
-        if value is None or value.kind != "date":
-            raise ValueError(f"bad date rendering: {rendered!r}")
-        return value
-    return NormalizedValue.from_text(rendered)
-
 
 @dataclass
 class SynthResult:
-    config: SynthConfig
     triples: str
     gold: GoldStandard
     reliabilities: dict
@@ -381,7 +354,7 @@ def generate(cfg: SynthConfig) -> SynthResult:
         gold.truths[(cluster, predicate)] = gold_value
 
     triples = "\n".join(claim_lines + sameas_lines) + "\n"
-    return SynthResult(config=cfg, triples=triples, gold=gold,
+    return SynthResult(triples=triples, gold=gold,
                        reliabilities=reliability, claim_counts=claim_counts,
                        unanimous_slots=unanimous)
 
@@ -411,39 +384,43 @@ def no_dominant_config(seed: int = 0) -> SynthConfig:
         decoy_concentration=1.8, seed=seed)
 
 
+def run_method(method: str, store, priors=None,
+               engine_cfg: EngineConfig = DEFAULT_ENGINE):
+    """Decide every conflict set of ``store`` with the named method.
+
+    Returns (decisions, iterations, converged, trace), each of the last
+    three None where the method has none; only the engine reads ``priors``.
+    """
+    if method == METHOD_ENGINE:
+        result = resolve_all(store, priors, engine_cfg)
+        trace = [(r.iteration, r.mean_delta_tau, r.max_delta_tau)
+                 for r in result.trace.rows]
+        return result.decisions, result.iterations, result.converged, trace
+    if method == METHOD_VOTE:
+        return vote_all(store), None, None, None
+    if method == METHOD_TRUTHFINDER:
+        decisions, _, iterations, converged = truthfinder(store)
+        return decisions, iterations, converged, None
+    raise ValueError(f"unknown method: {method!r}")
+
+
 def run_methods(store, priors, gold: GoldStandard, methods,
-                engine_cfg: EngineConfig = DEFAULT_ENGINE,
-                sim_cfg: SimilarityConfig = DEFAULT_SIMILARITY,
-                tf_params: TruthFinderParams = DEFAULT_TRUTHFINDER) -> dict:
+                engine_cfg: EngineConfig = DEFAULT_ENGINE) -> dict:
     """Score each requested method on an assembled store."""
     report = {}
     for method in methods:
         start = time.perf_counter()
-        if method == METHOD_ENGINE:
-            result = resolve_all(store, priors, engine_cfg, sim_cfg)
-            decisions = result.decisions
-            extra = {"iterations": result.iterations,
-                     "converged": result.converged,
-                     "trace": [(r.iteration, r.mean_delta_tau, r.max_delta_tau)
-                               for r in result.trace.rows]}
-        elif method == METHOD_VOTE:
-            decisions = vote_all(store)
-            extra = {}
-        elif method == METHOD_TRUTHFINDER:
-            decisions, _, iterations, converged = truthfinder(
-                store, tf_params, sim_cfg)
-            extra = {"iterations": iterations, "converged": converged}
-        else:
-            raise ValueError(f"unknown method: {method!r}")
+        decisions, iterations, converged, trace = run_method(
+            method, store, priors, engine_cfg)
         elapsed = time.perf_counter() - start
         report[method] = {"accuracy": accuracy(decisions, gold),
-                          "seconds": elapsed, **extra}
+                          "seconds": elapsed, "iterations": iterations,
+                          "converged": converged, "trace": trace}
     return report
 
 
 def run_benchmark(base_cfg: SynthConfig, seeds, methods=None,
                   engine_cfg: EngineConfig = DEFAULT_ENGINE,
-                  policy: str = "host",
                   prior_cfg: PriorConfig = DEFAULT_PRIOR) -> list:
     """Generate, assemble and score one corpus per seed."""
     methods = list(methods or (METHOD_ENGINE, METHOD_VOTE))
@@ -451,7 +428,7 @@ def run_benchmark(base_cfg: SynthConfig, seeds, methods=None,
     for seed in seeds:
         synth = generate(replace(base_cfg, seed=seed))
         statements = list(parse_triples(synth.triples, FORMAT_NTRIPLES))
-        built = assemble(statements, policy=policy, prior_cfg=prior_cfg)
+        built = assemble(statements, prior_cfg=prior_cfg)
         report = run_methods(built.store, built.priors, synth.gold, methods,
                              engine_cfg)
         rows.append({"seed": seed, "report": report,

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .rdf_ingest import (Diagnostic, NoAuthorityError, OWL_SAMEAS,
-                         extract_source)
+from .rdf_ingest import NoAuthorityError, OWL_SAMEAS, extract_source
 
 
 @dataclass
@@ -87,8 +86,6 @@ class EntityClusterMap:
 def sameas_closure(graph: SameAsGraph) -> EntityClusterMap:
     """Connected components of the undirected identity graph."""
     uf = UnionFind()
-    for v in graph.vertices:
-        uf.find(v)
     for u, v in graph.edges:
         uf.union(u, v)
     groups = {}
@@ -108,21 +105,17 @@ def sameas_closure(graph: SameAsGraph) -> EntityClusterMap:
 class SourceBeliefGraph:
     """Directed endorsement multigraph over sources.
 
-    ``multiplicity[(a, b)]`` counts parallel links from a to b,
-    ``out_degree[a]`` sums every outgoing multiplicity, and
-    ``in_neighbors[b]`` lists the sources pointing at b.  Self loops are
-    dropped before anything is counted.
+    ``multiplicity[(a, b)]`` counts parallel links from a to b, and
+    ``out_degree[a]`` sums every outgoing multiplicity.  Self loops,
+    and links with an endpoint that names no source, are dropped before
+    anything is counted; each kind keeps its own drop count.
     """
 
     vertices: set = field(default_factory=set)
     multiplicity: dict = field(default_factory=dict)
     out_degree: dict = field(default_factory=dict)
-    in_neighbors: dict = field(default_factory=dict)
     self_loops_dropped: int = 0
-
-    @property
-    def edge_total(self) -> int:
-        return sum(self.multiplicity.values())
+    no_source_dropped: int = 0
 
     def add_edge(self, a: str, b: str, count: int = 1):
         if a == b:
@@ -133,16 +126,14 @@ class SourceBeliefGraph:
         key = (a, b)
         self.multiplicity[key] = self.multiplicity.get(key, 0) + count
         self.out_degree[a] = self.out_degree.get(a, 0) + count
-        self.in_neighbors.setdefault(b, set()).add(a)
 
 
-def project_to_sbg(graph: SameAsGraph, policy: str = "host",
-                   diagnostics: list | None = None) -> SourceBeliefGraph:
+def project_to_sbg(graph: SameAsGraph, policy: str = "host") -> SourceBeliefGraph:
     """Map each identity link to an edge between its endpoint sources.
 
-    Links with an endpoint that yields no source are skipped with a
-    diagnostic; links staying inside one source become dropped self
-    loops.  The result is invariant under reordering of the input edges.
+    Links with an endpoint that yields no source are counted in
+    ``no_source_dropped``; links staying inside one source become dropped
+    self loops.  The result is invariant under reordering of the input edges.
     """
     sbg = SourceBeliefGraph()
     cache = {}
@@ -158,10 +149,7 @@ def project_to_sbg(graph: SameAsGraph, policy: str = "host",
     for u, v in graph.edges:
         su, sv = source_of(u), source_of(v)
         if su is None or sv is None:
-            if diagnostics is not None:
-                bad = u if su is None else v
-                diagnostics.append(Diagnostic(
-                    0, "no_source", f"identity link endpoint without authority: {bad}"))
+            sbg.no_source_dropped += 1
             continue
         sbg.add_edge(su, sv)
     return sbg

@@ -48,10 +48,6 @@ class MarkovField:
         self.plan = [(i, out, *cols, tuple(s for s, o, _ in node if o != out))
                      for i, node in enumerate(local) for _, out, cols in node]
 
-    @property
-    def size(self) -> int:
-        return len(self.unary)
-
 
 @dataclass
 class BpResult:

@@ -15,9 +15,8 @@ from .rdf_ingest import (FORMAT_NQUADS, FORMAT_NTRIPLES, build_claims,
 @dataclass
 class Assembled:
     store: object
-    clusters: object
-    sbg: object
     priors: object
+    links_dropped: int      # identity links with an endpoint naming no source
 
 
 def format_for_path(path: str, fmt: str | None = None) -> str:
@@ -49,13 +48,21 @@ def parse_files(paths, fmt: str | None = None, mode: str = "lenient",
     return statements
 
 
+def source_prior(graph, policy: str = "host",
+                 prior_cfg: PriorConfig = DEFAULT_PRIOR) -> tuple:
+    """The endorsement graph of ``graph``'s sources and its prior, as
+    (sbg, priors); priors is None when the graph has no vertices."""
+    sbg = project_to_sbg(graph, policy)
+    priors = compute_prior(sbg, prior_cfg) if sbg.vertices else None
+    return sbg, priors
+
+
 def assemble(statements, policy: str = "host", alignment: dict | None = None,
-             prior_cfg: PriorConfig = DEFAULT_PRIOR,
-             diagnostics: list | None = None) -> Assembled:
+             prior_cfg: PriorConfig = DEFAULT_PRIOR) -> Assembled:
     """Build every derived structure a resolution run needs."""
     graph = build_sameas_graph(statements)
     clusters = sameas_closure(graph)
-    sbg = project_to_sbg(graph, policy, diagnostics=None)
-    priors = compute_prior(sbg, prior_cfg) if sbg.vertices else None
-    store = build_claims(statements, clusters, alignment, policy, diagnostics)
-    return Assembled(store=store, clusters=clusters, sbg=sbg, priors=priors)
+    sbg, priors = source_prior(graph, policy, prior_cfg)
+    store = build_claims(statements, clusters, alignment, policy)
+    return Assembled(store=store, priors=priors,
+                     links_dropped=sbg.no_source_dropped)

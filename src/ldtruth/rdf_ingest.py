@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from urllib.parse import urlsplit
@@ -365,8 +366,7 @@ def _claim_source(st: RdfStatement, policy: str):
 
 
 def build_claims(statements, clusters=None, alignment: dict | None = None,
-                 policy: str = POLICY_HOST,
-                 diagnostics: list | None = None) -> ClaimStore:
+                 policy: str = POLICY_HOST) -> ClaimStore:
     """Turn parsed statements into a deduplicated claim store.
 
     Every dropped statement lands in exactly one drop counter, so
@@ -377,35 +377,30 @@ def build_claims(statements, clusters=None, alignment: dict | None = None,
     if policy not in POLICIES:
         raise ValueError(f"unknown source policy: {policy!r}")
     alignment = alignment or {}
-    drop_counts = {}
-
-    def drop(category: str, st: RdfStatement, reason: str, record: bool = False):
-        drop_counts[category] = drop_counts.get(category, 0) + 1
-        if record and diagnostics is not None:
-            diagnostics.append(Diagnostic(st.line, category, reason))
+    drop_counts = Counter()
 
     seen = set()
     claims = []
     for st in statements:
         if st.predicate == OWL_SAMEAS:
-            drop("sameas", st, "identity link, no claim")
+            drop_counts["sameas"] += 1
             continue
         source, err = _claim_source(st, policy)
         if err is not None:
-            drop(err, st, "cannot attribute statement to a source", record=True)
+            drop_counts[err] += 1
             continue
         if st.object.is_literal:
             value = normalize_object(st.object.text, st.object.datatype)
         else:
             value = normalize_object(st.object.text, is_iri=True)
         if value is None:
-            drop("null_object", st, "empty or NULL object")
+            drop_counts["null_object"] += 1
             continue
         predicate = alignment.get(st.predicate, st.predicate)
         entity = clusters.cluster(st.subject) if clusters is not None else st.subject
         claim = Claim(entity, predicate, value, source)
         if claim in seen:
-            drop("duplicate", st, "repeated claim")
+            drop_counts["duplicate"] += 1
             continue
         seen.add(claim)
         claims.append(claim)

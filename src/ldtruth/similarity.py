@@ -8,24 +8,13 @@ pair per conflict set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
-from .values import KIND_DATE, KIND_NUMBER, KIND_REFERENCE, KIND_TEXT, NormalizedValue
+from .values import KIND_DATE, KIND_NUMBER, KIND_TEXT, NormalizedValue
 
-
-@dataclass(frozen=True)
-class SimilarityConfig:
-    numeric_floor: float = 1e-12
-    cross_kind_similarity: float = 0.0
-
-    def __post_init__(self):
-        if self.numeric_floor <= 0:
-            raise ValueError("numeric_floor must be positive")
-        if not 0.0 <= self.cross_kind_similarity <= 1.0:
-            raise ValueError("cross_kind_similarity must be in [0, 1]")
-
-
-DEFAULT_SIMILARITY = SimilarityConfig()
+# keeps the relative distance of two zeros defined
+NUMERIC_FLOOR = 1e-12
+CROSS_KIND_SIMILARITY = 0.0
 
 
 def levenshtein(a: str, b: str) -> int:
@@ -50,15 +39,20 @@ def levenshtein(a: str, b: str) -> int:
     return previous[-1]
 
 
-def sim(a: NormalizedValue, b: NormalizedValue,
-        cfg: SimilarityConfig = DEFAULT_SIMILARITY) -> float:
+def sim(a: NormalizedValue, b: NormalizedValue) -> float:
     """Symmetric similarity score for one value pair."""
     if a.kind != b.kind:
-        return cfg.cross_kind_similarity
+        return CROSS_KIND_SIMILARITY
     if a.kind == KIND_NUMBER:
         x = float(a.number)
         y = float(b.number)
-        ratio = abs(x - y) / (abs(x) + abs(y) + cfg.numeric_floor)
+        if not math.isfinite(abs(x) + abs(y)):
+            # beyond the float range, or a sum that leaves it: the ratio is
+            # scale-free, so divide both by the larger magnitude while exact
+            scale = max(a.number.copy_abs(), b.number.copy_abs())
+            x = float(a.number / scale)
+            y = float(b.number / scale)
+        ratio = abs(x - y) / (abs(x) + abs(y) + NUMERIC_FLOOR)
         return 1.0 - min(1.0, ratio)
     if a.kind == KIND_DATE:
         matches = 0

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .mrf import MarkovField, loopy_bp
 from .rdf_ingest import ClaimStore, ConflictSet
-from .similarity import DEFAULT_SIMILARITY, SimilarityConfig, sim
+from .similarity import sim
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,6 @@ class EngineConfig:
     edge_threshold: float = 0.1
     coupling: float = 1.0
     dissimilar_false_factor: float = -0.5
-    clamp: float = 1e-6
-    track_sources: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.t0 < 1.0:
@@ -51,8 +49,6 @@ class EngineConfig:
             raise ValueError("edge_threshold must be in [0, 1]")
         if self.coupling <= 0:
             raise ValueError("coupling must be positive")
-        if not 0.0 < self.clamp < 0.5:
-            raise ValueError("clamp must be in (0, 0.5)")
 
 
 DEFAULT_ENGINE = EngineConfig()
@@ -68,7 +64,6 @@ class TraceRow:
 @dataclass
 class ConvergenceTrace:
     rows: list = field(default_factory=list)
-    source_snapshots: list | None = None
 
     def record(self, iteration: int, deltas: list):
         mean = sum(deltas) / len(deltas) if deltas else 0.0
@@ -80,16 +75,21 @@ class ConvergenceTrace:
 class TrustState:
     t: dict
     t_smoothed: dict
-    tau: dict
 
 
 @dataclass(frozen=True)
-class TruthDecision:
+class Decision:
+    """The value one method chose for one conflict set.
+
+    ``scores`` holds one number per candidate, in object order: the truth
+    probability for the engine, the support count for vote, and the
+    confidence for truthfinder.
+    """
+
     entity: str
     predicate: str
     chosen: object
-    tau_final: tuple
-    support: frozenset
+    scores: tuple
 
 
 @dataclass
@@ -136,8 +136,7 @@ def object_base_trust(cs: ConflictSet, t_smoothed: dict) -> list:
     return base
 
 
-def pairwise_tables(values, cfg: EngineConfig = DEFAULT_ENGINE,
-                    sim_cfg: SimilarityConfig = DEFAULT_SIMILARITY) -> list:
+def pairwise_tables(values, cfg: EngineConfig = DEFAULT_ENGINE) -> list:
     """Coupling tables for every value pair above the similarity cutoff.
 
     Both-true is rewarded, mixed states are penalized, and both-false is
@@ -147,7 +146,7 @@ def pairwise_tables(values, cfg: EngineConfig = DEFAULT_ENGINE,
     edges = []
     for i in range(len(values)):
         for j in range(i + 1, len(values)):
-            s = sim(values[i], values[j], sim_cfg)
+            s = sim(values[i], values[j])
             if s < cfg.edge_threshold:
                 continue
             agree = math.exp(cfg.coupling * s)
@@ -157,11 +156,13 @@ def pairwise_tables(values, cfg: EngineConfig = DEFAULT_ENGINE,
     return edges
 
 
-def _unary_from_base(tau_base: list, cfg: EngineConfig) -> list:
+def _unary_from_base(tau_base: list) -> list:
+    # keeps both potentials positive when every supporter sits at 0 or 1
+    margin = 1e-6
     unary = []
     for value in tau_base:
-        clamped = min(max(value, cfg.clamp), 1.0 - cfg.clamp)
-        unary.append((1.0 - clamped, clamped))
+        p = min(max(value, margin), 1.0 - margin)
+        unary.append((1.0 - p, p))
     return unary
 
 
@@ -194,8 +195,7 @@ def _beats(cs, tau, t_smoothed, i, best) -> bool:
 
 
 def resolve_all(store: ClaimStore, priors=None,
-                cfg: EngineConfig = DEFAULT_ENGINE,
-                sim_cfg: SimilarityConfig = DEFAULT_SIMILARITY) -> ResolutionResult:
+                cfg: EngineConfig = DEFAULT_ENGINE) -> ResolutionResult:
     """Run the alternating estimation over every conflict set.
 
     ``priors`` may be None when no identity structure exists; every
@@ -205,16 +205,15 @@ def resolve_all(store: ClaimStore, priors=None,
     keys = sorted(store.conflict_sets)
     sets = [store.conflict_sets[k] for k in keys]
     fields = [MarkovField([(0.5, 0.5)] * len(cs.objects), pairwise_tables(
-        [obj.value for obj in cs.objects], cfg, sim_cfg)) for cs in sets]
+        [obj.value for obj in cs.objects], cfg)) for cs in sets]
     messages = [None] * len(sets)
-    nbr_map = priors.nbr if priors is not None else {}
-    nbr = {s: nbr_map.get(s, 0.5) for s in store.sources}
+    nbr = priors.nbr if priors is not None else {}
 
     t = {s: cfg.t0 for s in sorted(store.sources)}
     t_smoothed = smooth_trust(t, nbr)
     tau = {k: [0.5] * len(cs.objects) for k, cs in zip(keys, sets)}
 
-    trace = ConvergenceTrace(source_snapshots=[] if cfg.track_sources else None)
+    trace = ConvergenceTrace()
     converged = False
     bp_converged = True
     bp_rounds = 0
@@ -222,7 +221,7 @@ def resolve_all(store: ClaimStore, priors=None,
     for iteration in range(1, cfg.outer_max + 1):
         deltas = []
         for n, (k, cs, fld) in enumerate(zip(keys, sets, fields)):
-            fld.unary = _unary_from_base(object_base_trust(cs, t_smoothed), cfg)
+            fld.unary = _unary_from_base(object_base_trust(cs, t_smoothed))
             result = loopy_bp(fld, cfg.bp_damping, cfg.bp_tol, cfg.bp_max,
                               messages[n])
             messages[n] = result.messages
@@ -234,8 +233,6 @@ def resolve_all(store: ClaimStore, priors=None,
         trace.record(iteration, deltas)
         t = source_trustworthiness(store, tau, cfg.t0)
         t_smoothed = smooth_trust(t, nbr)
-        if trace.source_snapshots is not None:
-            trace.source_snapshots.append(dict(t_smoothed))
         if trace.rows[-1].max_delta_tau < cfg.outer_threshold:
             converged = True
             break
@@ -243,11 +240,9 @@ def resolve_all(store: ClaimStore, priors=None,
     decisions = []
     for k, cs in zip(keys, sets):
         winner = select_truth(cs, tau[k], t_smoothed)
-        decisions.append(TruthDecision(
-            entity=cs.entity, predicate=cs.predicate,
-            chosen=cs.objects[winner].value, tau_final=tuple(tau[k]),
-            support=cs.objects[winner].sources))
-    state = TrustState(t=t, t_smoothed=t_smoothed, tau=tau)
+        decisions.append(Decision(cs.entity, cs.predicate,
+                                  cs.objects[winner].value, tuple(tau[k])))
+    state = TrustState(t=t, t_smoothed=t_smoothed)
     return ResolutionResult(decisions=decisions, trust=state, trace=trace,
                             iterations=iteration, converged=converged,
                             bp_converged=bp_converged, bp_rounds=bp_rounds)

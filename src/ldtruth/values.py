@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal,
+                     InvalidOperation)
 
 KIND_NUMBER = "number"
 KIND_DATE = "date"
@@ -47,6 +48,12 @@ for _i, _name in enumerate(
     _MONTHS[_name[:3]] = _i
 _MONTHS["sept"] = 9
 
+_DAYS_IN_MONTH = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
+
+# normalize() under the default context rounds to 28 digits and overflows
+# past its exponent range; this one keeps every digit
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
 # Year is pinned to four digits everywhere so short numerics never get
 # mistaken for dates.
 _ISO_YMD = re.compile(r"^(\d{4})-(\d{1,2}|#)-(\d{1,2}|#)$")
@@ -62,7 +69,7 @@ class NormalizedValue:
 
     Exactly one payload field is set, matching ``kind``.  Date components
     use ``None`` as the wildcard; a concrete day is only allowed when the
-    month is concrete too.
+    month is concrete too, and must exist in that month.
     """
 
     kind: str
@@ -83,15 +90,11 @@ class NormalizedValue:
         if self.kind == KIND_DATE:
             if self.date is None:
                 raise ValueError("date kind requires a date payload")
-            year, month, day = self.date
-            if month is not None and not 1 <= month <= 12:
-                raise ValueError(f"month out of range: {month}")
-            if day is not None and not 1 <= day <= 31:
-                raise ValueError(f"day out of range: {day}")
-            if day is not None and month is None:
-                raise ValueError("concrete day with wildcard month")
-            if not isinstance(year, int):
+            if not isinstance(self.date[0], int):
                 raise ValueError("year must be an integer")
+            # the same calendar rule the parsers apply
+            if _checked(*self.date) is None:
+                raise ValueError(f"no such date: {self.date}")
         if self.kind == KIND_TEXT and self.text is None:
             raise ValueError("text kind requires a text payload")
         if self.kind == KIND_REFERENCE and self.reference is None:
@@ -155,7 +158,7 @@ class NormalizedValue:
 def _canonical_decimal(dec: Decimal) -> str:
     if dec == 0:
         return "0"
-    return format(dec.normalize(), "f")
+    return format(dec.normalize(_EXACT), "f")
 
 
 def _parse_date_lexical(text: str) -> tuple[int, int | None, int | None] | None:
@@ -189,10 +192,13 @@ def _parse_date_lexical(text: str) -> tuple[int, int | None, int | None] | None:
 def _checked(year, month, day):
     if month is not None and not 1 <= month <= 12:
         return None
-    if day is not None and not 1 <= day <= 31:
-        return None
-    if day is not None and month is None:
-        return None
+    if day is not None:
+        if month is None:
+            return None
+        # the proleptic Gregorian rule, year 0 included
+        leap = year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
+        if not 1 <= day <= _DAYS_IN_MONTH[month - 1] + (month == 2 and leap):
+            return None
     return (year, month, day)
 
 
@@ -235,7 +241,9 @@ def normalize_object(lexical: str, datatype: str | None = None,
     if datatype in NUMERIC_DATATYPES:
         try:
             dec = Decimal(stripped)
-            if dec.is_finite():
+            # past the default context's exponent range the plain rendering
+            # spells out a digit per unit of exponent, gigabytes for one line
+            if dec.is_finite() and abs(dec.adjusted()) < 10**6:
                 return NormalizedValue(KIND_NUMBER, number=dec)
         except InvalidOperation:
             pass

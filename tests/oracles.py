@@ -32,11 +32,14 @@ def enum_marginals(unary, edges):
 
 def prior_rhs(sbg, br, damping=0.85):
     """Right-hand side of the endorsement recurrence, recomputed from scratch."""
+    senders = {}
+    for (l, k), count in sbg.multiplicity.items():
+        senders.setdefault(k, []).append((l, count))
     rhs = {}
     for j in sbg.vertices:
         incoming = 0.0
-        for l in sbg.in_neighbors.get(j, ()):
-            incoming += br[l] * sbg.multiplicity[(l, j)] / sbg.out_degree[l]
+        for l, count in senders.get(j, ()):
+            incoming += br[l] * count / sbg.out_degree[l]
         rhs[j] = (1.0 - damping) + damping * incoming
     return rhs
 
@@ -228,7 +231,7 @@ def reference_resolve(store, priors=None, cfg=DEFAULT_ENGINE):
                 for source in sorted(obj.sources):
                     total += t_smoothed[source]
                 base.append(total / len(obj.sources))
-            field = MarkovField(unary=_unary_from_base(base, cfg),
+            field = MarkovField(unary=_unary_from_base(base),
                                 edges=set_edges)
             result = loopy_bp(field, cfg.bp_damping, cfg.bp_tol, cfg.bp_max)
             rounds += result.rounds

@@ -6,8 +6,6 @@ import random
 import pytest
 
 from ldtruth.baselines import (
-    METHOD_TRUTHFINDER,
-    METHOD_VOTE,
     TruthFinderParams,
     truthfinder,
     vote,
@@ -43,7 +41,6 @@ class TestVote:
                 decision = vote(cs)
                 counts = {obj.value: len(obj.sources) for obj in cs.objects}
                 assert counts[decision.chosen] == max(counts.values())
-                assert decision.method == METHOD_VOTE
                 assert decision.scores == tuple(
                     float(len(obj.sources)) for obj in cs.objects)
 
@@ -120,7 +117,6 @@ class TestTruthFinder:
         assert decisions[0].scores == (
             pytest.approx(want_conf[0], abs=1e-12),
             pytest.approx(want_conf[1], abs=1e-12))
-        assert decisions[0].method == METHOD_TRUTHFINDER
 
     def test_symmetric_pair_converges_to_tie(self):
         store = two_source_store()

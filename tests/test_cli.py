@@ -2,10 +2,16 @@
 
 import argparse
 import gzip
+import hashlib
 import json
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 
+import ldtruth
 from ldtruth import eval_harness
 from ldtruth.cli import build_parser, main
 
@@ -204,6 +210,73 @@ class TestParseDiagnostics:
         assert "ERROR" in capsys.readouterr().err
 
 
+class TestDropWarnings:
+
+    @pytest.mark.parametrize("command", [["resolve"],
+                                         ["baseline", "--method", "vote"]])
+    def test_graph_policy_on_triples(self, corpus_dir, tmp_path, capsys,
+                                     command):
+        lines = (corpus_dir / "corpus.nt").read_text().splitlines()
+        claims = sum("owl#sameAs" not in line for line in lines)
+        code = main([*command, "--input", str(corpus_dir / "corpus.nt"),
+                     "--policy", "graph", "--out", str(tmp_path / "o")])
+        assert code == 0
+        err = capsys.readouterr().err.splitlines()
+        assert f"WARN dropped {claims} statements: missing_graph" in err
+        assert not any("no_source" in line for line in err)
+
+    def test_statement_without_source(self, tmp_path, capsys):
+        path = tmp_path / "urn.nt"
+        path.write_text('<urn:isbn:1> <http://a.example/p> "x" .\n'
+                        '<http://a.example/s> <http://a.example/p> "y" .\n')
+        assert main(["resolve", "--input", str(path),
+                     "--out", str(tmp_path / "o")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert "WARN dropped 1 statements: no_source" in err
+        assert not any("missing_graph" in line for line in err)
+
+    @pytest.mark.parametrize("command", [["resolve"],
+                                         ["baseline", "--method", "vote"],
+                                         ["prior"]])
+    def test_identity_link_without_source(self, tmp_path, capsys, command):
+        path = tmp_path / "links.nt"
+        same = "<http://www.w3.org/2002/07/owl#sameAs>"
+        path.write_text(
+            f'<http://a.example/s> {same} <urn:isbn:1> .\n'
+            f'<http://a.example/s> {same} <http://b.example/s> .\n'
+            '<http://a.example/s> <http://a.example/p> "x" .\n')
+        assert main([*command, "--input", str(path),
+                     "--out", str(tmp_path / "o")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert "WARN dropped 1 identity links: no_source" in err
+        assert not any("statements" in line for line in err
+                       if line.startswith("WARN"))
+
+
+class TestDeterminism:
+
+    def test_hash_seed_and_statement_order(self, corpus_dir, tmp_path):
+        lines = (corpus_dir / "corpus.nt").read_text().splitlines()
+        random.Random(3).shuffle(lines)
+        shuffled = tmp_path / "shuffled.nt"
+        shuffled.write_text("\n".join(lines) + "\n")
+        src = os.path.dirname(os.path.dirname(ldtruth.__file__))
+        runs = [(corpus_dir / "corpus.nt", seed) for seed in ("0", "1", "2")]
+        runs.append((shuffled, "1"))
+        outputs = []
+        for n, (corpus, seed) in enumerate(runs):
+            out = tmp_path / f"out{n}"
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            subprocess.run([sys.executable, "-m", "ldtruth.cli", "resolve",
+                            "--input", str(corpus), "--out", str(out)],
+                           env=env, check=True, capture_output=True,
+                           timeout=120)
+            outputs.append([(out / name).read_bytes() for name in
+                            ("decisions.jsonl", "trace.csv",
+                             "source_trust.tsv")])
+        assert all(found == outputs[0] for found in outputs[1:])
+
+
 class TestPriorCommand:
 
     def test_ranked_output_and_graph_dump(self, corpus_dir, tmp_path):
@@ -239,6 +312,48 @@ class TestBaselineCommand:
                    (out / "decisions.jsonl").read_text().splitlines()]
         assert records
         assert all(record["method"] == method for record in records)
+
+
+class TestGoldenOutputs:
+    """Output bytes on the synth corpus above, recorded once; a refactor
+    that claims unchanged behaviour must keep every digest."""
+
+    DIGESTS = {
+        ("corpus", "corpus.nt"):
+            "6ffc90e6e6de8f5408e95f65faa6cc3f9f3b0ef25718845ddf1d1bbc356eb554",
+        ("resolve", "decisions.jsonl"):
+            "b4aaea1ffe937299e8569cfcc0bb873175070ddc9ae46d5f47cf94090cccdbda",
+        ("resolve", "trace.csv"):
+            "b2a3038be241c5df43fd3e3910ffe3d7804f1c76bde2ab6ae4b2340e225ffe84",
+        ("resolve", "source_trust.tsv"):
+            "9adff9c1a9e2784b7f3e71375f8ce28359341c752f5eaeb4029b52f25e41755b",
+        ("vote", "decisions.jsonl"):
+            "547121ca5d708d562aa3aca5401d97408a654ff0a4f58fe7c1539030be58e32d",
+        ("truthfinder", "decisions.jsonl"):
+            "d9d0103b2f45f1f654667e43420a89f57d9ed643e605dc3d4eb3f2be63694e48",
+        ("prior", "prior.tsv"):
+            "2b349ed541e8a5334fc4c850ffbe3f19d7403481adc46e486adcc24ca44c72fd",
+        ("prior", "sbg.tsv"):
+            "6a343a6223d66b4518868d827198d531fec1dff96a8f31973d90464ef4424d6a",
+    }
+
+    def test_digests(self, corpus_dir, tmp_path):
+        corpus = str(corpus_dir / "corpus.nt")
+        runs = {
+            "resolve": ["resolve"],
+            "vote": ["baseline", "--method", "vote"],
+            "truthfinder": ["baseline", "--method", "truthfinder"],
+            "prior": ["prior", "--sbg-out", str(tmp_path / "prior" / "sbg.tsv")],
+        }
+        for name, args in runs.items():
+            (tmp_path / name).mkdir()
+            assert main([*args, "--input", corpus,
+                         "--out", str(tmp_path / name)]) == 0
+        folders = {"corpus": corpus_dir}
+        found = {(run, name): hashlib.sha256(
+                     (folders.get(run, tmp_path / run) / name).read_bytes()
+                 ).hexdigest() for run, name in self.DIGESTS}
+        assert found == self.DIGESTS
 
 
 class TestEvalCommand:

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from ldtruth.baselines import BaselineDecision
 from ldtruth.eval_harness import (
     METHOD_ENGINE,
     METHOD_TRUTHFINDER,
@@ -22,6 +21,7 @@ from ldtruth.eval_harness import (
 )
 from ldtruth.pipeline import assemble
 from ldtruth.rdf_ingest import FORMAT_NTRIPLES, parse_triples
+from ldtruth.truth_engine import Decision
 from ldtruth.values import NormalizedValue
 
 SMALL = SynthConfig(n_sources=12, n_entities=40, n_conflict_predicates=60,
@@ -111,20 +111,6 @@ class TestGenerate:
 
 class TestGoldStandard:
 
-    def test_tsv_round_trip(self):
-        gold = GoldStandard(truths={
-            ("http://a.example/e1", "http://p.example/height"):
-                NormalizedValue.from_number("46.0248"),
-            ("http://a.example/e1", "http://p.example/start"):
-                NormalizedValue.from_date(1886, 10, None),
-            ("http://a.example/e2", "http://p.example/name"):
-                NormalizedValue.from_text("some label"),
-            ("http://a.example/e2", "http://p.example/mayor"):
-                NormalizedValue.from_reference("http://b.example/person"),
-        })
-        again = GoldStandard.from_tsv(gold.to_tsv())
-        assert again.truths == gold.truths
-
     def test_header_and_sorted_rows(self):
         gold = GoldStandard(truths={
             ("http://a.example/e2", "p"): NormalizedValue.from_number(2),
@@ -143,8 +129,8 @@ class TestAccuracy:
             ("e2", "p"): NormalizedValue.from_number(2),
         })
         decisions = [
-            BaselineDecision("e1", "p", NormalizedValue.from_number(1), "vote"),
-            BaselineDecision("e2", "p", NormalizedValue.from_number(9), "vote"),
+            Decision("e1", "p", NormalizedValue.from_number(1), (2.0, 1.0)),
+            Decision("e2", "p", NormalizedValue.from_number(9), (1.0, 2.0)),
         ]
         assert accuracy(decisions, gold) == 0.5
 

@@ -36,7 +36,7 @@ class TestFieldValidation:
     def test_size(self):
         field = MarkovField(unary=[(1.0, 1.0), (2.0, 3.0), (1.0, 2.0)],
                             edges=[])
-        assert field.size == 3
+        assert len(field.unary) == 3
 
 
 class TestTwoNodeField:

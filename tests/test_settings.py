@@ -47,7 +47,9 @@ def seen(monkeypatch):
 
     def assemble(statements, **kwargs):
         calls.update(kwargs)
-        return types.SimpleNamespace(store=None, priors=None)
+        store = types.SimpleNamespace(drop_counts={})
+        return types.SimpleNamespace(store=store, priors=None,
+                                     links_dropped=0)
 
     def stop(name):
         def spy(*args):

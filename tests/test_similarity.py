@@ -4,9 +4,11 @@ import random
 import string
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracles import lev_ref
-from ldtruth.similarity import DEFAULT_SIMILARITY, SimilarityConfig, levenshtein, sim
+from ldtruth.similarity import levenshtein, sim
 from ldtruth.values import NormalizedValue, normalize_object
 
 
@@ -29,6 +31,20 @@ class TestNumberSimilarity:
 
     def test_both_zero(self):
         assert sim(number("0"), number("0")) == 1.0
+
+    def test_beyond_float_range(self):
+        huge = number("1e400")
+        assert sim(huge, huge) == 1.0
+        assert sim(number("-3e400"), number("-3e400")) == 1.0
+        # rescaled by the larger magnitude before the float ratio
+        assert sim(huge, number("2e400")) == sim(number("0.5"), number("1"))
+        assert sim(huge, number("2e400")) == pytest.approx(2 / 3)
+        assert sim(number("1e-400"), huge) == sim(number("0"), number("1"))
+        # finite floats whose magnitudes sum past the float maximum
+        assert sim(number("1.7e308"), number("1e308")) == \
+            pytest.approx(1 - 0.7 / 2.7)
+        assert sim(number("1.7e308"), number("-1.7e308")) == \
+            sim(number("1"), number("-1"))
 
     def test_monotone_in_gap(self):
         rng = random.Random(1203)
@@ -118,9 +134,27 @@ class TestSimilarityProperties:
             if a.kind != b.kind:
                 assert sim(a, b) == 0.0
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SimilarityConfig(numeric_floor=0.0)
-        with pytest.raises(ValueError):
-            SimilarityConfig(cross_kind_similarity=1.5)
-        assert DEFAULT_SIMILARITY.cross_kind_similarity == 0.0
+
+values = st.one_of(
+    st.builds(lambda coef, exp: NormalizedValue.from_number(f"{coef}E{exp}"),
+              st.integers(-10**20, 10**20), st.integers(-1000, 1000)),
+    st.builds(NormalizedValue.from_date, st.integers(0, 9999),
+              st.none() | st.integers(1, 12), st.none())
+    | st.builds(NormalizedValue.from_date, st.integers(0, 9999),
+                st.integers(1, 12), st.integers(1, 28)),
+    st.builds(NormalizedValue.from_text, st.text(max_size=12)),
+    st.builds(NormalizedValue.from_reference,
+              st.text(max_size=6).map(lambda t: "http://example.org/" + t)),
+)
+
+
+class TestSimilarityHypothesis:
+    @given(values, values)
+    def test_symmetric_and_in_unit_range(self, a, b):
+        s = sim(a, b)
+        assert 0.0 <= s <= 1.0
+        assert s == sim(b, a)
+
+    @given(values)
+    def test_self_similarity_is_one(self, a):
+        assert sim(a, a) == 1.0

@@ -13,7 +13,6 @@ from ldtruth.rdf_ingest import (FORMAT_NTRIPLES, ConflictSet, ObjectSupport,
                                 parse_triples)
 from ldtruth.similarity import sim
 from ldtruth.truth_engine import (
-    DEFAULT_ENGINE,
     EngineConfig,
     _unary_from_base,
     object_base_trust,
@@ -142,14 +141,14 @@ class TestPairwiseTables:
 class TestUnaryFromBase:
 
     def test_unary_comes_from_clamped_base(self):
-        unary = _unary_from_base([0.25, 1.0], DEFAULT_ENGINE)
+        unary = _unary_from_base([0.25, 1.0])
         assert unary[0] == (0.75, 0.25)
         # base trust of exactly 1.0 is pulled inside the open interval
         assert unary[1][1] == 1.0 - 1e-6
         assert unary[1][0] == pytest.approx(1e-6, rel=1e-9)
 
     def test_zero_base_stays_positive(self):
-        unary = _unary_from_base([0.0, 0.5], DEFAULT_ENGINE)
+        unary = _unary_from_base([0.0, 0.5])
         assert unary[0] == (1.0 - 1e-6, 1e-6)
 
 
@@ -188,8 +187,6 @@ class TestEngineConfig:
         assert cfg.edge_threshold == 0.1
         assert cfg.coupling == 1.0
         assert cfg.dissimilar_false_factor == -0.5
-        assert cfg.clamp == 1e-6
-        assert cfg.track_sources is False
 
     @pytest.mark.parametrize("kwargs", [
         {"t0": 0.0}, {"t0": 1.0},
@@ -197,7 +194,6 @@ class TestEngineConfig:
         {"outer_max": 0}, {"bp_max": 0},
         {"bp_damping": 1.0}, {"bp_damping": -0.1},
         {"edge_threshold": 1.5}, {"coupling": 0.0},
-        {"clamp": 0.0}, {"clamp": 0.5},
     ])
     def test_rejects_bad_settings(self, kwargs):
         with pytest.raises(ValueError):
@@ -226,27 +222,26 @@ class TestResolveAll:
 
     def test_trust_ladder_snapshots_are_exact(self):
         store = store_from_claims(ladder_rows())
-        cfg = EngineConfig(track_sources=True, outer_threshold=1e-15,
-                           outer_max=3)
-        result = resolve_all(store, ladder_priors(), cfg)
-        snaps = result.trace.source_snapshots
+        snaps = []
+        for sweeps in (1, 2, 3):
+            cfg = EngineConfig(outer_threshold=1e-15, outer_max=sweeps)
+            result = resolve_all(store, ladder_priors(), cfg)
+            assert result.iterations == sweeps
+            assert not result.converged
+            assert result.bp_converged
+            snaps.append(result.trust.t_smoothed)
         assert [s["a.example"] for s in snaps] == [0.875, 0.9375, 0.96875]
         assert [s["b.example"] for s in snaps] == [0.125, 0.0625, 0.03125]
         assert [s["c.example"] for s in snaps] == [0.3125, 0.28125, 0.265625]
-        assert result.iterations == 3
-        assert not result.converged
-        assert result.bp_converged
 
     def test_ladder_probabilities_and_decisions(self):
         store = store_from_claims(ladder_rows())
         cfg = EngineConfig(outer_threshold=1e-15, outer_max=3)
         result = resolve_all(store, ladder_priors(), cfg)
-        assert result.trust.tau[("e1", "p")] == [0.9375, 0.0625]
-        assert result.trust.tau[("e2", "p")] == [0.9375, 0.28125]
         by_key = {(d.entity, d.predicate): d for d in result.decisions}
         assert by_key[("e1", "p")].chosen == number(10)
-        assert by_key[("e1", "p")].tau_final == (0.9375, 0.0625)
-        assert by_key[("e1", "p")].support == frozenset({"a.example"})
+        assert by_key[("e1", "p")].scores == (0.9375, 0.0625)
+        assert by_key[("e2", "p")].scores == (0.9375, 0.28125)
         assert by_key[("e2", "p")].chosen == number(3)
 
     def test_ladder_trace_rows_are_exact(self):
@@ -319,8 +314,9 @@ class TestMatchesReference:
         assert (result.iterations, result.converged) == (sweeps, converged)
         assert result.bp_converged
         assert 0 < result.bp_rounds < cold_rounds   # warm starts pay off
+        scores = {(d.entity, d.predicate): d.scores for d in result.decisions}
         for key, probs in tau.items():
-            for got, want in zip(result.trust.tau[key], probs):
+            for got, want in zip(scores[key], probs):
                 assert abs(got - want) <= 1e-9
         for source, value in t.items():
             assert abs(result.trust.t[source] - value) <= 1e-9

@@ -1,9 +1,12 @@
 """Canonical value normalization tests."""
 
+import calendar
 import random
 from decimal import Decimal
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ldtruth.values import (
     KIND_DATE,
@@ -59,6 +62,21 @@ class TestNumbers:
         value = normalize_object("NaN", XSD + "double")
         assert value.kind == KIND_TEXT
 
+    @pytest.mark.parametrize("lexical", [
+        "1e1000000", "1e2000000000", "-2.5e-1000000", "1e-2000000000",
+        "0e2000000000",
+    ])
+    def test_exponent_beyond_default_range_stays_text(self, lexical):
+        # a plain rendering would need one digit per unit of exponent
+        value = normalize_object(lexical, XSD + "decimal")
+        assert value.kind == KIND_TEXT
+        assert value.render() == lexical
+
+    def test_exponent_at_range_edge_renders(self):
+        value = normalize_object("1e999999", XSD + "decimal")
+        assert value.kind == KIND_NUMBER
+        assert value.render() == "1" + "0" * 999999
+
 
 class TestDates:
     @pytest.mark.parametrize("lexical", [
@@ -91,6 +109,23 @@ class TestDates:
     def test_out_of_range_components_fall_through(self):
         assert normalize_object("1886-13-05").kind == KIND_TEXT
         assert normalize_object("32 October 1886").kind == KIND_TEXT
+
+    @pytest.mark.parametrize("lexical, is_date", [
+        ("2020-02-31", False),
+        ("2019-02-29", False),
+        ("04/31/2020", False),
+        ("31 April 2020", False),
+        ("1900-02-29", False),
+        ("2020-02-29", True),
+        ("2000-02-29", True),
+        ("0000-02-29", True),
+        ("2020-04-30", True),
+        ("12/31/2020", True),
+    ])
+    def test_day_checked_against_month_length(self, lexical, is_date):
+        assert (normalize_object(lexical).kind == KIND_DATE) == is_date
+        typed = normalize_object(lexical, XSD + "date")
+        assert (typed.kind == KIND_DATE) == is_date
 
     def test_two_digit_year_is_not_a_date(self):
         assert normalize_object("86-10-28").kind == KIND_TEXT
@@ -149,6 +184,12 @@ class TestValueInvariants:
         with pytest.raises(ValueError):
             NormalizedValue.from_date(1886, 13, 1)
 
+    @pytest.mark.parametrize("day", [0, 29, 30])
+    def test_day_checked_against_month_length(self, day):
+        with pytest.raises(ValueError):
+            NormalizedValue.from_date(2019, 2, day)
+        assert NormalizedValue.from_date(2019, 3, 30).date == (2019, 3, 30)
+
     def test_kind_order(self):
         number = NormalizedValue.from_number("5")
         date = NormalizedValue.from_date(1886, 10, 28)
@@ -191,3 +232,32 @@ class TestValueInvariants:
             day = None if month is None else rng.choice([None, rng.randint(1, 28)])
             value = NormalizedValue.from_date(rng.randint(1000, 2999), month, day)
             assert normalize_object(value.render()) == value
+
+
+# decimals with up to 40 significant digits and exponents up to +-1000,
+# built from text so no context precision rounds them
+decimals = st.builds(lambda coef, exp: Decimal(f"{coef}E{exp}"),
+                     st.integers(-10**40, 10**40), st.integers(-1000, 1000))
+
+
+@st.composite
+def dates(draw):
+    year = draw(st.integers(0, 9999))
+    month = draw(st.none() | st.integers(1, 12))
+    if month is None:
+        return NormalizedValue.from_date(year, None, None)
+    days = (31, 29 if calendar.isleap(year) else 28, 31, 30, 31, 30, 31, 31,
+            30, 31, 30, 31)[month - 1]
+    return NormalizedValue.from_date(year, month,
+                                     draw(st.none() | st.integers(1, days)))
+
+
+class TestRoundTripProperties:
+    @given(decimals)
+    def test_number_render_reparses(self, number):
+        value = NormalizedValue.from_number(number)
+        assert normalize_object(value.render(), XSD + "decimal") == value
+
+    @given(dates())
+    def test_date_render_reparses(self, value):
+        assert normalize_object(value.render()) == value
