@@ -15,10 +15,9 @@ from .graph_model import (EntityClusterMap, SameAsGraph, SourceBeliefGraph,
 from .mrf import BpResult, MarkovField, loopy_bp
 from .prior_belief import (EmptyGraphError, PriorBeliefs, PriorConfig,
                            compute_prior, normalize_prior)
-from .rdf_ingest import (Claim, ClaimStore, ConflictSet, Diagnostic,
-                         NormalizedValue, ObjectSupport, RdfStatement, Term,
-                         build_claims, extract_source, format_statement,
-                         parse_triples)
+from .rdf_ingest import (ClaimStore, ConflictSet, Diagnostic, NormalizedValue,
+                         ObjectSupport, RdfStatement, Term, build_claims,
+                         extract_source, format_statement, parse_triples)
 from .similarity import sim
 from .truth_engine import (Decision, EngineConfig, ResolutionResult,
                            TrustState, object_base_trust,

@@ -57,9 +57,9 @@ def vote_all(store: ClaimStore) -> list:
 
 def _confidences(cs: ConflictSet, trust: dict, sims, params) -> list:
     scores = []
-    for supporters in cs.supporters:
+    for obj in cs.objects:
         score = 0.0
-        for source in supporters:
+        for source in obj.sources:
             clipped = min(trust[source], 1.0 - 1e-12)
             score += -math.log1p(-clipped)
         scores.append(score)
@@ -91,7 +91,7 @@ def truthfinder(store: ClaimStore,
                 table[i][j] = table[j][i] = sim(values[i], values[j])
         sim_tables.append(table)
 
-    trust = {s: params.initial_trust for s in sorted(store.sources)}
+    trust = {s: params.initial_trust for s in store.incidence}
     confidences = {k: [0.0] * len(cs.objects) for k, cs in zip(keys, sets)}
     converged = False
     iterations = 0

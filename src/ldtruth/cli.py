@@ -150,7 +150,7 @@ def _decisions_jsonl(decisions, store, method: str, iterations=None,
         cs = store.conflict_sets[(d.entity, d.predicate)]
         objects = []
         for obj, score in zip(cs.objects, d.scores):
-            entry = {"sources": sorted(obj.sources), **_value_json(obj.value)}
+            entry = {"sources": list(obj.sources), **_value_json(obj.value)}
             # only the engine's scores are truth probabilities
             if method == METHOD_ENGINE:
                 entry["tau"] = score
@@ -168,8 +168,8 @@ def _decisions_jsonl(decisions, store, method: str, iterations=None,
 
 def _trace_csv(trace) -> str:
     lines = ["iteration,mean_delta_tau,max_delta_tau"]
-    for row in trace.rows:
-        lines.append(f"{row.iteration},{row.mean_delta_tau!r},{row.max_delta_tau!r}")
+    for iteration, mean, peak in trace:
+        lines.append(f"{iteration},{mean!r},{peak!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -187,14 +187,14 @@ def _ingest(args, filecfg):
                              diagnostics=diagnostics)
     for path, diag in diagnostics:
         print(f"WARN {path}:{diag.line} {diag.reason}", file=sys.stderr)
-    alignment = load_alignment(args.alignment) if args.alignment else None
-    return statements, _POLICY_FLAGS[policy], alignment
+    return statements, _POLICY_FLAGS[policy]
 
 
 def _assemble(args, filecfg, prior_cfg: PriorConfig = DEFAULT_PRIOR):
     """Parse and assemble the input; returns (assembled, statement count).
     The statements are freed on return: nothing downstream needs them."""
-    statements, policy, alignment = _ingest(args, filecfg)
+    statements, policy = _ingest(args, filecfg)
+    alignment = load_alignment(args.alignment) if args.alignment else None
     built = assemble(statements, policy=policy, alignment=alignment,
                      prior_cfg=prior_cfg)
     for category in ("no_source", "missing_graph"):
@@ -213,6 +213,9 @@ def cmd_resolve(args, filecfg: dict) -> int:
     built, n_statements = _assemble(args, filecfg,
                                     _config(args, filecfg, "prior"))
     store = built.store
+    if built.priors is not None and \
+            store.incidence.keys().isdisjoint(built.priors.nbr):
+        print("WARN no claim source has an endorsement prior", file=sys.stderr)
     result = resolve_all(store, built.priors,
                          _config(args, filecfg, "engine"))
 
@@ -244,7 +247,7 @@ def cmd_resolve(args, filecfg: dict) -> int:
 
 
 def cmd_prior(args, filecfg: dict) -> int:
-    statements, policy, _ = _ingest(args, filecfg)
+    statements, policy = _ingest(args, filecfg)
     sbg, priors = source_prior(build_sameas_graph(statements), policy,
                                _config(args, filecfg, "prior"))
     _warn_dropped(sbg.no_source_dropped, "identity links", "no_source")
@@ -357,8 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--input", nargs="+", required=True,
                            help="triple files (.nt/.nq, optionally .gz)")
             p.add_argument("--format", choices=["ntriples", "nquads"])
-            p.add_argument("--alignment",
-                           help="TSV mapping predicate IRIs to canonical ids")
             p.add_argument("--strict", action="store_true",
                            help="abort on the first malformed line")
         for section, key, flag, cast in SETTINGS:
@@ -368,6 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=out)
         p.add_argument("--config")
 
+    for name in ("resolve", "baseline"):
+        subs[name].add_argument(
+            "--alignment", help="TSV mapping predicate IRIs to canonical ids")
     p = subs["prior"]
     p.add_argument("--sbg-out", dest="sbg_out",
                    help="also dump the endorsement multigraph as TSV")

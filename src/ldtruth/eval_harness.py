@@ -393,9 +393,8 @@ def run_method(method: str, store, priors=None,
     """
     if method == METHOD_ENGINE:
         result = resolve_all(store, priors, engine_cfg)
-        trace = [(r.iteration, r.mean_delta_tau, r.max_delta_tau)
-                 for r in result.trace.rows]
-        return result.decisions, result.iterations, result.converged, trace
+        return (result.decisions, result.iterations, result.converged,
+                result.trace)
     if method == METHOD_VOTE:
         return vote_all(store), None, None, None
     if method == METHOD_TRUTHFINDER:

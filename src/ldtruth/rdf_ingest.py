@@ -14,7 +14,6 @@ import io
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from urllib.parse import urlsplit
 
 from .public_suffix import pay_level_domain
@@ -75,17 +74,9 @@ class Diagnostic:
 
 
 @dataclass(frozen=True)
-class Claim:
-    entity: str
-    predicate: str
-    value: NormalizedValue
-    source: str
-
-
-@dataclass(frozen=True)
 class ObjectSupport:
     value: NormalizedValue
-    sources: frozenset
+    sources: tuple      # the supporting sources, sorted
 
 
 @dataclass(frozen=True)
@@ -100,33 +91,17 @@ class ConflictSet:
         if len(self.objects) < 2:
             raise ValueError("a conflict set needs at least two candidates")
 
-    @cached_property
-    def supporters(self) -> tuple:
-        """Each candidate's supporting sources, sorted, in object order."""
-        return tuple(tuple(sorted(obj.sources)) for obj in self.objects)
-
 
 @dataclass
 class ClaimStore:
+    """(entity, predicate, value, source) claims in first-seen order, the
+    conflict sets by sorted key, and ``incidence``: every claim source,
+    sorted, to the ascending (key, candidate slot) pairs it backs."""
+
     claims: list
     conflict_sets: dict
-    sources: dict
+    incidence: dict
     drop_counts: dict = field(default_factory=dict)
-
-    @cached_property
-    def incidence(self) -> dict:
-        """source -> [(conflict-set key, candidate slot)], one entry per
-        claim of the source that falls in a conflict set, in claim order."""
-        slot_of = {key: {obj.value: i for i, obj in enumerate(cs.objects)}
-                   for key, cs in self.conflict_sets.items()}
-        incidence = {}
-        for source, claims in self.sources.items():
-            hits = incidence[source] = []
-            for claim in claims:
-                key = (claim.entity, claim.predicate)
-                if key in slot_of:
-                    hits.append((key, slot_of[key][claim.value]))
-        return incidence
 
 
 _IRI_BODY = r'[^<>"{}|^`\\\x00-\x20]*'
@@ -379,8 +354,8 @@ def build_claims(statements, clusters=None, alignment: dict | None = None,
     alignment = alignment or {}
     drop_counts = Counter()
 
-    seen = set()
     claims = []
+    by_slot = {}        # slot key -> value -> set of sources
     for st in statements:
         if st.predicate == OWL_SAMEAS:
             drop_counts["sameas"] += 1
@@ -398,32 +373,28 @@ def build_claims(statements, clusters=None, alignment: dict | None = None,
             continue
         predicate = alignment.get(st.predicate, st.predicate)
         entity = clusters.cluster(st.subject) if clusters is not None else st.subject
-        claim = Claim(entity, predicate, value, source)
-        if claim in seen:
+        backers = by_slot.setdefault((entity, predicate), {}) \
+                         .setdefault(value, set())
+        if source in backers:
             drop_counts["duplicate"] += 1
             continue
-        seen.add(claim)
-        claims.append(claim)
+        backers.add(source)
+        claims.append((entity, predicate, value, source))
 
-    claims.sort(key=lambda c: (c.entity, c.predicate, c.value.sort_key(),
-                               c.source))
-    by_slot = {}
-    sources = {}
-    for claim in claims:
-        by_slot.setdefault((claim.entity, claim.predicate), {}) \
-               .setdefault(claim.value, set()).add(claim.source)
-        sources.setdefault(claim.source, []).append(claim)
-
+    # slots ascend by key and candidates by value, so each source's
+    # incidence list comes out ascending
+    incidence = {source: [] for source in sorted({c[3] for c in claims})}
     conflict_sets = {}
-    for key in sorted(by_slot):
+    for key in sorted(k for k, support in by_slot.items() if len(support) > 1):
         support = by_slot[key]
-        if len(support) < 2:
-            continue
-        objects = tuple(
-            ObjectSupport(value, frozenset(support[value]))
-            for value in sorted(support, key=lambda v: v.sort_key())
-        )
-        conflict_sets[key] = ConflictSet(key[0], key[1], objects)
+        objects = []
+        values = sorted(support, key=NormalizedValue.sort_key)
+        for slot, value in enumerate(values):
+            sources = tuple(sorted(support[value]))
+            objects.append(ObjectSupport(value, sources))
+            for source in sources:
+                incidence[source].append((key, slot))
+        conflict_sets[key] = ConflictSet(key[0], key[1], tuple(objects))
 
     return ClaimStore(claims=claims, conflict_sets=conflict_sets,
-                      sources=sources, drop_counts=drop_counts)
+                      incidence=incidence, drop_counts=drop_counts)

@@ -17,7 +17,7 @@ sweep, with propagation warm-started from the set's previous messages.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .mrf import MarkovField, loopy_bp
 from .rdf_ingest import ClaimStore, ConflictSet
@@ -55,23 +55,6 @@ DEFAULT_ENGINE = EngineConfig()
 
 
 @dataclass
-class TraceRow:
-    iteration: int
-    mean_delta_tau: float
-    max_delta_tau: float
-
-
-@dataclass
-class ConvergenceTrace:
-    rows: list = field(default_factory=list)
-
-    def record(self, iteration: int, deltas: list):
-        mean = sum(deltas) / len(deltas) if deltas else 0.0
-        peak = max(deltas) if deltas else 0.0
-        self.rows.append(TraceRow(iteration, mean, peak))
-
-
-@dataclass
 class TrustState:
     t: dict
     t_smoothed: dict
@@ -96,7 +79,7 @@ class Decision:
 class ResolutionResult:
     decisions: list
     trust: TrustState
-    trace: ConvergenceTrace
+    trace: list         # (iteration, mean delta tau, max delta tau) per sweep
     iterations: int
     converged: bool
     bp_converged: bool
@@ -111,8 +94,7 @@ def source_trustworthiness(store: ClaimStore, tau: dict,
     trust; unanimous claims carry no signal about reliability here.
     """
     trust = {}
-    for source in sorted(store.sources):
-        hits = store.incidence[source]
+    for source, hits in store.incidence.items():
         total = 0.0
         for key, slot in hits:
             total += tau[key][slot]
@@ -128,11 +110,11 @@ def smooth_trust(t: dict, nbr: dict) -> dict:
 def object_base_trust(cs: ConflictSet, t_smoothed: dict) -> list:
     """Mean smoothed supporter trust per candidate, in object order."""
     base = []
-    for supporters in cs.supporters:
+    for obj in cs.objects:
         total = 0.0
-        for source in supporters:
+        for source in obj.sources:
             total += t_smoothed[source]
-        base.append(total / len(supporters))
+        base.append(total / len(obj.sources))
     return base
 
 
@@ -187,8 +169,8 @@ def _beats(cs, tau, t_smoothed, i, best) -> bool:
     a, b = cs.objects[i], cs.objects[best]
     if len(a.sources) != len(b.sources):
         return len(a.sources) > len(b.sources)
-    sum_a = sum(t_smoothed.get(s, 0.5) for s in cs.supporters[i])
-    sum_b = sum(t_smoothed.get(s, 0.5) for s in cs.supporters[best])
+    sum_a = sum(t_smoothed.get(s, 0.5) for s in a.sources)
+    sum_b = sum(t_smoothed.get(s, 0.5) for s in b.sources)
     if sum_a != sum_b:
         return sum_a > sum_b
     return a.value.sort_key() < b.value.sort_key()
@@ -209,11 +191,11 @@ def resolve_all(store: ClaimStore, priors=None,
     messages = [None] * len(sets)
     nbr = priors.nbr if priors is not None else {}
 
-    t = {s: cfg.t0 for s in sorted(store.sources)}
+    t = {s: cfg.t0 for s in store.incidence}
     t_smoothed = smooth_trust(t, nbr)
     tau = {k: [0.5] * len(cs.objects) for k, cs in zip(keys, sets)}
 
-    trace = ConvergenceTrace()
+    trace = []
     converged = False
     bp_converged = True
     bp_rounds = 0
@@ -230,10 +212,12 @@ def resolve_all(store: ClaimStore, priors=None,
             deltas.extend(abs(new - old)
                           for old, new in zip(tau[k], result.marginals))
             tau[k] = result.marginals
-        trace.record(iteration, deltas)
+        mean = sum(deltas) / len(deltas) if deltas else 0.0
+        peak = max(deltas, default=0.0)
+        trace.append((iteration, mean, peak))
         t = source_trustworthiness(store, tau, cfg.t0)
         t_smoothed = smooth_trust(t, nbr)
-        if trace.rows[-1].max_delta_tau < cfg.outer_threshold:
+        if peak < cfg.outer_threshold:
             converged = True
             break
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from ldtruth.graph_model import SourceBeliefGraph
 from ldtruth.mrf import MarkovField, loopy_bp
-from ldtruth.rdf_ingest import Claim, ClaimStore, ConflictSet, ObjectSupport
+from ldtruth.rdf_ingest import ClaimStore, ConflictSet, ObjectSupport
 from ldtruth.truth_engine import (DEFAULT_ENGINE, _unary_from_base,
                                   pairwise_tables, select_truth, smooth_trust)
 
@@ -103,29 +103,34 @@ def store_from_claims(rows):
     """Build a ClaimStore from (entity, predicate, value, source) tuples.
 
     Grouping and ordering are redone here from the documented contract:
-    claims sorted by slot, value order, then source; an object's support
-    is the set of sources asserting that exact value; only slots with
-    at least two distinct values become conflict sets.
+    claims deduplicated in first-seen order; an object's support is the
+    sorted sources asserting that exact value; only slots with at least
+    two distinct values become conflict sets, candidates in value order;
+    every source maps to its (slot key, candidate slot) pairs, ascending.
     """
-    claims = sorted(
-        {Claim(e, p, v, s) for e, p, v, s in rows},
-        key=lambda c: (c.entity, c.predicate, c.value.sort_key(), c.source))
+    claims = list(dict.fromkeys(tuple(row) for row in rows))
     by_slot = {}
-    sources = {}
-    for claim in claims:
-        by_slot.setdefault((claim.entity, claim.predicate), {}) \
-               .setdefault(claim.value, set()).add(claim.source)
-        sources.setdefault(claim.source, []).append(claim)
+    for e, p, v, s in claims:
+        by_slot.setdefault((e, p), {}).setdefault(v, set()).add(s)
     conflict_sets = {}
     for key in sorted(by_slot):
         support = by_slot[key]
         if len(support) < 2:
             continue
-        objects = tuple(ObjectSupport(value, frozenset(support[value]))
+        objects = tuple(ObjectSupport(value, tuple(sorted(support[value])))
                         for value in sorted(support, key=lambda v: v.sort_key()))
         conflict_sets[key] = ConflictSet(key[0], key[1], objects)
+    incidence = {}
+    for e, p, v, s in sorted(claims, key=lambda c: c[3]):
+        hits = incidence.setdefault(s, [])
+        cs = conflict_sets.get((e, p))
+        if cs is not None:
+            slot = [obj.value for obj in cs.objects].index(v)
+            hits.append(((e, p), slot))
+    for hits in incidence.values():
+        hits.sort()
     return ClaimStore(claims=claims, conflict_sets=conflict_sets,
-                      sources=sources, drop_counts={})
+                      incidence=incidence, drop_counts={})
 
 
 def random_tree_field(rng, size, low=0.1, high=3.0):
@@ -186,24 +191,26 @@ def random_sbg(rng, n_vertices, n_edges):
 
 
 def rescan_trust(store, tau, t0=0.5):
-    """Mean conflict-claim probability per source, found by scanning every
-    claim of every source."""
+    """Mean conflict-claim probability per source, found by one scan over
+    every claim of the store, in slot and value order."""
     position = {}
     for key, cs in store.conflict_sets.items():
         position[key] = {obj.value: i for i, obj in enumerate(cs.objects)}
-    trust = {}
-    for source in sorted(store.sources):
-        total = 0.0
-        count = 0
-        for claim in store.sources[source]:
-            key = (claim.entity, claim.predicate)
-            slots = position.get(key)
-            if slots is None:
-                continue
-            total += tau[key][slots[claim.value]]
-            count += 1
-        trust[source] = total / count if count else t0
-    return trust
+    sums = {source: [0.0, 0] for source in claim_sources(store)}
+    for entity, predicate, value, source in sorted(
+            store.claims, key=lambda c: (c[0], c[1], c[2].sort_key())):
+        key = (entity, predicate)
+        slots = position.get(key)
+        if slots is not None:
+            sums[source][0] += tau[key][slots[value]]
+            sums[source][1] += 1
+    return {source: total / count if count else t0
+            for source, (total, count) in sums.items()}
+
+
+def claim_sources(store):
+    """Every source with at least one claim, sorted."""
+    return sorted({claim[3] for claim in store.claims})
 
 
 def reference_resolve(store, priors=None, cfg=DEFAULT_ENGINE):
@@ -216,8 +223,9 @@ def reference_resolve(store, priors=None, cfg=DEFAULT_ENGINE):
     edges = [pairwise_tables([obj.value for obj in cs.objects], cfg)
              for cs in sets]
     nbr_map = priors.nbr if priors is not None else {}
-    nbr = {s: nbr_map.get(s, 0.5) for s in store.sources}
-    t = {s: cfg.t0 for s in sorted(store.sources)}
+    sources = claim_sources(store)
+    nbr = {s: nbr_map.get(s, 0.5) for s in sources}
+    t = {s: cfg.t0 for s in sources}
     t_smoothed = smooth_trust(t, nbr)
     tau = {k: [0.5] * len(cs.objects) for k, cs in zip(keys, sets)}
     converged = False

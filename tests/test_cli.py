@@ -252,6 +252,34 @@ class TestDropWarnings:
         assert not any("statements" in line for line in err
                        if line.startswith("WARN"))
 
+    def test_graph_policy_without_endorsed_claim_source(self, tmp_path,
+                                                       capsys):
+        # the identity link endorses a.example and b.example, while the
+        # claims come from the graphs g1.example and g2.example
+        path = tmp_path / "graphs.nq"
+        path.write_text(
+            '<http://a.example/s> <http://www.w3.org/2002/07/owl#sameAs> '
+            '<http://b.example/s> <http://g1.example/g> .\n'
+            '<http://a.example/s> <http://v.example/p> "1" '
+            '<http://g1.example/g> .\n'
+            '<http://b.example/s> <http://v.example/p> "2" '
+            '<http://g2.example/g> .\n')
+        out = tmp_path / "o"
+        assert main(["resolve", "--input", str(path), "--policy", "graph",
+                     "--out", str(out)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert "WARN no claim source has an endorsement prior" in err
+        rows = (out / "source_trust.tsv").read_text().splitlines()[1:]
+        assert [row.split("\t")[0] for row in rows] == ["g1.example",
+                                                        "g2.example"]
+        assert all(row.endswith("\t0.5") for row in rows)
+
+    def test_endorsed_claim_sources_give_no_prior_warning(self, corpus_dir,
+                                                          tmp_path, capsys):
+        assert main(["resolve", "--input", str(corpus_dir / "corpus.nt"),
+                     "--out", str(tmp_path / "o")]) == 0
+        assert "endorsement prior" not in capsys.readouterr().err
+
 
 class TestDeterminism:
 
@@ -312,6 +340,39 @@ class TestBaselineCommand:
                    (out / "decisions.jsonl").read_text().splitlines()]
         assert records
         assert all(record["method"] == method for record in records)
+
+
+class TestAlignmentOption:
+
+    @pytest.mark.parametrize("command", [["resolve"],
+                                         ["baseline", "--method", "vote"]])
+    def test_merges_predicates(self, tmp_path, command):
+        corpus = tmp_path / "two.nt"
+        corpus.write_text('<http://a.example/e> <http://a.example/p> "1" .\n'
+                          '<http://a.example/e> <http://b.example/q> "2" .\n')
+        table = tmp_path / "alignment.tsv"
+        table.write_text("http://b.example/q\thttp://a.example/p\n")
+        counts = []
+        for extra in ([], ["--alignment", str(table)]):
+            out = tmp_path / f"o{len(extra)}"
+            assert main([*command, "--input", str(corpus), *extra,
+                         "--out", str(out)]) == 0
+            counts.append(len((out / "decisions.jsonl").read_text()
+                              .splitlines()))
+        assert counts == [0, 1]
+
+    def test_missing_table_is_fatal(self, corpus_dir, tmp_path, capsys):
+        code = main(["resolve", "--input", str(corpus_dir / "corpus.nt"),
+                     "--alignment", str(tmp_path / "absent.tsv"),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("ERROR: ")
+
+    def test_prior_has_no_alignment(self, corpus_dir, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["prior", "--input", str(corpus_dir / "corpus.nt"),
+                  "--alignment", str(tmp_path / "absent.tsv"),
+                  "--out", str(tmp_path / "o")])
 
 
 class TestGoldenOutputs:
@@ -421,7 +482,6 @@ class TestConfigFileErrors:
 INGEST = {"--input": (None, None, None),
           "--format": (None, None, ("ntriples", "nquads")),
           "--policy": (None, None, ("graph", "host", "pld")),
-          "--alignment": (None, None, None),
           "--strict": (None, False, None),
           "--threads": (int, None, None),
           "--out": (None, "out", None),
@@ -447,8 +507,10 @@ SYNTH = {"--sources": (int, None, None),
          "--seed": (int, None, None),
          "--config": (None, None, None)}
 
+ALIGNMENT = {"--alignment": (None, None, None)}
+
 SURFACE = {
-    "resolve": {**INGEST, **ENGINE},
+    "resolve": {**INGEST, **ALIGNMENT, **ENGINE},
     "prior": {**INGEST, "--damping": (float, None, None),
               "--sbg-out": (None, None, None)},
     "synth": {**SYNTH, "--out": (None, "synth", None)},
@@ -456,7 +518,8 @@ SURFACE = {
              "--seeds": (None, None, None),
              "--methods": (None, "ldtruth,vote", None),
              "--out": (None, "eval", None)},
-    "baseline": {**INGEST, "--method": (None, "vote", ("vote", "truthfinder"))},
+    "baseline": {**INGEST, **ALIGNMENT,
+                 "--method": (None, "vote", ("vote", "truthfinder"))},
 }
 
 

@@ -4,8 +4,11 @@ import io
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies
 
 from ldtruth.rdf_ingest import (
+    _IRI_BODY,
     FORMAT_NQUADS,
     OWL_SAMEAS,
     POLICY_NAMED_GRAPH,
@@ -22,6 +25,10 @@ from ldtruth.rdf_ingest import (
     parse_triples,
 )
 from ldtruth.graph_model import EntityClusterMap
+
+
+# absolute IRIs over the characters the parser accepts inside <...>
+IRIS = strategies.from_regex(r"[a-z][a-z0-9+.-]*:" + _IRI_BODY, fullmatch=True)
 
 
 def parse_one(line, **kwargs):
@@ -153,6 +160,22 @@ class TestRoundTrip:
             back = parse_one(format_statement(st), fmt=fmt, mode="strict")
             assert back == st
 
+    @settings(max_examples=200, deadline=None)
+    @given(IRIS, IRIS, strategies.one_of(
+        IRIS.map(Term),
+        strategies.builds(Term, strategies.text(), strategies.just(True)),
+        strategies.builds(Term, strategies.text(), strategies.just(True),
+                          datatype=IRIS),
+        strategies.builds(Term, strategies.text(), strategies.just(True),
+                          lang=strategies.from_regex(
+                              r"[a-zA-Z]+(-[a-zA-Z0-9]+)*", fullmatch=True))),
+        strategies.none() | IRIS)
+    def test_round_trip_property(self, subject, predicate, obj, graph):
+        statement = RdfStatement(subject, predicate, obj, graph, line=1)
+        back = parse_one(format_statement(statement), fmt=FORMAT_NQUADS,
+                         mode="strict")
+        assert back == statement
+
 
 class TestSourceExtraction:
     def test_host_policy(self):
@@ -214,13 +237,36 @@ class TestBuildClaims:
         store = build_claims(statements_from(CORPUS))
         assert store.conflict_sets == {}
 
-    def test_claims_sorted_and_grouped(self):
-        statements = statements_from(CORPUS)
-        store = build_claims(statements)
-        ordering = [(c.entity, c.predicate, c.value.sort_key(), c.source)
-                    for c in store.claims]
-        assert ordering == sorted(ordering)
-        assert set(store.sources) == {"one.example.org", "two.example.org"}
+    def test_supporters_and_incidence(self):
+        # sixteen hosts make three claims each about the same three
+        # entities, shuffled; lone.example.org has no conflicting claim
+        rng = random.Random(7)
+        cluster_of = {}
+        lines = ['<http://lone.example.org/x> <http://v.org/p> "a" .']
+        for i in range(16):
+            for k in range(3):
+                subject = f"http://s{i:02d}.example.org/e{k}"
+                cluster_of[subject] = f"e{k}"
+                lines.append(f'<{subject}> <http://v.org/p> '
+                             f'"{rng.choice("abc")}" .')
+        rng.shuffle(lines)
+        store = build_claims(statements_from("\n".join(lines)),
+                             EntityClusterMap(cluster_of, members={}))
+        assert len(store.conflict_sets) == 3
+        for cs in store.conflict_sets.values():
+            for obj in cs.objects:
+                assert all(a < b for a, b in zip(obj.sources, obj.sources[1:]))
+        sources = sorted({claim[3] for claim in store.claims})
+        assert list(store.incidence) == sources
+        assert len(sources) == 17
+        assert store.incidence["lone.example.org"] == []
+        for source, hits in store.incidence.items():
+            rescan = sorted(
+                ((e, p), [o.value for o in store.conflict_sets[e, p].objects]
+                 .index(v))
+                for e, p, v, s in store.claims
+                if s == source and (e, p) in store.conflict_sets)
+            assert hits == rescan
 
     def test_named_graph_policy(self):
         quads = ('<http://x.org/e> <http://v.org/p> "1"^^<http://www.w3.org/2001/XMLSchema#integer> <http://one.example.org/g> .\n'
