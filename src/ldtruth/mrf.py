@@ -1,19 +1,26 @@
-"""Binary pairwise fields and loopy belief propagation.
+"""Binary pairwise fields, summed exactly when small and by loopy belief
+propagation otherwise.
 
 Nodes carry a two-state potential, edges carry a 2x2 table stored once
-from the lower-indexed endpoint's perspective.  A field compiles its
-message plan once, so new unary potentials can be solved without redoing
-it.  Two nodes on one edge are solved exactly; anything else runs
-synchronous flooding with damping: every directed message is recomputed
-from the previous round, normalized, then blended with its old value.
-On a cycle-free field the fixed point is the exact marginal; with cycles
-the usual loopy approximation applies.
+from the lower-indexed endpoint's perspective.  A field compiles once: up
+to ``EXACT_NODES`` nodes, the coupling weight of each of its 2^n joint
+states; above that, a message plan for synchronous flooding from uniform
+messages, where every directed message is recomputed from the previous
+round, normalized, then blended with its old value by the damping.  On a
+cycle-free field the fixed point is the exact marginal; with cycles the
+usual loopy approximation applies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import sub
+from itertools import product
+from math import prod
+from operator import add, mul, sub
+
+# largest field summed exactly: enumeration beats cold propagation on
+# complete similarity fields up to here (cost table in CHANGES.md)
+EXACT_NODES = 9
 
 
 @dataclass
@@ -30,16 +37,21 @@ class MarkovField:
         for p0, p1 in self.unary:
             if p0 <= 0.0 or p1 <= 0.0:
                 raise ValueError("unary potentials must be positive")
+        for i, j, psi in self.edges:
+            if not 0 <= i < j < n:
+                raise ValueError(f"bad edge endpoints ({i}, {j})")
+            if min(*psi[0], *psi[1]) <= 0.0:
+                raise ValueError("edge potentials must be positive")
+        if n <= EXACT_NODES:   # joint state s gives node i bit n - 1 - i
+            self.coupling = [prod(psi[s >> n - 1 - i & 1][s >> n - 1 - j & 1]
+                                  for i, j, psi in self.edges)
+                             for s in range(1 << n)]
+            return
         # messages are flat (m0, m1) pairs: i -> j on edge e starts at 4e,
         # j -> i at 4e + 2; local[i] holds (offset in, offset out, c) with
         # i's outgoing message out_b = p0 * c[2b] + p1 * c[2b + 1]
         local = [[] for _ in range(n)]
-        for e, (i, j, psi) in enumerate(self.edges):
-            if not 0 <= i < j < n:
-                raise ValueError(f"bad edge endpoints ({i}, {j})")
-            (a, b), (c, d) = psi
-            if min(a, b, c, d) <= 0.0:
-                raise ValueError("edge potentials must be positive")
+        for e, (i, j, ((a, b), (c, d))) in enumerate(self.edges):
             local[i].append((4 * e + 2, 4 * e, (a, c, b, d)))
             local[j].append((4 * e, 4 * e + 2, (a, b, c, d)))
         self.in_slots = [tuple(s for s, _, _ in node) for node in local]
@@ -54,33 +66,32 @@ class BpResult:
     marginals: list
     converged: bool
     rounds: int
-    messages: list | None = None  # final messages, flat; None if exact
 
 
 def loopy_bp(field: MarkovField, damping: float = 0.3, tol: float = 1e-6,
-             max_rounds: int = 100, messages: list | None = None) -> BpResult:
+             max_rounds: int = 100) -> BpResult:
     """Marginal probability of state 1 for every node.
 
-    Two nodes joined by one edge are summed over their four joint states
-    exactly, in zero rounds.  Otherwise messages start from ``messages``,
-    the ``messages`` of an earlier result on the same field (a warm
-    start), or uniform when that is None.  A round recomputes all of them
-    from the previous round's values; convergence is the largest
-    componentwise message change falling under ``tol``.
+    A field of at most ``EXACT_NODES`` nodes is summed over its joint
+    states exactly, in zero rounds.  Otherwise a round recomputes every
+    message from the previous round's values, and convergence is the
+    largest componentwise message change falling under ``tol``.
     """
     if not 0.0 <= damping < 1.0:
         raise ValueError("damping must be in [0, 1)")
     unary = field.unary
-    if len(unary) == 2 and len(field.edges) == 1:
-        (a0, a1), (b0, b1) = unary
-        (w00, w01), (w10, w11) = field.edges[0][2]
-        w00, w01, w10, w11 = a0*b0*w00, a0*b1*w01, a1*b0*w10, a1*b1*w11
-        z = w00 + w01 + w10 + w11
-        return BpResult([(w10 + w11) / z, (w01 + w11) / z], True, 0)
+    if len(unary) <= EXACT_NODES:
+        joint = list(map(mul, map(prod, product(*unary)), field.coupling))
+        z = sum(joint)
+        marginals = []
+        while len(joint) > 1:   # peel the top node off, then sum it out
+            half = len(joint) >> 1
+            marginals.append(sum(joint[half:]) / z)
+            joint = list(map(add, joint[:half], joint[half:]))
+        return BpResult(marginals, True, 0)
 
     width = 4 * len(field.edges)
-    if messages is None:
-        messages = [0.5] * width
+    messages = [0.5] * width
     keep = 1.0 - damping
     rounds = 0
     converged = not width
@@ -112,4 +123,4 @@ def loopy_bp(field: MarkovField, damping: float = 0.3, tol: float = 1e-6,
             b1 *= messages[at + 1]
         total = b0 + b1
         marginals.append(b1 / total if total > 0.0 else 0.5)
-    return BpResult(marginals, converged, rounds, messages)
+    return BpResult(marginals, converged, rounds)

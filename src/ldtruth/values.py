@@ -53,6 +53,9 @@ _DAYS_IN_MONTH = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 # normalize() under the default context rounds to 28 digits and overflows
 # past its exponent range; this one keeps every digit
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+# numbers render in fixed point while their leading digit sits fewer than
+# this many places from the point, in scientific notation beyond
+_FIXED_DIGITS = 40
 
 # Year is pinned to four digits everywhere so short numerics never get
 # mistaken for dates.
@@ -158,7 +161,8 @@ class NormalizedValue:
 def _canonical_decimal(dec: Decimal) -> str:
     if dec == 0:
         return "0"
-    return format(dec.normalize(_EXACT), "f")
+    dec = dec.normalize(_EXACT)
+    return format(dec, "f" if abs(dec.adjusted()) < _FIXED_DIGITS else "E")
 
 
 def _parse_date_lexical(text: str) -> tuple[int, int | None, int | None] | None:

@@ -75,7 +75,15 @@ class TestNumbers:
     def test_exponent_at_range_edge_renders(self):
         value = normalize_object("1e999999", XSD + "decimal")
         assert value.kind == KIND_NUMBER
-        assert value.render() == "1" + "0" * 999999
+        assert value.render() == "1E+999999"
+
+    @pytest.mark.parametrize("lexical, rendered", [
+        ("1e39", "1" + "0" * 39), ("1e40", "1E+40"),
+        ("-2.5e-39", "-0." + "0" * 38 + "25"), ("-2.5e-40", "-2.5E-40"),
+        ("1234.5e60", "1.2345E+63"),
+    ])
+    def test_scientific_past_forty_digits(self, lexical, rendered):
+        assert normalize_object(lexical, XSD + "decimal").render() == rendered
 
 
 class TestDates:
@@ -257,6 +265,15 @@ class TestRoundTripProperties:
     def test_number_render_reparses(self, number):
         value = NormalizedValue.from_number(number)
         assert normalize_object(value.render(), XSD + "decimal") == value
+
+    @given(st.integers(-10**40, 10**40),
+           st.integers(-10**6 + 50, 10**6 - 50))
+    def test_wide_exponents_render_short_and_reparse(self, coef, exp):
+        value = normalize_object(f"{coef}E{exp}", XSD + "decimal")
+        assert value.kind == KIND_NUMBER
+        rendered = value.render()
+        assert len(rendered) <= len(str(abs(coef))) + 50
+        assert normalize_object(rendered, XSD + "decimal") == value
 
     @given(dates())
     def test_date_render_reparses(self, value):
