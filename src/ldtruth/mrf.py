@@ -1,26 +1,28 @@
-"""Binary pairwise fields, summed exactly when small and by loopy belief
-propagation otherwise.
+"""Binary pairwise fields, summed exactly or by loopy belief propagation.
 
 Nodes carry a two-state potential, edges carry a 2x2 table stored once
-from the lower-indexed endpoint's perspective.  A field compiles once: up
-to ``EXACT_NODES`` nodes, the coupling weight of each of its 2^n joint
-states; above that, a message plan for synchronous flooding from uniform
-messages, where every directed message is recomputed from the previous
-round, normalized, then blended with its old value by the damping.  On a
-cycle-free field the fixed point is the exact marginal; with cycles the
-usual loopy approximation applies.
+from the lower-indexed endpoint's perspective.  A field compiles once, so
+new unary potentials can be solved without redoing it: a cycle-free field
+of at most ``EXACT_NODES`` nodes into the coupling weight of each of its
+2^n joint states, which are summed exactly; any other field into a message
+plan for synchronous flooding with damping, where every directed message
+is recomputed from the previous round, normalized, then blended with its
+old value.  With cycles this is the usual loopy approximation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from math import prod
-from operator import add, mul, sub
+from itertools import compress, product
+from math import frexp, ldexp, prod
+from operator import mul, sub
 
-# largest field summed exactly: enumeration beats cold propagation on
-# complete similarity fields up to here (cost table in CHANGES.md)
-EXACT_NODES = 9
+# largest forest summed exactly: up to here enumeration beats cold
+# propagation on trees of similarity tables (cost table in CHANGES.md)
+EXACT_NODES = 8
+# _BITS[n][i][s]: state of node i in joint state s of an n-node field
+_BITS = [[bytes(s >> n - 1 - i & 1 for s in range(1 << n)) for i in range(n)]
+         for n in range(EXACT_NODES + 1)]
 
 
 @dataclass
@@ -37,14 +39,26 @@ class MarkovField:
         for p0, p1 in self.unary:
             if p0 <= 0.0 or p1 <= 0.0:
                 raise ValueError("unary potentials must be positive")
+        linked = [{i} for i in range(n)]   # nodes joined to i by edges so far
+        cyclic = False
         for i, j, psi in self.edges:
             if not 0 <= i < j < n:
                 raise ValueError(f"bad edge endpoints ({i}, {j})")
             if min(*psi[0], *psi[1]) <= 0.0:
                 raise ValueError("edge potentials must be positive")
-        if n <= EXACT_NODES:   # joint state s gives node i bit n - 1 - i
-            self.coupling = [prod(psi[s >> n - 1 - i & 1][s >> n - 1 - j & 1]
-                                  for i, j, psi in self.edges)
+            cyclic = cyclic or linked[i] is linked[j]
+            tree = linked[i] | linked[j]
+            for k in tree:
+                linked[k] = tree
+        self.exact = n <= EXACT_NODES and not cyclic
+        if self.exact:
+            # scaling a table by a power of two is exact; every product
+            # of scaled tables stays at most 1, so none overflows
+            tables = [(_BITS[n][i], _BITS[n][j],
+                       [[ldexp(w, -frexp(max(*psi[0], *psi[1]))[1])
+                         for w in row] for row in psi])
+                      for i, j, psi in self.edges]
+            self.coupling = [prod(psi[a[s]][b[s]] for a, b, psi in tables)
                              for s in range(1 << n)]
             return
         # messages are flat (m0, m1) pairs: i -> j on edge e starts at 4e,
@@ -66,32 +80,32 @@ class BpResult:
     marginals: list
     converged: bool
     rounds: int
+    messages: list | None = None  # final messages, flat; None if exact
 
 
 def loopy_bp(field: MarkovField, damping: float = 0.3, tol: float = 1e-6,
-             max_rounds: int = 100) -> BpResult:
+             max_rounds: int = 100, messages: list | None = None) -> BpResult:
     """Marginal probability of state 1 for every node.
 
-    A field of at most ``EXACT_NODES`` nodes is summed over its joint
-    states exactly, in zero rounds.  Otherwise a round recomputes every
-    message from the previous round's values, and convergence is the
-    largest componentwise message change falling under ``tol``.
+    A cycle-free field of at most ``EXACT_NODES`` nodes is summed over its
+    joint states exactly, in zero rounds.  Otherwise messages start from
+    ``messages``, the ``messages`` of an earlier result on the same field
+    (a warm start), or uniform when that is None.  A round recomputes all
+    of them from the previous round's values; convergence is the largest
+    componentwise message change falling under ``tol``.
     """
     if not 0.0 <= damping < 1.0:
         raise ValueError("damping must be in [0, 1)")
     unary = field.unary
-    if len(unary) <= EXACT_NODES:
+    if field.exact:
         joint = list(map(mul, map(prod, product(*unary)), field.coupling))
         z = sum(joint)
-        marginals = []
-        while len(joint) > 1:   # peel the top node off, then sum it out
-            half = len(joint) >> 1
-            marginals.append(sum(joint[half:]) / z)
-            joint = list(map(add, joint[:half], joint[half:]))
-        return BpResult(marginals, True, 0)
+        return BpResult([sum(compress(joint, bits)) / z
+                         for bits in _BITS[len(unary)]], True, 0)
 
     width = 4 * len(field.edges)
-    messages = [0.5] * width
+    if messages is None:
+        messages = [0.5] * width
     keep = 1.0 - damping
     rounds = 0
     converged = not width
@@ -123,4 +137,4 @@ def loopy_bp(field: MarkovField, damping: float = 0.3, tol: float = 1e-6,
             b1 *= messages[at + 1]
         total = b0 + b1
         marginals.append(b1 / total if total > 0.0 else 0.5)
-    return BpResult(marginals, converged, rounds)
+    return BpResult(marginals, converged, rounds, messages)

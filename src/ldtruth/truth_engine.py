@@ -11,7 +11,7 @@ structural prior.  Iteration stops when no candidate's probability
 moves by more than the outer threshold.
 
 Each set's field is built once and only its unary potentials change per
-sweep; sets of up to ``mrf.EXACT_NODES`` candidates get exact marginals.
+sweep, with propagation warm-started from the set's previous messages.
 """
 
 from __future__ import annotations
@@ -156,12 +156,24 @@ def select_truth(cs: ConflictSet, tau: list, t_smoothed: dict) -> int:
     value in canonical order so the outcome never depends on input
     order.
     """
-    def rank(i):
-        sources = cs.objects[i].sources
-        return (-tau[i], -len(sources),
-                -sum(t_smoothed.get(s, 0.5) for s in sources),
-                cs.objects[i].value.sort_key())
-    return min(range(len(cs.objects)), key=rank)
+    best = 0
+    for i in range(1, len(cs.objects)):
+        if _beats(cs, tau, t_smoothed, i, best):
+            best = i
+    return best
+
+
+def _beats(cs, tau, t_smoothed, i, best) -> bool:
+    if tau[i] != tau[best]:
+        return tau[i] > tau[best]
+    a, b = cs.objects[i], cs.objects[best]
+    if len(a.sources) != len(b.sources):
+        return len(a.sources) > len(b.sources)
+    sum_a = sum(t_smoothed.get(s, 0.5) for s in a.sources)
+    sum_b = sum(t_smoothed.get(s, 0.5) for s in b.sources)
+    if sum_a != sum_b:
+        return sum_a > sum_b
+    return a.value.sort_key() < b.value.sort_key()
 
 
 def resolve_all(store: ClaimStore, priors=None,
@@ -176,6 +188,7 @@ def resolve_all(store: ClaimStore, priors=None,
     sets = [store.conflict_sets[k] for k in keys]
     fields = [MarkovField([(0.5, 0.5)] * len(cs.objects), pairwise_tables(
         [obj.value for obj in cs.objects], cfg)) for cs in sets]
+    messages = [None] * len(sets)
     nbr = priors.nbr if priors is not None else {}
 
     t = {s: cfg.t0 for s in store.incidence}
@@ -186,11 +199,14 @@ def resolve_all(store: ClaimStore, priors=None,
     converged = False
     bp_converged = True
     bp_rounds = 0
+    iteration = 0
     for iteration in range(1, cfg.outer_max + 1):
         deltas = []
-        for k, cs, fld in zip(keys, sets, fields):
+        for n, (k, cs, fld) in enumerate(zip(keys, sets, fields)):
             fld.unary = _unary_from_base(object_base_trust(cs, t_smoothed))
-            result = loopy_bp(fld, cfg.bp_damping, cfg.bp_tol, cfg.bp_max)
+            result = loopy_bp(fld, cfg.bp_damping, cfg.bp_tol, cfg.bp_max,
+                              messages[n])
+            messages[n] = result.messages
             bp_converged = bp_converged and result.converged
             bp_rounds += result.rounds
             deltas.extend(abs(new - old)

@@ -9,6 +9,7 @@ import itertools
 import numpy as np
 
 from ldtruth.graph_model import SourceBeliefGraph
+from ldtruth.mrf import MarkovField, loopy_bp
 from ldtruth.rdf_ingest import ClaimStore, ConflictSet, ObjectSupport
 from ldtruth.truth_engine import (DEFAULT_ENGINE, _unary_from_base,
                                   pairwise_tables, select_truth, smooth_trust)
@@ -213,10 +214,10 @@ def claim_sources(store):
 
 
 def reference_resolve(store, priors=None, cfg=DEFAULT_ENGINE):
-    """The alternating loop with nothing carried between sweeps: the exact
-    marginals of every set by ``enum_marginals`` per sweep, and a full
-    claim rescan for the trust update.  Returns (chosen value per conflict
-    key, tau per key, raw trust, sweeps, converged)."""
+    """The alternating loop with nothing carried between sweeps: a fresh
+    field and a cold-start propagation per set per sweep, and a full claim
+    rescan for the trust update.  Returns (chosen value per conflict key,
+    tau per key, raw trust, sweeps, converged, BP rounds summed)."""
     keys = sorted(store.conflict_sets)
     sets = [store.conflict_sets[k] for k in keys]
     edges = [pairwise_tables([obj.value for obj in cs.objects], cfg)
@@ -228,7 +229,7 @@ def reference_resolve(store, priors=None, cfg=DEFAULT_ENGINE):
     t_smoothed = smooth_trust(t, nbr)
     tau = {k: [0.5] * len(cs.objects) for k, cs in zip(keys, sets)}
     converged = False
-    iteration = 0
+    iteration = rounds = 0
     for iteration in range(1, cfg.outer_max + 1):
         max_delta = 0.0
         for k, cs, set_edges in zip(keys, sets, edges):
@@ -238,10 +239,13 @@ def reference_resolve(store, priors=None, cfg=DEFAULT_ENGINE):
                 for source in sorted(obj.sources):
                     total += t_smoothed[source]
                 base.append(total / len(obj.sources))
-            marginals = enum_marginals(_unary_from_base(base), set_edges)
-            for old, new in zip(tau[k], marginals):
+            field = MarkovField(unary=_unary_from_base(base),
+                                edges=set_edges)
+            result = loopy_bp(field, cfg.bp_damping, cfg.bp_tol, cfg.bp_max)
+            rounds += result.rounds
+            for old, new in zip(tau[k], result.marginals):
                 max_delta = max(max_delta, abs(new - old))
-            tau[k] = marginals
+            tau[k] = result.marginals
         t = rescan_trust(store, tau, cfg.t0)
         t_smoothed = smooth_trust(t, nbr)
         if max_delta < cfg.outer_threshold:
@@ -249,4 +253,4 @@ def reference_resolve(store, priors=None, cfg=DEFAULT_ENGINE):
             break
     chosen = {k: cs.objects[select_truth(cs, tau[k], t_smoothed)].value
               for k, cs in zip(keys, sets)}
-    return chosen, tau, t, iteration, converged
+    return chosen, tau, t, iteration, converged, rounds

@@ -14,7 +14,6 @@ import pytest
 import ldtruth
 from ldtruth import eval_harness
 from ldtruth.cli import build_parser, main
-from ldtruth.mrf import EXACT_NODES
 
 SYNTH_FLAGS = ["--sources", "10", "--entities", "30", "--conflicts", "40",
                "--seed", "6"]
@@ -167,9 +166,9 @@ class TestResolveCommand:
         return str(path)
 
     def test_bp_round_cap_reports_nonconvergence(self, tmp_path, capsys):
-        # one set above the exact limit runs propagation, which needs
-        # more than one round
-        corpus = self._linked_numbers(tmp_path / "wide.nt", EXACT_NODES + 1)
+        # three close numbers for one slot: a triangle field, which runs
+        # propagation and needs more than one round
+        corpus = self._linked_numbers(tmp_path / "triangle.nt", 3)
         cfgfile = tmp_path / "bp.ini"
         cfgfile.write_text("[engine]\nbp_max = 1\n")
         code = main(["resolve", "--input", corpus, "--config",
@@ -185,9 +184,10 @@ class TestResolveCommand:
         assert code == 0
         assert "converged=True bp_converged=True" in summary
 
-    def test_small_set_is_exact_under_any_round_cap(self, tmp_path, capsys):
-        # three candidates are summed exactly, so bp_max = 1 never binds
-        corpus = self._linked_numbers(tmp_path / "triangle.nt", 3)
+    def test_cycle_free_set_is_exact_under_any_round_cap(self, tmp_path,
+                                                         capsys):
+        # two linked candidates are summed exactly, so bp_max = 1 never binds
+        corpus = self._linked_numbers(tmp_path / "pair.nt", 2)
         cfgfile = tmp_path / "bp.ini"
         cfgfile.write_text("[engine]\nbp_max = 1\n")
         code = main(["resolve", "--input", corpus, "--config",
@@ -403,11 +403,11 @@ class TestGoldenOutputs:
         ("corpus", "corpus.nt"):
             "6ffc90e6e6de8f5408e95f65faa6cc3f9f3b0ef25718845ddf1d1bbc356eb554",
         ("resolve", "decisions.jsonl"):
-            "6270331e2f2b2040e2931e84c19010a9a8073d551dd0f5abf9b61aa533bf4232",
+            "b4aaea1ffe937299e8569cfcc0bb873175070ddc9ae46d5f47cf94090cccdbda",
         ("resolve", "trace.csv"):
-            "b20ab6f558e992edcebc22b17d909f7bad0348b0e38163cf41fd5017be128776",
+            "b2a3038be241c5df43fd3e3910ffe3d7804f1c76bde2ab6ae4b2340e225ffe84",
         ("resolve", "source_trust.tsv"):
-            "3416937d476e9e2dced864d38b4e1263bf82d01bde5c1172889da48d40333c48",
+            "9adff9c1a9e2784b7f3e71375f8ce28359341c752f5eaeb4029b52f25e41755b",
         ("vote", "decisions.jsonl"):
             "547121ca5d708d562aa3aca5401d97408a654ff0a4f58fe7c1539030be58e32d",
         ("truthfinder", "decisions.jsonl"):

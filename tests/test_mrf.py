@@ -4,7 +4,7 @@ enumeration."""
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ldtruth.mrf import EXACT_NODES, MarkovField, loopy_bp
@@ -56,23 +56,27 @@ positive = st.floats(min_value=1e-3, max_value=1e3)
 
 
 @st.composite
-def small_fields(draw):
+def small_forests(draw):
     """Any field the exact path takes: 1..EXACT_NODES nodes, arbitrary
-    positive potentials, any subset of the node pairs as edges."""
+    positive potentials, any node pairs as edges that close no cycle."""
     size = draw(st.integers(min_value=1, max_value=EXACT_NODES))
     unary = [(draw(positive), draw(positive)) for _ in range(size)]
     pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    edges = [(i, j, ((draw(positive), draw(positive)),
-                     (draw(positive), draw(positive))))
-             for i, j in sorted(chosen)]
-    return unary, edges
+    tree = list(range(size))
+    edges = []
+    for i, j in draw(st.permutations(pairs)) if pairs else []:
+        if tree[i] != tree[j] and draw(st.booleans()):
+            old = tree[j]
+            tree = [tree[i] if t == old else t for t in tree]
+            edges.append((i, j, ((draw(positive), draw(positive)),
+                                 (draw(positive), draw(positive)))))
+    return unary, sorted(edges)
 
 
 class TestExactFields:
 
     @settings(max_examples=200, deadline=None)
-    @given(small_fields())
+    @given(small_forests())
     def test_matches_enumeration_in_zero_rounds(self, spec):
         unary, edges = spec
         result = loopy_bp(MarkovField(unary=unary, edges=edges))
@@ -82,7 +86,7 @@ class TestExactFields:
             assert abs(got - want) <= 1e-12
 
     def test_new_unary_reuses_the_compiled_field(self):
-        unary, edges = random_loopy_field(random.Random(8), EXACT_NODES)
+        unary, edges = random_tree_field(random.Random(8), EXACT_NODES)
         field = MarkovField(unary=unary, edges=edges)
         field.unary = [(p0 * 1.01, p1) for p0, p1 in unary]
         result = loopy_bp(field)
@@ -90,13 +94,35 @@ class TestExactFields:
                              enum_marginals(field.unary, edges)):
             assert abs(got - want) <= 1e-12
 
+    def test_strong_couplings_do_not_overflow(self):
+        # the plain product of eight tables of about 1e200 is far past
+        # the largest float
+        psi = ((3e199, 1e199), (1e199, 1e200))
+        unary = [(0.6, 0.4)] * EXACT_NODES
+        edges = [(i, i + 1, psi) for i in range(EXACT_NODES - 1)]
+        result = loopy_bp(MarkovField(unary=unary, edges=edges))
+        assert result.rounds == 0
+        for got, want in zip(result.marginals, enum_marginals(unary, edges)):
+            assert abs(got - want) <= 1e-12
+
+    def test_cycles_keep_propagation(self):
+        # a triangle is small enough to enumerate, but runs propagation so
+        # its marginals stay the loopy fixed point
+        psi = ((0.8, 0.5), (0.5, 2.0))
+        field = MarkovField(unary=[(0.4, 0.6)] * 3,
+                            edges=[(0, 1, psi), (0, 2, psi), (1, 2, psi)])
+        result = loopy_bp(field)
+        assert result.converged and result.rounds > 0
+        assert result.messages is not None
+
 
 class TestTreeExactness:
 
     def test_matches_enumeration(self):
         rng = random.Random(4821)
         for trial in range(40):
-            size = rng.randrange(2, 13)
+            # above the exact path, so propagation itself is checked
+            size = rng.randrange(EXACT_NODES + 1, EXACT_NODES + 5)
             unary, edges = random_tree_field(rng, size)
             field = MarkovField(unary=unary, edges=edges)
             result = loopy_bp(field, damping=0.0, tol=1e-12, max_rounds=500)
@@ -119,17 +145,47 @@ class TestTreeExactness:
 class TestLoopyApproximation:
 
     def test_close_to_enumeration_on_cyclic_fields(self):
-        # just above the exact path, so propagation itself is checked
         rng = random.Random(9035)
         for trial in range(25):
-            size = rng.randrange(EXACT_NODES + 1, EXACT_NODES + 3)
+            size = rng.randrange(3, 11)
             unary, edges = random_loopy_field(rng, size)
             field = MarkovField(unary=unary, edges=edges)
             result = loopy_bp(field)
-            assert result.converged and result.rounds > 0
+            assert result.rounds > 0
             exact = enum_marginals(unary, edges)
             for got, want in zip(result.marginals, exact):
                 assert abs(got - want) <= 0.05
+
+
+class TestWarmStart:
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.integers(min_value=3, max_value=10))
+    def test_converged_messages_restart_converged(self, seed, size):
+        unary, edges = random_loopy_field(random.Random(seed), size)
+        field = MarkovField(unary=unary, edges=edges)
+        tol = 1e-6
+        cold = loopy_bp(field, tol=tol)
+        assume(cold.converged)
+        warm = loopy_bp(field, tol=tol, messages=cold.messages)
+        assert warm.converged
+        assert warm.rounds <= 1
+        for a, b in zip(cold.marginals, warm.marginals):
+            assert abs(a - b) <= 10 * tol
+
+    def test_new_unary_converges_in_fewer_rounds(self):
+        unary, edges = random_loopy_field(random.Random(8), 9)
+        field = MarkovField(unary=unary, edges=edges)
+        first = loopy_bp(field, tol=1e-10, max_rounds=1000)
+        field.unary = [(p0 * 1.01, p1) for p0, p1 in unary]
+        cold = loopy_bp(field, tol=1e-10, max_rounds=1000)
+        warm = loopy_bp(field, tol=1e-10, max_rounds=1000,
+                        messages=first.messages)
+        assert cold.converged and warm.converged
+        assert warm.rounds < cold.rounds
+        for a, b in zip(cold.marginals, warm.marginals):
+            assert abs(a - b) <= 1e-8
 
 
 class TestDegenerateShapes:
