@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import gc
 import json
 import os
 import sys
@@ -193,10 +194,18 @@ def _ingest(args, filecfg):
 def _assemble(args, filecfg, prior_cfg: PriorConfig = DEFAULT_PRIOR):
     """Parse and assemble the input; returns (assembled, statement count).
     The statements are freed on return: nothing downstream needs them."""
-    statements, policy = _ingest(args, filecfg)
-    alignment = load_alignment(args.alignment) if args.alignment else None
-    built = assemble(statements, policy=policy, alignment=alignment,
-                     prior_cfg=prior_cfg)
+    # bulk construction makes millions of long-lived objects and next to
+    # no reference cycles, so the cyclic collector's passes are pure cost
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        statements, policy = _ingest(args, filecfg)
+        alignment = load_alignment(args.alignment) if args.alignment else None
+        built = assemble(statements, policy=policy, alignment=alignment,
+                         prior_cfg=prior_cfg)
+    finally:
+        if collecting:
+            gc.enable()
     for category in ("no_source", "missing_graph"):
         _warn_dropped(built.store.drop_counts.get(category, 0),
                       "statements", category)

@@ -136,19 +136,10 @@ def project_to_sbg(graph: SameAsGraph, policy: str = "host") -> SourceBeliefGrap
     self loops.  The result is invariant under reordering of the input edges.
     """
     sbg = SourceBeliefGraph()
-    cache = {}
-
-    def source_of(iri):
-        if iri not in cache:
-            try:
-                cache[iri] = extract_source(iri, policy)
-            except NoAuthorityError:
-                cache[iri] = None
-        return cache[iri]
-
     for u, v in graph.edges:
-        su, sv = source_of(u), source_of(v)
-        if su is None or sv is None:
+        try:
+            su, sv = extract_source(u, policy), extract_source(v, policy)
+        except NoAuthorityError:
             sbg.no_source_dropped += 1
             continue
         sbg.add_edge(su, sv)

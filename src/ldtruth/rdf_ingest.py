@@ -1,15 +1,16 @@
 """Reading claim corpora from N-Triples and N-Quads files.
 
-The parser is line oriented and hand rolled: one statement per line,
-terms matched positionally with compiled patterns, escape sequences
-decoded in literals and IRIs.  It covers the slice of the grammar these
-corpora actually use.  Blank nodes are recognised but statements using
-them are set aside with a diagnostic, since every downstream structure
-keys on absolute IRIs.
+The parser is line oriented and hand rolled: one statement per line.  A
+plain line is matched whole by one compiled pattern; any other line is
+scanned term by term, with escape sequences decoded in literals and
+IRIs.  It covers the slice of the grammar these corpora actually use.
+Blank nodes are recognised but statements using them are set aside with
+a diagnostic, since every downstream structure keys on absolute IRIs.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import re
 from collections import Counter
@@ -111,6 +112,14 @@ _LITERAL_RE = re.compile(r'"((?:[^"\\]|\\.)*)"')
 _LANG_RE = re.compile(r"@([a-zA-Z]+(?:-[a-zA-Z0-9]+)*)")
 _WS_RE = re.compile(r"[ \t]+")
 
+# The plain line: single spaces, no escapes, no blank nodes, nothing
+# after the dot.  Groups: subject, predicate, the object IRI or the
+# literal's lexical form, datatype and language tag, then the graph.
+_PLAIN_LINE_RE = re.compile(
+    (r'<(%(iri)s)> <(%(iri)s)> (?:<(%(iri)s)>|"([^"\\]*)"'
+     r'(?:\^\^<(%(iri)s)>|@([a-zA-Z]+(?:-[a-zA-Z0-9]+)*))?)'
+     r'(?: <(%(iri)s)>)? \.') % {"iri": _IRI_BODY})
+
 _ESCAPES = {
     "t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
     '"': '"', "'": "'", "\\": "\\",
@@ -140,7 +149,11 @@ def _unescape(raw: str, line: int) -> str:
             digits = raw[i + 2:i + 2 + width]
             if len(digits) != width or not re.fullmatch(r"[0-9A-Fa-f]+", digits):
                 raise MalformedLineError(line, f"bad \\{key} escape")
-            out.append(chr(int(digits, 16)))
+            code = int(digits, 16)
+            # only Unicode scalar values: no surrogates, nothing past U+10FFFF
+            if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+                raise MalformedLineError(line, f"bad \\{key} escape")
+            out.append(chr(code))
             i += 2 + width
         else:
             raise MalformedLineError(line, f"unknown escape \\{key}")
@@ -190,6 +203,20 @@ def _parse_term(text: str, pos: int, line: int, *, allow_literal: bool):
             end = lang_match.end()
         return Term(lexical, is_literal=True, datatype=datatype, lang=lang), end
     raise MalformedLineError(line, f"unexpected character {ch!r}")
+
+
+def _parse_plain(text: str, lineno: int, fmt: str):
+    """The statement of a plain line, or None to defer to ``_parse_line``:
+    one pattern match instead of the term-by-term scan."""
+    match = _PLAIN_LINE_RE.fullmatch(text)
+    if match is None:
+        return None
+    subject, predicate, iri, lexical, datatype, lang, graph = match.groups()
+    if ":" not in subject or ":" not in predicate or \
+            (graph is not None and fmt != FORMAT_NQUADS):
+        return None
+    obj = Term(iri) if iri is not None else Term(lexical, True, datatype, lang)
+    return RdfStatement(subject, predicate, obj, graph, lineno)
 
 
 def _parse_line(text: str, lineno: int, fmt: str):
@@ -252,6 +279,10 @@ def parse_triples(source, fmt: str = FORMAT_NTRIPLES, mode: str = "lenient",
     if mode not in ("lenient", "strict"):
         raise ValueError(f"unknown mode: {mode!r}")
     for lineno, text in _iter_decoded_lines(source, mode, diagnostics):
+        parsed = _parse_plain(text, lineno, fmt)
+        if parsed is not None:
+            yield parsed
+            continue
         try:
             parsed = _parse_line(text, lineno, fmt)
         except MalformedLineError as exc:
@@ -292,6 +323,28 @@ def format_statement(st: RdfStatement) -> str:
     return " ".join(parts) + " ."
 
 
+# ``scheme://authority``, ending where urlsplit ends the authority.  An
+# IRI with whitespace or a control character there, which urlsplit
+# strips or deletes, does not match and goes to urlsplit whole, so the
+# cache only sees authorities that urlsplit reads as written.
+_AUTHORITY_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*://[^/?#\x00-\x20]*"
+                           r"(?![^/?#])")
+
+
+def _host_source(iri: str, policy: str):
+    """The source of ``iri``'s host under ``policy``, None without a host;
+    raises ValueError where urlsplit does."""
+    host = urlsplit(iri).hostname
+    if host and policy == POLICY_PLD:
+        return pay_level_domain(host)
+    return host
+
+
+# the host of an IRI depends only on its scheme and authority, which
+# many IRIs share
+_authority_source = functools.lru_cache(maxsize=1 << 14)(_host_source)
+
+
 def extract_source(iri: str, policy: str = POLICY_HOST) -> str:
     """Source identifier for an IRI under the given granularity policy.
 
@@ -301,15 +354,15 @@ def extract_source(iri: str, policy: str = POLICY_HOST) -> str:
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown source policy: {policy!r}")
+    match = _AUTHORITY_RE.match(iri)
     try:
-        host = urlsplit(iri).hostname
+        source = (_authority_source(match.group(), policy) if match
+                  else _host_source(iri, policy))
     except ValueError as exc:
         raise NoAuthorityError(f"unparseable IRI: {iri!r}") from exc
-    if not host:
+    if source is None:
         raise NoAuthorityError(f"no authority in IRI: {iri!r}")
-    if policy == POLICY_PLD:
-        return pay_level_domain(host)
-    return host
+    return source
 
 
 def load_alignment(path: str) -> dict:
@@ -356,6 +409,8 @@ def build_claims(statements, clusters=None, alignment: dict | None = None,
 
     claims = []
     by_slot = {}        # slot key -> value -> set of sources
+    # (lexical, datatype) of a literal, or an IRI -> its normalized value
+    normalized = {}
     for st in statements:
         if st.predicate == OWL_SAMEAS:
             drop_counts["sameas"] += 1
@@ -364,10 +419,12 @@ def build_claims(statements, clusters=None, alignment: dict | None = None,
         if err is not None:
             drop_counts[err] += 1
             continue
-        if st.object.is_literal:
-            value = normalize_object(st.object.text, st.object.datatype)
-        else:
-            value = normalize_object(st.object.text, is_iri=True)
+        obj = st.object
+        raw = (obj.text, obj.datatype) if obj.is_literal else obj.text
+        if raw not in normalized:
+            normalized[raw] = normalize_object(obj.text, obj.datatype,
+                                               is_iri=not obj.is_literal)
+        value = normalized[raw]
         if value is None:
             drop_counts["null_object"] += 1
             continue

@@ -1,6 +1,7 @@
 """End-to-end command line behavior, run in process through main()."""
 
 import argparse
+import gc
 import gzip
 import hashlib
 import json
@@ -228,6 +229,53 @@ class TestParseDiagnostics:
                      "--out", str(tmp_path / "o")])
         assert code == 1
         assert "ERROR" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("escape", [r"\U00110000", r"\uD800"])
+    def test_escape_past_unicode_is_one_bad_line(self, tmp_path, capsys,
+                                                 escape):
+        path = tmp_path / "escape.nt"
+        path.write_text(
+            '<http://a.example/s> <http://a.example/p> "ok" .\n'
+            f'<http://a.example/s> <http://a.example/q> "x{escape}y" .\n')
+        key = escape[1]
+        code = main(["resolve", "--input", str(path),
+                     "--out", str(tmp_path / "o")])
+        assert code == 0
+        assert f"WARN {path}:2 bad \\{key} escape" in capsys.readouterr().err
+        code = main(["resolve", "--input", str(path), "--strict",
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert f"ERROR: line 2: bad \\{key} escape" in capsys.readouterr().err
+
+
+class TestCollectorState:
+    """main pauses the cyclic collector while it builds, and hands the
+    collector back as it found it."""
+
+    @pytest.fixture
+    def restore_collector(self):
+        enabled = gc.isenabled()
+        yield
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_success_and_error_exits(self, corpus_dir, tmp_path,
+                                     restore_collector, enabled):
+        (gc.enable if enabled else gc.disable)()
+        assert main(["resolve", "--input", str(corpus_dir / "corpus.nt"),
+                     "--out", str(tmp_path / "o")]) == 0
+        assert gc.isenabled() is enabled
+        bad = tmp_path / "bad.nt"
+        bad.write_text("this line is not a triple\n")
+        assert main(["resolve", "--input", str(bad), "--strict",
+                     "--out", str(tmp_path / "o")]) == 1
+        assert gc.isenabled() is enabled
+        assert main(["baseline", "--input", str(tmp_path / "missing.nt"),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert gc.isenabled() is enabled
 
 
 class TestDropWarnings:

@@ -2,15 +2,22 @@
 
 import io
 import random
+from urllib.parse import urlsplit
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies
 
+from ldtruth import rdf_ingest
+from ldtruth.public_suffix import pay_level_domain
 from ldtruth.rdf_ingest import (
     _IRI_BODY,
+    _parse_line,
+    _parse_plain,
     FORMAT_NQUADS,
+    FORMAT_NTRIPLES,
     OWL_SAMEAS,
+    POLICIES,
     POLICY_NAMED_GRAPH,
     POLICY_PLD,
     EncodingError,
@@ -25,10 +32,46 @@ from ldtruth.rdf_ingest import (
     parse_triples,
 )
 from ldtruth.graph_model import EntityClusterMap
+from ldtruth.values import normalize_object
 
 
 # absolute IRIs over the characters the parser accepts inside <...>
 IRIS = strategies.from_regex(r"[a-z][a-z0-9+.-]*:" + _IRI_BODY, fullmatch=True)
+
+# statements of every object shape, each as format_statement writes it
+STATEMENTS = strategies.builds(
+    RdfStatement, IRIS, IRIS, strategies.one_of(
+        IRIS.map(Term),
+        strategies.builds(Term, strategies.text(), strategies.just(True)),
+        strategies.builds(Term, strategies.text(), strategies.just(True),
+                          datatype=IRIS),
+        strategies.builds(Term, strategies.text(), strategies.just(True),
+                          lang=strategies.from_regex(
+                              r"[a-zA-Z]+(-[a-zA-Z0-9]+)*", fullmatch=True))),
+    strategies.none() | IRIS, line=strategies.just(1))
+
+# scheme and authority: ports, userinfo, mixed case, IPv6 literals good
+# and bad, percent-escapes, empty hosts, whitespace and control
+# characters, and IRIs with no authority at all
+_LABEL = r"([A-Za-z0-9-]|%[0-9A-Fa-f]{2}){1,6}"
+AUTHORITIES = strategies.builds(
+    "".join,
+    strategies.tuples(
+        strategies.sampled_from(["http", "HTTPS", "git+ssh", "urn", "mailto",
+                                 "1http", "ht_tp", ""]),
+        strategies.sampled_from(["://", ":", ":/", "//", ":/\t/", " ://"]),
+        strategies.sampled_from(["", "user@", "User:Pw@", "a%40b@", "@"]),
+        strategies.one_of(
+            strategies.from_regex(rf"{_LABEL}(\.{_LABEL}){{0,3}}",
+                                  fullmatch=True),
+            strategies.sampled_from([
+                "", "data.Example.CO.UK", "a.b.example.co.uk", "github.io",
+                "[::1]", "[FE80::1%25Eth0]", "[v1.fe]", "[not-ipv6]", "[::1",
+                "::1]", "h\u2100st", "ex ample.org", "ex\tample.org",
+                "\x01host.org", "isbn:0451450523", "."])),
+        strategies.sampled_from(["", ":", ":8080", ":port", ":8080:9"])))
+AFTER_AUTHORITY = strategies.sampled_from(
+    ["", "/", "/path/x", "?q=1", "#frag", "/a?b#c", "?/#", "\t/x", " /x"])
 
 
 def parse_one(line, **kwargs):
@@ -115,6 +158,26 @@ class TestLineParser:
         assert diagnostics[0].line == 2
         assert diagnostics[0].category == "malformed"
 
+    @pytest.mark.parametrize("escape", [
+        r"\U00110000", r"\UFFFFFFFF", r"\uD800", r"\uDFFF", r"\U0000DC00"])
+    def test_escape_outside_unicode_scalars(self, escape):
+        key = escape[1]
+        text = (f'<http://a.org/s> <http://a.org/p> "x{escape}y" .\n'
+                '<http://a.org/s> <http://a.org/p> "ok" .\n')
+        diagnostics = []
+        statements = list(parse_triples(text, diagnostics=diagnostics))
+        assert [st.object.text for st in statements] == ["ok"]
+        assert [(d.line, d.category, d.reason) for d in diagnostics] == \
+            [(1, "malformed", f"bad \\{key} escape")]
+        with pytest.raises(MalformedLineError) as err:
+            list(parse_triples(text, mode="strict"))
+        assert str(err.value) == f"line 1: bad \\{key} escape"
+
+    def test_largest_scalar_escapes_decode(self):
+        st = parse_one(r'<http://a.org/s> <http://a.org/p> '
+                       r'"\U0010FFFF\uD7FF\uE000" .')
+        assert st.object.text == "\U0010FFFF\uD7FF\uE000"
+
     def test_blank_nodes_are_set_aside(self):
         text = ('_:b1 <http://a.org/p> "x" .\n'
                 '<http://a.org/s> <http://a.org/p> _:b2 .\n')
@@ -161,20 +224,48 @@ class TestRoundTrip:
             assert back == st
 
     @settings(max_examples=200, deadline=None)
-    @given(IRIS, IRIS, strategies.one_of(
-        IRIS.map(Term),
-        strategies.builds(Term, strategies.text(), strategies.just(True)),
-        strategies.builds(Term, strategies.text(), strategies.just(True),
-                          datatype=IRIS),
-        strategies.builds(Term, strategies.text(), strategies.just(True),
-                          lang=strategies.from_regex(
-                              r"[a-zA-Z]+(-[a-zA-Z0-9]+)*", fullmatch=True))),
-        strategies.none() | IRIS)
-    def test_round_trip_property(self, subject, predicate, obj, graph):
-        statement = RdfStatement(subject, predicate, obj, graph, line=1)
-        back = parse_one(format_statement(statement), fmt=FORMAT_NQUADS,
-                         mode="strict")
+    @given(STATEMENTS)
+    def test_round_trip_property(self, statement):
+        line = format_statement(statement)
+        back = parse_one(line, fmt=FORMAT_NQUADS, mode="strict")
         assert back == statement
+        # the plain-line pattern agrees with the term parser or defers to
+        # it, and it takes every line written without an escape
+        for fmt in (FORMAT_NQUADS, FORMAT_NTRIPLES):
+            fast = _parse_plain(line, 1, fmt)
+            if fast is not None:
+                assert fast == _parse_line(line, 1, fmt)
+            plain = "\\" not in line and (
+                fmt == FORMAT_NQUADS or statement.graph is None)
+            assert (fast is not None) == plain
+
+
+# lines the plain-line pattern must leave to the term parser, each made
+# from a plain line and the subject it starts with
+DEFERRED = {
+    "tab": lambda line, subject: line.replace(" ", "\t", 1),
+    "doubled space": lambda line, subject: line.replace(" ", "  ", 1),
+    "space before the dot missing": lambda line, subject: line[:-2] + ".",
+    "trailing comment": lambda line, subject: line + " # note",
+    "escape": lambda line, subject:
+        f"<{subject}\\u0041>" + line[len(subject) + 2:],
+    "blank node": lambda line, subject: "_:b1" + line[len(subject) + 2:],
+    "relative IRI": lambda line, subject: "<rel>" + line[len(subject) + 2:],
+}
+
+
+class TestPlainLineFastPath:
+    @settings(max_examples=60, deadline=None)
+    @given(STATEMENTS, strategies.sampled_from(sorted(DEFERRED)))
+    def test_unusual_lines_take_the_term_parser(self, statement, variant):
+        line = format_statement(statement)
+        varied = DEFERRED[variant](line, statement.subject)
+        assert _parse_plain(varied, 1, FORMAT_NQUADS) is None
+
+    def test_fourth_term_defers_in_triples(self):
+        line = '<http://a.org/s> <http://a.org/p> "x" <http://g.org/g> .'
+        assert _parse_plain(line, 1, FORMAT_NTRIPLES) is None
+        assert _parse_plain(line, 1, FORMAT_NQUADS).graph == "http://g.org/g"
 
 
 class TestSourceExtraction:
@@ -194,6 +285,36 @@ class TestSourceExtraction:
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
             extract_source("http://a.org/x", "origin")
+
+    @settings(max_examples=300, deadline=None)
+    @given(AUTHORITIES, strategies.lists(AFTER_AUTHORITY, min_size=2,
+                                         max_size=2))
+    def test_cached_host_matches_urlsplit(self, authority, tails):
+        # two IRIs share each authority, so the second lookup of every
+        # policy hits the cache the first one filled
+        for tail in tails:
+            iri = authority + tail
+            for policy in POLICIES:
+                try:
+                    host = urlsplit(iri).hostname
+                except ValueError:
+                    host = None
+                if host is None:
+                    with pytest.raises(NoAuthorityError):
+                        extract_source(iri, policy)
+                else:
+                    expected = pay_level_domain(host) \
+                        if policy == POLICY_PLD else host
+                    assert extract_source(iri, policy) == expected
+
+    def test_authority_is_looked_up_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(rdf_ingest, "pay_level_domain",
+                            lambda host: calls.append(host) or host)
+        for path in ("/a", "/b?q", "#c", ""):
+            assert extract_source(f"http://Once.Example.ORG:81{path}",
+                                  POLICY_PLD) == "once.example.org"
+        assert calls == ["once.example.org"]
 
 
 def statements_from(text, fmt="ntriples"):
@@ -231,6 +352,30 @@ class TestBuildClaims:
         assert list(store.conflict_sets) == [key]
         values = [obj.value.render() for obj in store.conflict_sets[key].objects]
         assert values == ["93", "94", "95"]
+
+    def test_each_distinct_object_is_normalized_once_per_call(self,
+                                                              monkeypatch):
+        calls = []
+
+        def counting(lexical, datatype=None, *, is_iri=False):
+            calls.append((lexical, datatype, is_iri))
+            return normalize_object(lexical, datatype, is_iri=is_iri)
+
+        monkeypatch.setattr(rdf_ingest, "normalize_object", counting)
+        text = CORPUS + ('<http://one.example.org/f> <http://v.org/height> '
+                         '"93" .\n'
+                         '<http://one.example.org/f> <http://v.org/link> '
+                         '<http://x.org/93> .\n'
+                         '<http://two.example.org/f> <http://v.org/link> '
+                         '<http://x.org/93> .\n')
+        statements = statements_from(text)
+        first = build_claims(statements)
+        distinct = sorted(calls, key=repr)
+        # "93" typed and untyped are two objects, the repeated IRI is one
+        assert len(distinct) == len(set(distinct)) == 6
+        calls.clear()
+        assert build_claims(statements) == first
+        assert sorted(calls, key=repr) == distinct
 
     def test_no_clusters_means_no_conflicts_here(self):
         # different subjects stay different entities without identity info
