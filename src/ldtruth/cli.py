@@ -42,8 +42,7 @@ def _atomic_write(path: str, text: str):
 
 
 # (INI section, INI key, flag or None, type); a flag's dest is its INI key.
-# The prior, engine and synth rows are fields of PriorConfig, EngineConfig
-# and SynthConfig, except the four ends of the two synth range fields.
+# Every prior, engine and synth row names a field of its config object.
 SETTINGS = (
     ("run", "policy", "--policy", str),
     ("run", "threads", "--threads", int),
@@ -84,10 +83,6 @@ _FLAG_EXTRAS = {
 # what each section builds; "run" settings stay a plain dict
 _CONFIGS = {"run": dict, "prior": PriorConfig, "engine": EngineConfig,
             "synth": SynthConfig}
-
-# tuple fields of a config object, each end set by its own row
-_RANGES = {"reliability_range": ("reliability_low", "reliability_high"),
-           "claims_per_conflict": ("claims_min", "claims_max")}
 
 
 def _load_config(path: str | None) -> dict:
@@ -131,13 +126,7 @@ def _config(args, filecfg: dict, section: str):
                                  f"{cast.__name__}: {entries[key]!r}") from None
         if value is not None:
             given[key] = value
-    cls = _CONFIGS[section]
-    for name, (low, high) in _RANGES.items():
-        if low in given or high in given:
-            default_low, default_high = getattr(cls(), name)
-            given[name] = (given.pop(low, default_low),
-                           given.pop(high, default_high))
-    return cls(**given)
+    return _CONFIGS[section](**given)
 
 
 def _value_json(value) -> dict:
@@ -194,18 +183,10 @@ def _ingest(args, filecfg):
 def _assemble(args, filecfg, prior_cfg: PriorConfig = DEFAULT_PRIOR):
     """Parse and assemble the input; returns (assembled, statement count).
     The statements are freed on return: nothing downstream needs them."""
-    # bulk construction makes millions of long-lived objects and next to
-    # no reference cycles, so the cyclic collector's passes are pure cost
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        statements, policy = _ingest(args, filecfg)
-        alignment = load_alignment(args.alignment) if args.alignment else None
-        built = assemble(statements, policy=policy, alignment=alignment,
-                         prior_cfg=prior_cfg)
-    finally:
-        if collecting:
-            gc.enable()
+    statements, policy = _ingest(args, filecfg)
+    alignment = load_alignment(args.alignment) if args.alignment else None
+    built = assemble(statements, policy=policy, alignment=alignment,
+                     prior_cfg=prior_cfg)
     for category in ("no_source", "missing_graph"):
         _warn_dropped(built.store.drop_counts.get(category, 0),
                       "statements", category)
@@ -287,7 +268,7 @@ def cmd_synth(args, filecfg: dict) -> int:
                 "n_entities": cfg.n_entities,
                 "n_conflict_predicates": cfg.n_conflict_predicates,
                 "values_per_conflict": cfg.values_per_conflict,
-                "reliability_range": list(cfg.reliability_range),
+                "reliability_range": [cfg.reliability_low, cfg.reliability_high],
                 "gold_slots": len(result.gold.truths),
                 "unanimous_slots": result.unanimous_slots}
     _atomic_write(os.path.join(args.out, "manifest.json"),
@@ -299,6 +280,8 @@ def cmd_synth(args, filecfg: dict) -> int:
 
 def cmd_eval(args, filecfg: dict) -> int:
     cfg = _config(args, filecfg, "synth")
+    if args.runs < 1:
+        raise ValueError("--runs must be at least 1")
     seeds = [int(s) for s in args.seeds.split(",")] if args.seeds \
         else list(range(cfg.seed, cfg.seed + args.runs))
     methods = args.methods.split(",")
@@ -397,11 +380,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # bulk construction makes millions of long-lived objects and next to
+    # no reference cycles, so the cyclic collector's passes are pure cost
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args, _load_config(args.config))
     except (ValueError, OSError) as exc:
         print(f"ERROR: {exc}", file=sys.stderr)
         return EXIT_FATAL
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

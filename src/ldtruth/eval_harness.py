@@ -43,11 +43,13 @@ class SynthConfig:
     n_entities: int = 500
     n_conflict_predicates: int = 2000
     attachment_m: int = 2
-    reliability_range: tuple = (0.3, 0.95)
+    reliability_low: float = 0.3
+    reliability_high: float = 0.95
     values_per_conflict: int = 3
     sameas_fidelity: float = 0.8
     seed: int = 0
-    claims_per_conflict: tuple = (2, 4)
+    claims_min: int = 2
+    claims_max: int = 4
     # skew 2 keeps a heavy activity tail without leaving conflict sets
     # whose every supporter is a single-claim source; those form closed
     # trust loops that drag the alternating estimation below its usual
@@ -60,8 +62,7 @@ class SynthConfig:
         if min(self.n_sources, self.n_entities,
                self.n_conflict_predicates, self.attachment_m) < 1:
             raise SynthConfigError("all counts must be at least 1")
-        low, high = self.reliability_range
-        if not 0.0 <= low <= high <= 1.0:
+        if not 0.0 <= self.reliability_low <= self.reliability_high <= 1.0:
             raise SynthConfigError("reliability_range must be ordered within [0, 1]")
         if self.values_per_conflict < 2:
             raise SynthConfigError("values_per_conflict must be at least 2")
@@ -70,8 +71,7 @@ class SynthConfig:
                 "more distinct values per conflict than sources to assert them")
         if not 0.0 <= self.sameas_fidelity <= 1.0:
             raise SynthConfigError("sameas_fidelity must be in [0, 1]")
-        cmin, cmax = self.claims_per_conflict
-        if not 2 <= cmin <= cmax:
+        if not 2 <= self.claims_min <= self.claims_max:
             raise SynthConfigError("claims_per_conflict must be ordered, minimum 2")
         if self.support_skew < 0:
             raise SynthConfigError("support_skew must be non-negative")
@@ -145,7 +145,7 @@ def _gold_value(rng, kind: str):
 
 def _decoy_value(rng, kind: str, gold: NormalizedValue, slot: int):
     if kind == "number":
-        base = float(gold.number)
+        base = float(gold.payload)
         sign = -1.0 if slot % 2 else 1.0
         frac = rng.uniform(0.3, 0.9) * (1 + slot)
         if sign < 0:
@@ -155,7 +155,7 @@ def _decoy_value(rng, kind: str, gold: NormalizedValue, slot: int):
             scale = 1.0 + frac
         return NormalizedValue.from_number(repr(round(base * scale, 4)))
     if kind == "date":
-        year, month, day = gold.date
+        year, month, day = gold.payload
         mode = rng.choice(("day", "month", "year", "day_month", "month_year"))
         if mode in ("day", "day_month"):
             day = 1 + (day - 1 + rng.randint(1, 20) + slot) % 28
@@ -164,7 +164,7 @@ def _decoy_value(rng, kind: str, gold: NormalizedValue, slot: int):
         if mode in ("year", "month_year"):
             year = year + rng.choice((-9, -7, -4, -2, 2, 4, 7, 9)) - slot
         return NormalizedValue.from_date(year, month, day)
-    chars = list(gold.text)
+    chars = list(gold.payload)
     letters = string.ascii_lowercase
     for _ in range(2 + slot % 3):
         pos = rng.randrange(len(chars))
@@ -178,11 +178,11 @@ def _near_decoy(rng, kind: str, gold: NormalizedValue):
     """A wrong value that sits close to the truth: slightly off numbers,
     one nudged date component, a single typo."""
     if kind == "number":
-        base = float(gold.number)
+        base = float(gold.payload)
         scale = 1.0 + rng.choice((-1.0, 1.0)) * rng.uniform(0.01, 0.06)
         return NormalizedValue.from_number(repr(round(base * scale, 4)))
     if kind == "date":
-        year, month, day = gold.date
+        year, month, day = gold.payload
         component = rng.random()
         if component < 0.6:
             day = 1 + (day - 1 + rng.choice((1, 2, 26, 27))) % 28
@@ -191,7 +191,7 @@ def _near_decoy(rng, kind: str, gold: NormalizedValue):
         else:
             year = year + rng.choice((-1, 1))
         return NormalizedValue.from_date(year, month, day)
-    chars = list(gold.text)
+    chars = list(gold.payload)
     chars[rng.randrange(len(chars))] = rng.choice(string.ascii_lowercase)
     return NormalizedValue.from_text("".join(chars))
 
@@ -215,7 +215,7 @@ def _literal_for(rng, value: NormalizedValue) -> str:
     if value.kind == "number":
         return f'"{value.render()}"^^<{_XSD_DECIMAL}>'
     if value.kind == "date":
-        year, month, day = value.date
+        year, month, day = value.payload
         form = rng.randrange(3)
         if form == 0:
             return f'"{value.render()}"'
@@ -240,7 +240,8 @@ def generate(cfg: SynthConfig) -> SynthResult:
     rng = random.Random(cfg.seed)
     n = cfg.n_sources
     hosts = [_source_host(i) for i in range(n)]
-    reliability = {hosts[i]: rng.uniform(*cfg.reliability_range) for i in range(n)}
+    low, high = cfg.reliability_low, cfg.reliability_high
+    reliability = {hosts[i]: rng.uniform(low, high) for i in range(n)}
 
     ranks = list(range(n))
     rng.shuffle(ranks)
@@ -258,8 +259,7 @@ def generate(cfg: SynthConfig) -> SynthResult:
     mentioned = {}
     unanimous = 0
 
-    cmin, cmax = cfg.claims_per_conflict
-    cmax = min(cmax, n)
+    cmin, cmax = cfg.claims_min, min(cfg.claims_max, n)
 
     for k in range(cfg.n_conflict_predicates):
         entity_idx = k % cfg.n_entities
@@ -379,8 +379,8 @@ def no_dominant_config(seed: int = 0) -> SynthConfig:
     mid-low reliability, and no heavy source to lean on."""
     return SynthConfig(
         n_sources=50, n_entities=500, n_conflict_predicates=2000,
-        reliability_range=(0.2, 0.55), values_per_conflict=4,
-        claims_per_conflict=(3, 6), support_skew=0.0,
+        reliability_low=0.2, reliability_high=0.55, values_per_conflict=4,
+        claims_min=3, claims_max=6, support_skew=0.0,
         decoy_concentration=1.8, seed=seed)
 
 

@@ -1,9 +1,10 @@
 """Identity graph and its projection onto sources.
 
 Two structures come out of the sameAs statements.  The undirected view
-clusters resource IRIs into entities.  The directed view keeps each link
-as an endorsement between the sources hosting its endpoints, with
-multiplicity, and that multigraph is what the reliability prior runs on.
+clusters resource IRIs into entities, each named by its smallest IRI.
+The directed view keeps each link as an endorsement between the sources
+hosting its endpoints, with multiplicity, and that multigraph is what
+the reliability prior runs on.
 """
 
 from __future__ import annotations
@@ -37,36 +38,6 @@ def build_sameas_graph(statements) -> SameAsGraph:
     return SameAsGraph(vertices, edges)
 
 
-class UnionFind:
-    """Disjoint sets with path compression and union by size."""
-
-    def __init__(self):
-        self.parent = {}
-        self.size = {}
-
-    def find(self, x):
-        parent = self.parent
-        if x not in parent:
-            parent[x] = x
-            self.size[x] = 1
-            return x
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-
-
 @dataclass
 class EntityClusterMap:
     """Total map from IRIs to entity ids.
@@ -84,21 +55,25 @@ class EntityClusterMap:
 
 
 def sameas_closure(graph: SameAsGraph) -> EntityClusterMap:
-    """Connected components of the undirected identity graph."""
-    uf = UnionFind()
+    """Connected components of the undirected identity graph.  Each union
+    hangs the larger root under the smaller, so a root is the smallest
+    IRI of its component."""
+    parent = {v: v for v in graph.vertices}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]   # path halving
+        return x
+
     for u, v in graph.edges:
-        uf.union(u, v)
-    groups = {}
-    for v in graph.vertices:
-        groups.setdefault(uf.find(v), []).append(v)
-    cluster_of = {}
+        low, high = sorted((find(u), find(v)))
+        parent[high] = low
+    # point every vertex at its root: the parent dict is the cluster map
     members = {}
-    for group in groups.values():
-        name = min(group)
-        members[name] = sorted(group)
-        for v in group:
-            cluster_of[v] = name
-    return EntityClusterMap(cluster_of, members)
+    for v in sorted(parent):
+        parent[v] = root = find(v)
+        members.setdefault(root, []).append(v)
+    return EntityClusterMap(parent, members)
 
 
 @dataclass

@@ -2,10 +2,11 @@
 
 The parser is line oriented and hand rolled: one statement per line.  A
 plain line is matched whole by one compiled pattern; any other line is
-scanned term by term, with escape sequences decoded in literals and
-IRIs.  It covers the slice of the grammar these corpora actually use.
-Blank nodes are recognised but statements using them are set aside with
-a diagnostic, since every downstream structure keys on absolute IRIs.
+scanned term by term.  Literals decode character escapes and ``\\u`` and
+``\\U`` escapes, IRIs only the last two.  It covers the slice of the
+grammar these corpora actually use.  Blank nodes are recognised but
+statements using them are set aside with a diagnostic, since every
+downstream structure keys on absolute IRIs.
 """
 
 from __future__ import annotations
@@ -105,8 +106,12 @@ class ClaimStore:
     drop_counts: dict = field(default_factory=dict)
 
 
-_IRI_BODY = r'[^<>"{}|^`\\\x00-\x20]*'
-_IRI_RE = re.compile(r"<(%s)>" % _IRI_BODY)
+_IRI_CHAR = r'[^<>"{}|^`\\\x00-\x20]'
+_IRI_BODY = _IRI_CHAR + "*"
+_IRI_CHAR_RE = re.compile(_IRI_CHAR)
+# an IRI may also write any character as \uXXXX or \UXXXXXXXX
+_UCHAR = r"\\(?:u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})"
+_IRI_RE = re.compile(r"<(%s*(?:%s%s*)*)>" % (_IRI_CHAR, _UCHAR, _IRI_CHAR))
 _BNODE_RE = re.compile(r"_:[A-Za-z0-9][A-Za-z0-9._-]*")
 _LITERAL_RE = re.compile(r'"((?:[^"\\]|\\.)*)"')
 _LANG_RE = re.compile(r"@([a-zA-Z]+(?:-[a-zA-Z0-9]+)*)")
@@ -124,40 +129,33 @@ _ESCAPES = {
     "t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
     '"': '"', "'": "'", "\\": "\\",
 }
+# a matched literal pairs every backslash with the character after it
+_ESCAPE_RE = re.compile(r"\\(u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}|.)")
 
 
-def _unescape(raw: str, line: int) -> str:
+def _unescape(raw: str, line: int, iri: bool = False) -> str:
     if "\\" not in raw:
         return raw
-    out = []
-    i = 0
-    n = len(raw)
-    while i < n:
-        ch = raw[i]
-        if ch != "\\":
-            out.append(ch)
-            i += 1
-            continue
-        if i + 1 >= n:
-            raise MalformedLineError(line, "dangling escape")
-        key = raw[i + 1]
+
+    def decode(match):
+        key = match.group(1)
         if key in _ESCAPES:
-            out.append(_ESCAPES[key])
-            i += 2
-        elif key == "u" or key == "U":
-            width = 4 if key == "u" else 8
-            digits = raw[i + 2:i + 2 + width]
-            if len(digits) != width or not re.fullmatch(r"[0-9A-Fa-f]+", digits):
-                raise MalformedLineError(line, f"bad \\{key} escape")
-            code = int(digits, 16)
-            # only Unicode scalar values: no surrogates, nothing past U+10FFFF
-            if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
-                raise MalformedLineError(line, f"bad \\{key} escape")
-            out.append(chr(code))
-            i += 2 + width
-        else:
+            return _ESCAPES[key]
+        if key in ("u", "U"):
+            raise MalformedLineError(line, f"bad \\{key} escape")
+        if len(key) == 1:
             raise MalformedLineError(line, f"unknown escape \\{key}")
-    return "".join(out)
+        code = int(key[1:], 16)
+        # only Unicode scalar values: no surrogates, nothing past U+10FFFF
+        if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+            raise MalformedLineError(line, f"bad \\{key[0]} escape")
+        char = chr(code)
+        # an IRI may not escape a character it could not hold written out
+        if iri and not _IRI_CHAR_RE.fullmatch(char):
+            raise MalformedLineError(line, "bad IRI escape")
+        return char
+
+    return _ESCAPE_RE.sub(decode, raw)
 
 
 def _skip_ws(text: str, pos: int) -> int:
@@ -174,8 +172,7 @@ def _parse_term(text: str, pos: int, line: int, *, allow_literal: bool):
         match = _IRI_RE.match(text, pos)
         if not match:
             raise MalformedLineError(line, "unterminated or invalid IRI")
-        iri = _unescape(match.group(1), line)
-        return Term(iri), match.end()
+        return Term(_unescape(match.group(1), line, iri=True)), match.end()
     if ch == "_":
         match = _BNODE_RE.match(text, pos)
         if not match:
@@ -193,7 +190,7 @@ def _parse_term(text: str, pos: int, line: int, *, allow_literal: bool):
             dt_match = _IRI_RE.match(text, end + 2)
             if not dt_match:
                 raise MalformedLineError(line, "bad datatype IRI")
-            datatype = _unescape(dt_match.group(1), line)
+            datatype = _unescape(dt_match.group(1), line, iri=True)
             end = dt_match.end()
         elif text.startswith("@", end):
             lang_match = _LANG_RE.match(text, end)

@@ -44,27 +44,27 @@ def sim(a: NormalizedValue, b: NormalizedValue) -> float:
     if a.kind != b.kind:
         return CROSS_KIND_SIMILARITY
     if a.kind == KIND_NUMBER:
-        x = float(a.number)
-        y = float(b.number)
+        x = float(a.payload)
+        y = float(b.payload)
         if not math.isfinite(abs(x) + abs(y)):
             # beyond the float range, or a sum that leaves it: the ratio is
             # scale-free, so divide both by the larger magnitude while exact
-            scale = max(a.number.copy_abs(), b.number.copy_abs())
-            x = float(a.number / scale)
-            y = float(b.number / scale)
+            scale = max(a.payload.copy_abs(), b.payload.copy_abs())
+            x = float(a.payload / scale)
+            y = float(b.payload / scale)
         ratio = abs(x - y) / (abs(x) + abs(y) + NUMERIC_FLOOR)
         return 1.0 - min(1.0, ratio)
     if a.kind == KIND_DATE:
         matches = 0
-        for ca, cb in zip(a.date, b.date):
+        for ca, cb in zip(a.payload, b.payload):
             if ca is None or cb is None or ca == cb:
                 matches += 1
         return matches / 3.0
     if a.kind == KIND_TEXT:
-        s = a.text.casefold()
-        t = b.text.casefold()
+        s = a.payload.casefold()
+        t = b.payload.casefold()
         longest = max(len(s), len(t))
         if longest == 0:
             return 1.0
         return 1.0 - levenshtein(s, t) / longest
-    return 1.0 if a.reference == b.reference else 0.0
+    return 1.0 if a.payload == b.payload else 0.0

@@ -2,10 +2,12 @@
 
 Every claim object is reduced to one of four kinds before any comparison
 happens: numbers, calendar dates with optional wildcard components, free
-text, and references to other resources.  Normalization is what lets the
-same fact spelled four different ways collapse into one candidate, so the
-rules here are deliberately conservative: if a lexical form does not match
-a known shape it stays text rather than being guessed at.
+text, and references to other resources.  A value is its kind and one
+payload: a ``Decimal``, a ``(year, month, day)`` tuple or a string.
+Normalization is what lets the same fact spelled four different ways
+collapse into one candidate, so the rules here are deliberately
+conservative: if a lexical form does not match a known shape it stays
+text rather than being guessed at.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ KIND_TEXT = "text"
 KIND_REFERENCE = "reference"
 
 _KIND_RANK = {KIND_NUMBER: 0, KIND_DATE: 1, KIND_TEXT: 2, KIND_REFERENCE: 3}
+_PAYLOAD_TYPE = {KIND_NUMBER: Decimal, KIND_DATE: tuple, KIND_TEXT: str,
+                 KIND_REFERENCE: str}
 
 _XSD = "http://www.w3.org/2001/XMLSchema#"
 
@@ -70,73 +74,51 @@ _NAME_YEAR = re.compile(r"^([A-Za-z]+)\s+(\d{4})$")
 class NormalizedValue:
     """One canonical claim object.
 
-    Exactly one payload field is set, matching ``kind``.  Date components
-    use ``None`` as the wildcard; a concrete day is only allowed when the
+    The payload's type is the one ``kind`` names.  Date components use
+    ``None`` as the wildcard; a concrete day is only allowed when the
     month is concrete too, and must exist in that month.
     """
 
     kind: str
-    number: Decimal | None = None
-    date: tuple[int, int | None, int | None] | None = None
-    text: str | None = None
-    reference: str | None = None
+    payload: Decimal | tuple | str
 
     def __post_init__(self):
-        if self.kind not in _KIND_RANK:
-            raise ValueError(f"unknown value kind: {self.kind!r}")
-        payloads = (self.number, self.date, self.text, self.reference)
-        filled = sum(p is not None for p in payloads)
-        if filled != 1:
-            raise ValueError("exactly one payload field must be set")
-        if self.kind == KIND_NUMBER and self.number is None:
-            raise ValueError("number kind requires a number payload")
+        # an unknown kind has no payload type, so nothing passes
+        if not isinstance(self.payload, _PAYLOAD_TYPE.get(self.kind, ())):
+            raise ValueError(f"no {self.kind!r} value holds {self.payload!r}")
         if self.kind == KIND_DATE:
-            if self.date is None:
-                raise ValueError("date kind requires a date payload")
-            if not isinstance(self.date[0], int):
-                raise ValueError("year must be an integer")
             # the same calendar rule the parsers apply
-            if _checked(*self.date) is None:
-                raise ValueError(f"no such date: {self.date}")
-        if self.kind == KIND_TEXT and self.text is None:
-            raise ValueError("text kind requires a text payload")
-        if self.kind == KIND_REFERENCE and self.reference is None:
-            raise ValueError("reference kind requires a reference payload")
+            if not isinstance(self.payload[0], int) or _checked(*self.payload) is None:
+                raise ValueError(f"no such date: {self.payload}")
 
     @classmethod
     def from_number(cls, value) -> "NormalizedValue":
         if isinstance(value, float):
-            dec = Decimal(repr(value))
-        elif isinstance(value, Decimal):
-            dec = value
-        else:
-            dec = Decimal(value)
-        return cls(KIND_NUMBER, number=dec)
+            value = repr(value)
+        return cls(KIND_NUMBER, Decimal(value))
 
     @classmethod
     def from_date(cls, year: int, month: int | None, day: int | None) -> "NormalizedValue":
-        return cls(KIND_DATE, date=(year, month, day))
+        return cls(KIND_DATE, (year, month, day))
 
     @classmethod
     def from_text(cls, text: str) -> "NormalizedValue":
-        return cls(KIND_TEXT, text=text)
+        return cls(KIND_TEXT, text)
 
     @classmethod
     def from_reference(cls, iri: str) -> "NormalizedValue":
-        return cls(KIND_REFERENCE, reference=iri)
+        return cls(KIND_REFERENCE, iri)
 
     def render(self) -> str:
         """Canonical string form; injective within each kind."""
         if self.kind == KIND_NUMBER:
-            return _canonical_decimal(self.number)
+            return _canonical_decimal(self.payload)
         if self.kind == KIND_DATE:
-            year, month, day = self.date
+            year, month, day = self.payload
             m = "#" if month is None else f"{month:02d}"
             d = "#" if day is None else f"{day:02d}"
             return f"{year:04d}-{m}-{d}"
-        if self.kind == KIND_TEXT:
-            return self.text
-        return self.reference
+        return self.payload
 
     def sort_key(self):
         """Total order: numbers, then dates, then text, then references.
@@ -144,15 +126,11 @@ class NormalizedValue:
         Within dates a wildcard component sorts before any concrete one.
         """
         rank = _KIND_RANK[self.kind]
-        if self.kind == KIND_NUMBER:
-            return (rank, self.number)
         if self.kind == KIND_DATE:
-            year, month, day = self.date
+            year, month, day = self.payload
             return (rank, year, -1 if month is None else month,
                     -1 if day is None else day)
-        if self.kind == KIND_TEXT:
-            return (rank, self.text)
-        return (rank, self.reference)
+        return (rank, self.payload)
 
     def __str__(self):
         return self.render()
@@ -248,14 +226,14 @@ def normalize_object(lexical: str, datatype: str | None = None,
             # past the default context's exponent range the plain rendering
             # spells out a digit per unit of exponent, gigabytes for one line
             if dec.is_finite() and abs(dec.adjusted()) < 10**6:
-                return NormalizedValue(KIND_NUMBER, number=dec)
+                return NormalizedValue(KIND_NUMBER, dec)
         except InvalidOperation:
             pass
     if datatype in DATE_DATATYPES:
         parts = _parse_typed_date(stripped, datatype)
         if parts is not None:
-            return NormalizedValue(KIND_DATE, date=parts)
+            return NormalizedValue(KIND_DATE, parts)
     parts = _parse_date_lexical(stripped)
     if parts is not None:
-        return NormalizedValue(KIND_DATE, date=parts)
+        return NormalizedValue(KIND_DATE, parts)
     return NormalizedValue.from_text(" ".join(stripped.split()))

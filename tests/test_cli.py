@@ -13,7 +13,7 @@ import sys
 import pytest
 
 import ldtruth
-from ldtruth import eval_harness
+from ldtruth import cli, eval_harness
 from ldtruth.cli import build_parser, main
 
 SYNTH_FLAGS = ["--sources", "10", "--entities", "30", "--conflicts", "40",
@@ -277,6 +277,26 @@ class TestCollectorState:
                      "--out", str(tmp_path / "o")]) == 1
         assert gc.isenabled() is enabled
 
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_resolve_runs_with_collector_paused(self, corpus_dir, tmp_path,
+                                                monkeypatch, restore_collector,
+                                                enabled):
+        # the collector's first passes over the assembled store would
+        # otherwise land in inference
+        (gc.enable if enabled else gc.disable)()
+        collecting = []
+        resolve_all = cli.resolve_all
+
+        def spy(*args):
+            collecting.append(gc.isenabled())
+            return resolve_all(*args)
+
+        monkeypatch.setattr(cli, "resolve_all", spy)
+        assert main(["resolve", "--input", str(corpus_dir / "corpus.nt"),
+                     "--out", str(tmp_path / "o")]) == 0
+        assert collecting == [False]
+        assert gc.isenabled() is enabled
+
 
 class TestDropWarnings:
 
@@ -498,6 +518,15 @@ class TestEvalCommand:
         assert 0.0 <= report["mean_ldtruth"] <= 1.0
         assert 0.0 <= report["mean_vote"] <= 1.0
         assert "mean" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("runs", ["0", "-3"])
+    def test_run_count_below_one_fails_cleanly(self, tmp_path, capsys, runs):
+        out = tmp_path / "eval"
+        assert main(["eval", *SYNTH_FLAGS, "--runs", runs,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            "ERROR: --runs must be at least 1\n"
+        assert not out.exists()
 
 
 class _Stop(Exception):

@@ -1,6 +1,8 @@
 """Synthetic corpus generation, scoring, and benchmark plumbing."""
 
 import math
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -42,21 +44,22 @@ class TestSynthConfig:
         assert cfg.n_entities == 500
         assert cfg.n_conflict_predicates == 2000
         assert cfg.attachment_m == 2
-        assert cfg.reliability_range == (0.3, 0.95)
+        assert (cfg.reliability_low, cfg.reliability_high) == (0.3, 0.95)
         assert cfg.values_per_conflict == 3
         assert cfg.sameas_fidelity == 0.8
-        assert cfg.claims_per_conflict == (2, 4)
+        assert (cfg.claims_min, cfg.claims_max) == (2, 4)
         assert cfg.support_skew == 2.0
         assert cfg.decoy_concentration == 1.0
         assert cfg.near_truth_rate == 0.0
 
     @pytest.mark.parametrize("kwargs", [
         {"n_sources": 0}, {"n_entities": 0}, {"attachment_m": 0},
-        {"reliability_range": (0.9, 0.3)}, {"reliability_range": (-0.1, 0.5)},
+        {"reliability_low": 0.9, "reliability_high": 0.3},
+        {"reliability_low": -0.1, "reliability_high": 0.5},
         {"values_per_conflict": 1},
         {"values_per_conflict": 20, "n_sources": 10},
         {"sameas_fidelity": 1.5},
-        {"claims_per_conflict": (1, 4)}, {"claims_per_conflict": (4, 2)},
+        {"claims_min": 1, "claims_max": 4}, {"claims_min": 4, "claims_max": 2},
         {"support_skew": -1.0}, {"decoy_concentration": -0.5},
         {"near_truth_rate": 1.5},
     ])
@@ -83,7 +86,7 @@ class TestGenerate:
     def test_perfect_sources_leave_nothing_in_dispute(self):
         cfg = SynthConfig(n_sources=8, n_entities=20,
                           n_conflict_predicates=30,
-                          reliability_range=(1.0, 1.0), seed=1)
+                          reliability_low=1.0, reliability_high=1.0, seed=1)
         synth = generate(cfg)
         assert synth.gold.truths == {}
         assert synth.unanimous_slots == cfg.n_conflict_predicates
@@ -107,6 +110,16 @@ class TestGenerate:
         slope = np.polyfit([x for x, _ in ranked],
                            [y for _, y in ranked], 1)[0]
         assert slope < -0.5
+
+    @pytest.mark.parametrize("low, high", [(2, 2), (3, 5)])
+    def test_claims_per_slot_stay_within_bounds(self, low, high):
+        cfg = SynthConfig(n_sources=20, n_entities=40,
+                          n_conflict_predicates=60, claims_min=low,
+                          claims_max=high, seed=3)
+        slots = re.findall(r"/resource/(e\d+)> <(http://schema\.example\.org"
+                           r"/p\d+)>", generate(cfg).triples)
+        per_slot = Counter(slots).values()
+        assert (min(per_slot), max(per_slot)) == (low, high)
 
 
 class TestGoldStandard:
@@ -148,9 +161,9 @@ class TestNoDominantConfig:
     def test_shape(self):
         cfg = no_dominant_config(7)
         assert cfg.seed == 7
-        assert cfg.reliability_range == (0.2, 0.55)
+        assert (cfg.reliability_low, cfg.reliability_high) == (0.2, 0.55)
         assert cfg.values_per_conflict == 4
-        assert cfg.claims_per_conflict == (3, 6)
+        assert (cfg.claims_min, cfg.claims_max) == (3, 6)
         assert cfg.support_skew == 0.0
         assert cfg.decoy_concentration == 1.8
         assert cfg.near_truth_rate == 0.0

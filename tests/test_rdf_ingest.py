@@ -2,6 +2,7 @@
 
 import io
 import random
+from dataclasses import replace
 from urllib.parse import urlsplit
 
 import pytest
@@ -141,6 +142,9 @@ class TestLineParser:
         ('<nocolon> <http://a.org/p> "x" .', "relative"),
         ('<http://a.org/s> <http://a.org/p> "x"^^bad .', "datatype"),
         (r'<http://a.org/s> <http://a.org/p> "\q" .', "escape"),
+        (r'<http://a.org/s> <http://a.org/p> "\u12G4" .', r"bad \u escape"),
+        (r'<http://a.org/s> <http://a.org/p> "\uFFF" .', r"bad \u escape"),
+        (r'<http://a.org/s> <http://a.org/p> "\U0010FFF" .', r"bad \U escape"),
     ])
     def test_malformed_lines_strict(self, line, fragment):
         with pytest.raises(MalformedLineError) as err:
@@ -254,6 +258,103 @@ DEFERRED = {
 }
 
 
+# an N-Quads line for each place an IRI can stand
+IRI_POSITIONS = {
+    "subject": '<{}> <http://a.org/p> "x" <http://g.org/g> .',
+    "predicate": '<http://a.org/s> <{}> "x" <http://g.org/g> .',
+    "object": '<http://a.org/s> <http://a.org/p> <{}> <http://g.org/g> .',
+    "datatype": '<http://a.org/s> <http://a.org/p> "x"^^<{}> <http://g.org/g> .',
+    "graph": '<http://a.org/s> <http://a.org/p> "x" <{}> .',
+}
+CAFE = "http://dbpedia.org/resource/Caf"
+
+
+class TestIriEscapes:
+    @pytest.mark.parametrize("mode", ["lenient", "strict"])
+    @pytest.mark.parametrize("position", sorted(IRI_POSITIONS))
+    def test_uchar_decodes(self, position, mode):
+        template = IRI_POSITIONS[position]
+        escaped = template.format(CAFE + r"\u00E9_\U0001F600\u003a")
+        written = template.format(CAFE + "\u00e9_\U0001F600:")
+        assert parse_one(escaped, fmt=FORMAT_NQUADS, mode=mode) == \
+            parse_one(written, fmt=FORMAT_NQUADS)
+
+    @pytest.mark.parametrize("escape, reason", [
+        # character escapes and short \u forms are not IRI syntax at all
+        (r"\n", None), (r"\t", None), (r"\\", None), (r'\"', None),
+        (r"\u00E", None), (r"\U0001F60", None), (r"\uZZZZ", None),
+        (r"\uD800", r"bad \u escape"), (r"\uDFFF", r"bad \u escape"),
+        (r"\U00110000", r"bad \U escape"), (r"\U0000DC00", r"bad \U escape"),
+        *[(rf"\u{ord(ch):04X}", "bad IRI escape")
+          for ch in ' \x00\x1f<>"{}|^`\\'],
+    ])
+    @pytest.mark.parametrize("position", sorted(IRI_POSITIONS))
+    def test_bad_escape_is_one_bad_line(self, position, escape, reason):
+        if reason is None:
+            reason = "bad datatype IRI" if position == "datatype" \
+                else "unterminated or invalid IRI"
+        text = (IRI_POSITIONS[position].format(CAFE + escape) + "\n"
+                + IRI_POSITIONS[position].format(CAFE + "e") + "\n")
+        diagnostics = []
+        statements = list(parse_triples(text, fmt=FORMAT_NQUADS,
+                                        diagnostics=diagnostics))
+        assert [st.line for st in statements] == [2]
+        assert [(d.line, d.category, d.reason) for d in diagnostics] == \
+            [(1, "malformed", reason)]
+        with pytest.raises(MalformedLineError) as err:
+            list(parse_triples(text, fmt=FORMAT_NQUADS, mode="strict"))
+        assert str(err.value) == f"line 1: {reason}"
+
+
+_CHAR_ESCAPES = {"\t": r"\t", "\b": r"\b", "\n": r"\n", "\r": r"\r",
+                 "\f": r"\f", '"': r'\"', "'": r"\'", "\\": r"\\"}
+
+
+@strategies.composite
+def written_out(draw, chars, raw, char_escapes):
+    """A text over ``chars`` and one way to write it: each character
+    raw where ``raw`` allows it, as a character escape from
+    ``char_escapes``, or as \\u or \\U with upper or lower case digits."""
+    text = draw(strategies.text(chars))
+    out = []
+    for ch in text:
+        code = ord(ch)
+        forms = [f"\\U{code:08X}", f"\\U{code:08x}"]
+        if code <= 0xFFFF:
+            forms += [f"\\u{code:04X}", f"\\u{code:04x}"]
+        if raw(ch):
+            forms.append(ch)
+        if ch in char_escapes:
+            forms.append(char_escapes[ch])
+        out.append(draw(strategies.sampled_from(forms)))
+    return text, "".join(out)
+
+
+class TestDecoderProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(written_out(strategies.characters(blacklist_categories=("Cs",))
+                       | strategies.sampled_from(sorted(_CHAR_ESCAPES)),
+                       lambda ch: ch not in '"\\\n\r', _CHAR_ESCAPES))
+    def test_literal_text_reads_back(self, written):
+        text, lexical = written
+        line = f'<http://a.org/s> <http://a.org/p> "{lexical}" .'
+        assert parse_one(line, mode="strict").object.text == text
+
+    @settings(max_examples=300, deadline=None)
+    @given(written_out(strategies.characters(
+               min_codepoint=0x21, blacklist_categories=("Cs",),
+               blacklist_characters='<>"{}|^`\\'),
+               lambda ch: True, {}),
+           strategies.sampled_from(sorted(IRI_POSITIONS)))
+    def test_iri_reads_back(self, written, position):
+        iri, body = written
+        template = IRI_POSITIONS[position]
+        back = parse_one(template.format(CAFE + body), fmt=FORMAT_NQUADS,
+                         mode="strict")
+        assert back == parse_one(template.format(CAFE + iri),
+                                 fmt=FORMAT_NQUADS)
+
+
 class TestPlainLineFastPath:
     @settings(max_examples=60, deadline=None)
     @given(STATEMENTS, strategies.sampled_from(sorted(DEFERRED)))
@@ -261,6 +362,9 @@ class TestPlainLineFastPath:
         line = format_statement(statement)
         varied = DEFERRED[variant](line, statement.subject)
         assert _parse_plain(varied, 1, FORMAT_NQUADS) is None
+        if variant == "escape":
+            assert parse_one(varied, fmt=FORMAT_NQUADS, mode="strict") == \
+                replace(statement, subject=statement.subject + "A")
 
     def test_fourth_term_defers_in_triples(self):
         line = '<http://a.org/s> <http://a.org/p> "x" <http://g.org/g> .'

@@ -29,12 +29,6 @@ VALUES = {
     "support_skew": ("1.0", "1.5"), "seed": ("3", "4"),
 }
 
-# INI keys that set one end of a tuple config field
-ENDS = {"reliability_low": ("reliability_range", 0),
-        "reliability_high": ("reliability_range", 1),
-        "claims_min": ("claims_per_conflict", 0),
-        "claims_max": ("claims_per_conflict", 1)}
-
 
 class _Stop(Exception):
     """Ends a command once the spied calls have seen its settings."""
@@ -78,9 +72,6 @@ def _field(calls, section, key):
     if key == "policy":
         return calls["policy"]
     cfg = calls["prior_cfg" if section == "prior" else section]
-    if key in ENDS:
-        name, end = ENDS[key]
-        return getattr(cfg, name)[end]
     return getattr(cfg, key)
 
 

@@ -24,19 +24,19 @@ class TestNumbers:
     def test_typed_integer(self):
         value = normalize_object("93", XSD + "integer")
         assert value.kind == KIND_NUMBER
-        assert value.number == Decimal("93")
+        assert value.payload == Decimal("93")
         assert value.render() == "93"
 
     def test_typed_decimal(self):
         value = normalize_object("46.0248", XSD + "decimal")
-        assert value.number == Decimal("46.0248")
+        assert value.payload == Decimal("46.0248")
         assert value.render() == "46.0248"
 
     def test_untyped_numeral_stays_text(self):
         # without a numeric datatype nothing is guessed
         value = normalize_object("93")
         assert value.kind == KIND_TEXT
-        assert value.text == "93"
+        assert value.payload == "93"
 
     def test_exponent_renders_plain(self):
         value = normalize_object("1e3", XSD + "double")
@@ -93,21 +93,21 @@ class TestDates:
     def test_full_date_forms_unify(self, lexical):
         value = normalize_object(lexical)
         assert value.kind == KIND_DATE
-        assert value.date == (1886, 10, 28)
+        assert value.payload == (1886, 10, 28)
         assert value.render() == "1886-10-28"
 
     def test_wildcard_form(self):
         value = normalize_object("1886-#-#")
-        assert value.date == (1886, None, None)
+        assert value.payload == (1886, None, None)
         assert value.render() == "1886-#-#"
 
     def test_year_month(self):
-        assert normalize_object("1886-10").date == (1886, 10, None)
-        assert normalize_object("October 1886").date == (1886, 10, None)
+        assert normalize_object("1886-10").payload == (1886, 10, None)
+        assert normalize_object("October 1886").payload == (1886, 10, None)
         assert normalize_object("1886-10").render() == "1886-10-#"
 
     def test_sept_abbreviation(self):
-        assert normalize_object("Sept 1944").date == (1944, 9, None)
+        assert normalize_object("Sept 1944").payload == (1944, 9, None)
 
     def test_concrete_day_needs_concrete_month(self):
         # the shape is recognizable but the combination is not a date
@@ -143,34 +143,34 @@ class TestDates:
 
     def test_typed_date(self):
         value = normalize_object("1886-10-28", XSD + "date")
-        assert value.date == (1886, 10, 28)
+        assert value.payload == (1886, 10, 28)
 
     def test_typed_datetime_keeps_date_part(self):
         value = normalize_object("1886-10-28T14:30:00Z", XSD + "dateTime")
-        assert value.date == (1886, 10, 28)
+        assert value.payload == (1886, 10, 28)
 
     def test_typed_gyear(self):
         value = normalize_object("1886", XSD + "gYear")
-        assert value.date == (1886, None, None)
+        assert value.payload == (1886, None, None)
 
     def test_typed_gyearmonth(self):
         value = normalize_object("1886-10", XSD + "gYearMonth")
-        assert value.date == (1886, 10, None)
+        assert value.payload == (1886, 10, None)
 
     def test_typed_date_with_timezone(self):
         value = normalize_object("1886-10-28+05:00", XSD + "date")
-        assert value.date == (1886, 10, 28)
+        assert value.payload == (1886, 10, 28)
 
 
 class TestTextAndReferences:
     def test_whitespace_collapses(self):
         value = normalize_object("  New   York\tHarbor ")
-        assert value.text == "New York Harbor"
+        assert value.payload == "New York Harbor"
 
     def test_iri_objects_become_references(self):
         value = normalize_object("http://example.org/a", is_iri=True)
         assert value.kind == KIND_REFERENCE
-        assert value.reference == "http://example.org/a"
+        assert value.payload == "http://example.org/a"
 
     @pytest.mark.parametrize("lexical", ["", "   ", "NULL", "null", "Null"])
     def test_null_markers_yield_nothing(self, lexical):
@@ -179,10 +179,16 @@ class TestTextAndReferences:
 
 class TestValueInvariants:
     def test_exactly_one_payload(self):
-        with pytest.raises(ValueError):
-            NormalizedValue(KIND_NUMBER, number=Decimal(1), text="x")
-        with pytest.raises(ValueError):
-            NormalizedValue(KIND_TEXT)
+        # one payload of the type its kind names, and a known kind
+        for kind, payload in [
+                (KIND_NUMBER, "1"), (KIND_NUMBER, 1), (KIND_NUMBER, None),
+                (KIND_DATE, "1886-10-28"), (KIND_DATE, None),
+                (KIND_DATE, ("1886", 10, None)),
+                (KIND_TEXT, Decimal(1)), (KIND_TEXT, None),
+                (KIND_REFERENCE, ("http://example.org/a",)),
+                ("boolean", "true")]:
+            with pytest.raises(ValueError):
+                NormalizedValue(kind, payload)
 
     def test_wildcard_month_with_day_rejected(self):
         with pytest.raises(ValueError):
@@ -196,7 +202,7 @@ class TestValueInvariants:
     def test_day_checked_against_month_length(self, day):
         with pytest.raises(ValueError):
             NormalizedValue.from_date(2019, 2, day)
-        assert NormalizedValue.from_date(2019, 3, 30).date == (2019, 3, 30)
+        assert NormalizedValue.from_date(2019, 3, 30).payload == (2019, 3, 30)
 
     def test_kind_order(self):
         number = NormalizedValue.from_number("5")
