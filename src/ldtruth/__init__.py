@@ -7,7 +7,7 @@ fields over candidates, trust iteration), baselines, and a synthetic
 evaluation harness.  The ``ldtruth`` command wires it together.
 """
 
-from .baselines import TruthFinderParams, truthfinder, vote, vote_all
+from .baselines import truthfinder, vote, vote_all
 from .eval_harness import (GoldStandard, SynthConfig, SynthResult, accuracy,
                            generate, run_benchmark, run_method)
 from .graph_model import (EntityClusterMap, SameAsGraph, SourceBeliefGraph,

@@ -22,16 +22,12 @@ from .eval_harness import (METHOD_ENGINE, SynthConfig, generate, run_benchmark,
 from .graph_model import build_sameas_graph, sbg_to_tsv
 from .pipeline import assemble, parse_files, source_prior
 from .prior_belief import DEFAULT_PRIOR, PriorConfig
-from .rdf_ingest import (POLICY_HOST, POLICY_NAMED_GRAPH, POLICY_PLD,
-                         load_alignment)
+from .rdf_ingest import POLICIES, load_alignment
 from .truth_engine import EngineConfig, resolve_all
 
 EXIT_OK = 0
 EXIT_FATAL = 1
 EXIT_NONCONVERGED = 2
-
-_POLICY_FLAGS = {"host": POLICY_HOST, "pld": POLICY_PLD,
-                 "graph": POLICY_NAMED_GRAPH}
 
 
 def _atomic_write(path: str, text: str):
@@ -73,7 +69,7 @@ SETTINGS = (
 )
 
 _FLAG_EXTRAS = {
-    "policy": {"choices": sorted(_POLICY_FLAGS),
+    "policy": {"choices": sorted(POLICIES),
                "help": "source granularity (default host)"},
     "threads": {"help": "accepted for compatibility; files are parsed "
                         "in input order on one thread"},
@@ -166,9 +162,9 @@ def _trace_csv(trace) -> str:
 def _ingest(args, filecfg):
     run = _config(args, filecfg, "run")
     policy = run.get("policy", "host")
-    if policy not in _POLICY_FLAGS:
+    if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}, expected one of "
-                         f"{', '.join(sorted(_POLICY_FLAGS))}")
+                         f"{', '.join(sorted(POLICIES))}")
     if run.get("threads", 1) < 1:
         raise ValueError("--threads must be at least 1")
     mode = "strict" if args.strict else "lenient"
@@ -177,7 +173,7 @@ def _ingest(args, filecfg):
                              diagnostics=diagnostics)
     for path, diag in diagnostics:
         print(f"WARN {path}:{diag.line} {diag.reason}", file=sys.stderr)
-    return statements, _POLICY_FLAGS[policy]
+    return statements, policy
 
 
 def _assemble(args, filecfg, prior_cfg: PriorConfig = DEFAULT_PRIOR):
@@ -187,27 +183,27 @@ def _assemble(args, filecfg, prior_cfg: PriorConfig = DEFAULT_PRIOR):
     alignment = load_alignment(args.alignment) if args.alignment else None
     built = assemble(statements, policy=policy, alignment=alignment,
                      prior_cfg=prior_cfg)
-    for category in ("no_source", "missing_graph"):
-        _warn_dropped(built.store.drop_counts.get(category, 0),
-                      "statements", category)
-    _warn_dropped(built.links_dropped, "identity links", "no_source")
+    _warn_dropped(built.store.drop_counts, "statements")
+    _warn_dropped(built.link_drops, "identity links")
     return built, len(statements)
 
 
-def _warn_dropped(count: int, what: str, category: str):
-    if count:
-        print(f"WARN dropped {count} {what}: {category}", file=sys.stderr)
+def _warn_dropped(counts: dict, what: str):
+    """Report the drops that lose attributable data; identity statements,
+    self loops, duplicates and null objects are expected."""
+    for reason in ("no_source", "missing_graph"):
+        if counts.get(reason):
+            print(f"WARN dropped {counts[reason]} {what}: {reason}",
+                  file=sys.stderr)
 
 
 def cmd_resolve(args, filecfg: dict) -> int:
     built, n_statements = _assemble(args, filecfg,
                                     _config(args, filecfg, "prior"))
-    store = built.store
-    if built.priors is not None and \
-            store.incidence.keys().isdisjoint(built.priors.nbr):
+    store, priors = built.store, built.priors
+    if priors is not None and store.incidence.keys().isdisjoint(priors.nbr):
         print("WARN no claim source has an endorsement prior", file=sys.stderr)
-    result = resolve_all(store, built.priors,
-                         _config(args, filecfg, "engine"))
+    result = resolve_all(store, priors, _config(args, filecfg, "engine"))
 
     os.makedirs(args.out, exist_ok=True)
     _atomic_write(os.path.join(args.out, "decisions.jsonl"),
@@ -216,7 +212,7 @@ def cmd_resolve(args, filecfg: dict) -> int:
     _atomic_write(os.path.join(args.out, "trace.csv"),
                   _trace_csv(result.trace))
     trust_lines = ["source\tt\tt_smoothed\tnbr"]
-    nbr = built.priors.nbr if built.priors else {}
+    nbr = priors.nbr if priors else {}
     for source in sorted(result.trust.t):
         trust_lines.append(
             f"{source}\t{result.trust.t[source]!r}"
@@ -225,13 +221,16 @@ def cmd_resolve(args, filecfg: dict) -> int:
     _atomic_write(os.path.join(args.out, "source_trust.tsv"),
                   "\n".join(trust_lines) + "\n")
 
+    # without identity links there is no prior to run, and nothing to fail
+    prior_sweeps, prior_ok = ((priors.sweeps_used, priors.converged)
+                              if priors is not None else (0, True))
     print(f"statements={n_statements} claims={len(store.claims)} "
           f"conflict_sets={len(store.conflict_sets)} "
           f"iterations={result.iterations} converged={result.converged} "
-          f"bp_converged={result.bp_converged} bp_rounds={result.bp_rounds}",
+          f"bp_converged={result.bp_converged} bp_rounds={result.bp_rounds} "
+          f"prior_sweeps={prior_sweeps} prior_converged={prior_ok}",
           file=sys.stderr)
-    priors_ok = built.priors is None or built.priors.converged
-    if not (result.converged and result.bp_converged and priors_ok):
+    if not (result.converged and result.bp_converged and prior_ok):
         return EXIT_NONCONVERGED
     return EXIT_OK
 
@@ -240,7 +239,7 @@ def cmd_prior(args, filecfg: dict) -> int:
     statements, policy = _ingest(args, filecfg)
     sbg, priors = source_prior(build_sameas_graph(statements), policy,
                                _config(args, filecfg, "prior"))
-    _warn_dropped(sbg.no_source_dropped, "identity links", "no_source")
+    _warn_dropped(sbg.drop_counts, "identity links")
     if priors is None:
         print("ERROR: no usable identity links, source graph is empty",
               file=sys.stderr)

@@ -63,7 +63,8 @@ class SynthConfig:
                self.n_conflict_predicates, self.attachment_m) < 1:
             raise SynthConfigError("all counts must be at least 1")
         if not 0.0 <= self.reliability_low <= self.reliability_high <= 1.0:
-            raise SynthConfigError("reliability_range must be ordered within [0, 1]")
+            raise SynthConfigError("reliability_low and reliability_high "
+                                   "must be ordered within [0, 1]")
         if self.values_per_conflict < 2:
             raise SynthConfigError("values_per_conflict must be at least 2")
         if self.values_per_conflict > self.n_sources:
@@ -72,7 +73,8 @@ class SynthConfig:
         if not 0.0 <= self.sameas_fidelity <= 1.0:
             raise SynthConfigError("sameas_fidelity must be in [0, 1]")
         if not 2 <= self.claims_min <= self.claims_max:
-            raise SynthConfigError("claims_per_conflict must be ordered, minimum 2")
+            raise SynthConfigError(
+                "claims_min and claims_max must be ordered, minimum 2")
         if self.support_skew < 0:
             raise SynthConfigError("support_skew must be non-negative")
         if self.decoy_concentration < 0:

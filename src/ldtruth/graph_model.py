@@ -2,22 +2,24 @@
 
 Two structures come out of the sameAs statements.  The undirected view
 clusters resource IRIs into entities, each named by its smallest IRI.
-The directed view keeps each link as an endorsement between the sources
-hosting its endpoints, with multiplicity, and that multigraph is what
-the reliability prior runs on.
+The directed view keeps each link as an endorsement, with multiplicity,
+from the source that states it to the source of its object, and
+that multigraph is what the reliability prior runs on.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
-from .rdf_ingest import NoAuthorityError, OWL_SAMEAS, extract_source
+from .rdf_ingest import (NoAuthorityError, OWL_SAMEAS, extract_source,
+                         statement_source)
 
 
 @dataclass
 class SameAsGraph:
     vertices: set
-    edges: list
+    edges: list     # (subject, object, graph or None) per identity link
 
     @property
     def edge_count(self) -> int:
@@ -34,7 +36,7 @@ def build_sameas_graph(statements) -> SameAsGraph:
         u, v = st.subject, st.object.text
         vertices.add(u)
         vertices.add(v)
-        edges.append((u, v))
+        edges.append((u, v, st.graph))
     return SameAsGraph(vertices, edges)
 
 
@@ -65,7 +67,7 @@ def sameas_closure(graph: SameAsGraph) -> EntityClusterMap:
             parent[x] = x = parent[parent[x]]   # path halving
         return x
 
-    for u, v in graph.edges:
+    for u, v, _ in graph.edges:
         low, high = sorted((find(u), find(v)))
         parent[high] = low
     # point every vertex at its root: the parent dict is the cluster map
@@ -81,20 +83,19 @@ class SourceBeliefGraph:
     """Directed endorsement multigraph over sources.
 
     ``multiplicity[(a, b)]`` counts parallel links from a to b, and
-    ``out_degree[a]`` sums every outgoing multiplicity.  Self loops,
-    and links with an endpoint that names no source, are dropped before
-    anything is counted; each kind keeps its own drop count.
+    ``out_degree[a]`` sums every outgoing multiplicity.  Links left out
+    are counted in ``drop_counts`` by reason: ``self_loop``,
+    ``no_source`` or ``missing_graph``.
     """
 
     vertices: set = field(default_factory=set)
     multiplicity: dict = field(default_factory=dict)
     out_degree: dict = field(default_factory=dict)
-    self_loops_dropped: int = 0
-    no_source_dropped: int = 0
+    drop_counts: Counter = field(default_factory=Counter)
 
     def add_edge(self, a: str, b: str, count: int = 1):
         if a == b:
-            self.self_loops_dropped += count
+            self.drop_counts["self_loop"] += count
             return
         self.vertices.add(a)
         self.vertices.add(b)
@@ -104,20 +105,23 @@ class SourceBeliefGraph:
 
 
 def project_to_sbg(graph: SameAsGraph, policy: str = "host") -> SourceBeliefGraph:
-    """Map each identity link to an edge between its endpoint sources.
-
-    Links with an endpoint that yields no source are counted in
-    ``no_source_dropped``; links staying inside one source become dropped
-    self loops.  The result is invariant under reordering of the input edges.
+    """Map each identity link ``<u> owl:sameAs <v> [g]`` to an edge from
+    the source of the statement, by the same rule as a claim, to the
+    source of the IRI ``v``.  The result is invariant under reordering
+    of the input edges.
     """
     sbg = SourceBeliefGraph()
-    for u, v in graph.edges:
-        try:
-            su, sv = extract_source(u, policy), extract_source(v, policy)
-        except NoAuthorityError:
-            sbg.no_source_dropped += 1
-            continue
-        sbg.add_edge(su, sv)
+    for u, v, g in graph.edges:
+        endorser, reason = statement_source(u, g, policy)
+        if reason is None:
+            try:
+                endorsee = extract_source(v, policy)
+            except NoAuthorityError:
+                reason = "no_source"
+            else:
+                sbg.add_edge(endorser, endorsee)
+                continue
+        sbg.drop_counts[reason] += 1
     return sbg
 
 

@@ -16,7 +16,7 @@ from .rdf_ingest import (FORMAT_NQUADS, FORMAT_NTRIPLES, build_claims,
 class Assembled:
     store: object
     priors: object
-    links_dropped: int      # identity links with an endpoint naming no source
+    link_drops: dict    # identity links left out of the source graph, by reason
 
 
 def format_for_path(path: str, fmt: str | None = None) -> str:
@@ -64,5 +64,4 @@ def assemble(statements, policy: str = "host", alignment: dict | None = None,
     clusters = sameas_closure(graph)
     sbg, priors = source_prior(graph, policy, prior_cfg)
     store = build_claims(statements, clusters, alignment, policy)
-    return Assembled(store=store, priors=priors,
-                     links_dropped=sbg.no_source_dropped)
+    return Assembled(store=store, priors=priors, link_drops=sbg.drop_counts)

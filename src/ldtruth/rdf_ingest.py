@@ -24,8 +24,8 @@ from .values import NormalizedValue, normalize_object
 OWL_SAMEAS = "http://www.w3.org/2002/07/owl#sameAs"
 
 POLICY_HOST = "host"
-POLICY_PLD = "pay_level_domain"
-POLICY_NAMED_GRAPH = "named_graph"
+POLICY_PLD = "pld"
+POLICY_NAMED_GRAPH = "graph"
 POLICIES = (POLICY_HOST, POLICY_PLD, POLICY_NAMED_GRAPH)
 
 FORMAT_NTRIPLES = "ntriples"
@@ -345,9 +345,9 @@ _authority_source = functools.lru_cache(maxsize=1 << 14)(_host_source)
 def extract_source(iri: str, policy: str = POLICY_HOST) -> str:
     """Source identifier for an IRI under the given granularity policy.
 
-    ``host`` and ``named_graph`` take the lower-cased authority host of
-    the IRI handed in (for the graph policy the caller passes the graph
-    IRI); ``pay_level_domain`` shortens it to the registrable domain.
+    ``host`` and ``graph`` take the lower-cased authority host of the IRI
+    handed in, since an IRI on its own names no graph; ``pld`` shortens
+    it to the registrable domain.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown source policy: {policy!r}")
@@ -377,15 +377,19 @@ def load_alignment(path: str) -> dict:
     return table
 
 
-def _claim_source(st: RdfStatement, policy: str):
+def statement_source(subject: str, graph: str | None, policy: str):
+    """The source of a statement about ``subject`` in ``graph`` (None for
+    a triple), as (source, None), or (None, reason) when it names none.
+
+    The one rule for claims and identity links alike: under the graph
+    policy the graph's host states it, else ``subject``'s host or PLD.
+    """
     if policy == POLICY_NAMED_GRAPH:
-        if st.graph is None:
+        if graph is None:
             return None, "missing_graph"
-        anchor = st.graph
-    else:
-        anchor = st.subject
+        subject = graph
     try:
-        return extract_source(anchor, policy), None
+        return extract_source(subject, policy), None
     except NoAuthorityError:
         return None, "no_source"
 
@@ -412,7 +416,7 @@ def build_claims(statements, clusters=None, alignment: dict | None = None,
         if st.predicate == OWL_SAMEAS:
             drop_counts["sameas"] += 1
             continue
-        source, err = _claim_source(st, policy)
+        source, err = statement_source(st.subject, st.graph, policy)
         if err is not None:
             drop_counts[err] += 1
             continue

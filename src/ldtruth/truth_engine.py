@@ -163,6 +163,13 @@ def select_truth(cs: ConflictSet, tau: list, t_smoothed: dict) -> int:
     return best
 
 
+def decide(cs: ConflictSet, scores, trust: dict) -> Decision:
+    """The record of the candidate ``select_truth`` picks by ``scores``."""
+    winner = select_truth(cs, scores, trust)
+    return Decision(cs.entity, cs.predicate, cs.objects[winner].value,
+                    tuple(scores))
+
+
 def _beats(cs, tau, t_smoothed, i, best) -> bool:
     if tau[i] != tau[best]:
         return tau[i] > tau[best]
@@ -221,11 +228,7 @@ def resolve_all(store: ClaimStore, priors=None,
             converged = True
             break
 
-    decisions = []
-    for k, cs in zip(keys, sets):
-        winner = select_truth(cs, tau[k], t_smoothed)
-        decisions.append(Decision(cs.entity, cs.predicate,
-                                  cs.objects[winner].value, tuple(tau[k])))
+    decisions = [decide(cs, tau[k], t_smoothed) for k, cs in zip(keys, sets)]
     state = TrustState(t=t, t_smoothed=t_smoothed)
     return ResolutionResult(decisions=decisions, trust=state, trace=trace,
                             iterations=iteration, converged=converged,

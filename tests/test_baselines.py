@@ -5,12 +5,8 @@ import random
 
 import pytest
 
-from ldtruth.baselines import (
-    TruthFinderParams,
-    truthfinder,
-    vote,
-    vote_all,
-)
+from ldtruth import baselines
+from ldtruth.baselines import truthfinder, vote, vote_all
 from ldtruth.similarity import sim
 from ldtruth.values import NormalizedValue
 
@@ -63,21 +59,11 @@ class TestVote:
 class TestTruthFinderParams:
 
     def test_defaults(self):
-        params = TruthFinderParams()
-        assert params.initial_trust == 0.9
-        assert params.dampening == 0.3
-        assert params.base_sim == 0.5
-        assert params.tol == 1e-4
-        assert params.max_iter == 50
-
-    @pytest.mark.parametrize("kwargs", [
-        {"initial_trust": 0.0}, {"initial_trust": 1.0},
-        {"dampening": 0.0}, {"tol": 0.0},
-        {"base_sim": -0.1}, {"max_iter": 0},
-    ])
-    def test_rejects_bad_settings(self, kwargs):
-        with pytest.raises(ValueError):
-            TruthFinderParams(**kwargs)
+        assert baselines.INITIAL_TRUST == 0.9
+        assert baselines.DAMPENING == 0.3
+        assert baselines.BASE_SIM == 0.5
+        assert baselines.TOL == 1e-4
+        assert baselines.MAX_ITER == 50
 
 
 def two_source_store():
@@ -104,11 +90,12 @@ def reference_two_source_run(s, iterations):
 
 class TestTruthFinder:
 
-    def test_three_rounds_match_hand_reference(self):
+    def test_three_rounds_match_hand_reference(self, monkeypatch):
         store = two_source_store()
         s = sim(number(10), number(12))
-        params = TruthFinderParams(tol=1e-12, max_iter=3)
-        decisions, trust, iterations, converged = truthfinder(store, params)
+        monkeypatch.setattr(baselines, "TOL", 1e-12)
+        monkeypatch.setattr(baselines, "MAX_ITER", 3)
+        decisions, trust, iterations, converged = truthfinder(store)
         want_conf, want_trust = reference_two_source_run(s, 3)
         assert iterations == 3
         assert not converged

@@ -50,6 +50,18 @@ class TestSynthCommand:
         assert code == 1
         assert "ERROR" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, names", [
+        (["--rel-low", "0.9", "--rel-high", "0.2"],
+         "reliability_low and reliability_high must be ordered"),
+        (["--claims-min", "5", "--claims-max", "3"],
+         "claims_min and claims_max must be ordered"),
+    ], ids=["reliability", "claims"])
+    def test_disordered_range_names_its_settings(self, tmp_path, capsys,
+                                                 flags, names):
+        code = main(["synth", *flags, "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert f"ERROR: {names}" in capsys.readouterr().err
+
 
 class TestConfigPrecedence:
 
@@ -198,6 +210,27 @@ class TestResolveCommand:
         assert "conflict_sets=1 " in summary
         assert "bp_converged=True bp_rounds=0" in summary
 
+    def test_prior_sweep_cap_shows_in_summary(self, corpus_dir, tmp_path,
+                                              capsys):
+        cfgfile = tmp_path / "prior.ini"
+        cfgfile.write_text("[prior]\nmax_sweeps = 1\n")
+        code = main(["resolve", "--input", str(corpus_dir / "corpus.nt"),
+                     "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+        summary = capsys.readouterr().err.splitlines()[-1]
+        assert code == 2
+        assert "converged=True bp_converged=True" in summary
+        assert summary.endswith(" prior_sweeps=1 prior_converged=False")
+
+    def test_no_identity_links_is_a_converged_prior(self, tmp_path, capsys):
+        path = tmp_path / "plain.nt"
+        path.write_text('<http://a.example/s> <http://a.example/p> "x" .\n'
+                        '<http://b.example/s> <http://a.example/p> "y" .\n')
+        code = main(["resolve", "--input", str(path),
+                     "--out", str(tmp_path / "o")])
+        summary = capsys.readouterr().err.splitlines()[-1]
+        assert code == 0
+        assert summary.endswith(" prior_sweeps=0 prior_converged=True")
+
     def test_zero_threads_rejected(self, corpus_dir, tmp_path, capsys):
         code = main(["resolve", "--input", str(corpus_dir / "corpus.nt"),
                      "--threads", "0", "--out", str(tmp_path / "x")])
@@ -311,7 +344,21 @@ class TestDropWarnings:
         assert code == 0
         err = capsys.readouterr().err.splitlines()
         assert f"WARN dropped {claims} statements: missing_graph" in err
+        links = len(lines) - claims
+        assert f"WARN dropped {links} identity links: missing_graph" in err
         assert not any("no_source" in line for line in err)
+
+    def test_graph_policy_on_triples_leaves_no_prior(self, corpus_dir,
+                                                     tmp_path, capsys):
+        # a triple names no graph, so no identity link has an endorser
+        lines = (corpus_dir / "corpus.nt").read_text().splitlines()
+        links = sum("owl#sameAs" in line for line in lines)
+        code = main(["prior", "--input", str(corpus_dir / "corpus.nt"),
+                     "--policy", "graph", "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == f"WARN dropped {links} identity links: missing_graph"
+        assert err[1].startswith("ERROR: no usable identity links")
 
     def test_statement_without_source(self, tmp_path, capsys):
         path = tmp_path / "urn.nt"
@@ -340,10 +387,11 @@ class TestDropWarnings:
         assert not any("statements" in line for line in err
                        if line.startswith("WARN"))
 
-    def test_graph_policy_without_endorsed_claim_source(self, tmp_path,
-                                                       capsys):
-        # the identity link endorses a.example and b.example, while the
-        # claims come from the graphs g1.example and g2.example
+    def test_graph_policy_links_endorse_from_their_graph(self, tmp_path,
+                                                         capsys):
+        # g1.example states the identity link, as it states claim "1",
+        # and endorses b.example, the host of the link's object; nothing
+        # endorses g2.example, so it keeps the neutral prior
         path = tmp_path / "graphs.nq"
         path.write_text(
             '<http://a.example/s> <http://www.w3.org/2002/07/owl#sameAs> '
@@ -353,14 +401,52 @@ class TestDropWarnings:
             '<http://b.example/s> <http://v.example/p> "2" '
             '<http://g2.example/g> .\n')
         out = tmp_path / "o"
+        assert main(["prior", "--input", str(path), "--policy", "graph",
+                     "--out", str(out)]) == 0
+        rows = (out / "prior.tsv").read_text().splitlines()[1:]
+        assert [row.split("\t")[0] for row in rows] == ["b.example",
+                                                        "g1.example"]
         assert main(["resolve", "--input", str(path), "--policy", "graph",
                      "--out", str(out)]) == 0
+        assert "endorsement prior" not in capsys.readouterr().err
+        rows = (out / "source_trust.tsv").read_text().splitlines()[1:]
+        nbr = {row.split("\t")[0]: row.split("\t")[3] for row in rows}
+        assert nbr == {"g1.example": "0.0", "g2.example": "0.5"}
+
+    def test_links_between_hosts_without_claims(self, tmp_path, capsys):
+        path = tmp_path / "apart.nt"
+        path.write_text(
+            '<http://a.example/s> <http://www.w3.org/2002/07/owl#sameAs> '
+            '<http://b.example/s> .\n'
+            '<http://c.example/s> <http://v.example/p> "1" .\n'
+            '<http://d.example/s> <http://v.example/p> "2" .\n')
+        assert main(["resolve", "--input", str(path),
+                     "--out", str(tmp_path / "o")]) == 0
         err = capsys.readouterr().err.splitlines()
         assert "WARN no claim source has an endorsement prior" in err
-        rows = (out / "source_trust.tsv").read_text().splitlines()[1:]
-        assert [row.split("\t")[0] for row in rows] == ["g1.example",
-                                                        "g2.example"]
-        assert all(row.endswith("\t0.5") for row in rows)
+
+    def test_graph_on_its_subject_host_matches_host_policy(self, corpus_dir,
+                                                           tmp_path):
+        # each statement sits in a graph on its subject's host, so the
+        # graph policy names the same source as the host policy
+        quads = []
+        for line in (corpus_dir / "corpus.nt").read_text().splitlines():
+            host = line[1:].split("/")[2]
+            quads.append(f"{line[:-2]} <http://{host}/graph> .")
+        path = tmp_path / "graphs.nq"
+        path.write_text("\n".join(quads) + "\n")
+        outputs = []
+        for policy in ("host", "graph"):
+            out = tmp_path / policy
+            assert main(["resolve", "--input", str(path), "--policy", policy,
+                         "--out", str(out)]) == 0
+            assert main(["prior", "--input", str(path), "--policy", policy,
+                         "--out", str(out), "--sbg-out",
+                         str(out / "sbg.tsv")]) == 0
+            outputs.append([(out / name).read_bytes() for name in
+                            ("decisions.jsonl", "trace.csv",
+                             "source_trust.tsv", "prior.tsv", "sbg.tsv")])
+        assert outputs[0] == outputs[1]
 
     def test_endorsed_claim_sources_give_no_prior_warning(self, corpus_dir,
                                                           tmp_path, capsys):

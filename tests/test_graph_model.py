@@ -11,7 +11,8 @@ from ldtruth.graph_model import (
     sameas_closure,
     sbg_to_tsv,
 )
-from ldtruth.rdf_ingest import POLICY_PLD, parse_triples
+from ldtruth.rdf_ingest import (FORMAT_NQUADS, POLICY_NAMED_GRAPH,
+                                 POLICY_PLD, parse_triples)
 
 
 def identity_corpus():
@@ -27,8 +28,18 @@ class TestSameAsGraph:
     def test_only_identity_links_with_iri_objects(self):
         graph = build_sameas_graph(identity_corpus())
         assert graph.edge_count == 3
-        assert ("http://a.org/x", "http://b.org/x") in graph.edges
-        assert all("y" not in u and "y" not in v for u, v in graph.edges)
+        assert ("http://a.org/x", "http://b.org/x", None) in graph.edges
+        assert all("y" not in u and "y" not in v for u, v, _ in graph.edges)
+
+    def test_links_keep_their_graph(self):
+        graph = build_sameas_graph(parse_triples(
+            '<http://a.org/x> <http://www.w3.org/2002/07/owl#sameAs> '
+            '<http://b.org/x> <http://g.org/1> .\n'
+            '<http://b.org/x> <http://www.w3.org/2002/07/owl#sameAs> '
+            '<http://c.org/x> .\n', FORMAT_NQUADS))
+        assert graph.edges == [
+            ("http://a.org/x", "http://b.org/x", "http://g.org/1"),
+            ("http://b.org/x", "http://c.org/x", None)]
 
 
 class TestClosure:
@@ -51,7 +62,8 @@ class TestClosure:
             vertices = [f"http://v{i}.org/r" for i in range(n)]
             edges = [(vertices[rng.randrange(n)], vertices[rng.randrange(n)])
                      for _ in range(rng.randint(1, 2 * n))]
-            clusters = sameas_closure(SameAsGraph(set(vertices), edges))
+            clusters = sameas_closure(SameAsGraph(
+                set(vertices), [(u, v, None) for u, v in edges]))
             expected = bfs_components(vertices, edges)
             got = {frozenset(group) for group in clusters.members.values()}
             assert got == expected
@@ -61,8 +73,8 @@ class TestClosure:
     def test_order_invariance(self):
         rng = random.Random(777)
         vertices = [f"http://v{i}.org/r" for i in range(25)]
-        edges = [(vertices[rng.randrange(25)], vertices[rng.randrange(25)])
-                 for _ in range(40)]
+        edges = [(vertices[rng.randrange(25)], vertices[rng.randrange(25)],
+                  None) for _ in range(40)]
         base = sameas_closure(SameAsGraph(set(vertices), list(edges)))
         rng.shuffle(edges)
         shuffled = sameas_closure(SameAsGraph(set(vertices), edges))
@@ -72,10 +84,10 @@ class TestClosure:
 class TestProjection:
     def test_multiplicity_and_degrees(self):
         graph = SameAsGraph(set(), [
-            ("http://a.org/1", "http://b.org/1"),
-            ("http://a.org/2", "http://b.org/2"),
-            ("http://a.org/3", "http://c.org/1"),
-            ("http://b.org/9", "http://a.org/9"),
+            ("http://a.org/1", "http://b.org/1", None),
+            ("http://a.org/2", "http://b.org/2", None),
+            ("http://a.org/3", "http://c.org/1", None),
+            ("http://b.org/9", "http://a.org/9", None),
         ])
         sbg = project_to_sbg(graph)
         assert sbg.multiplicity[("a.org", "b.org")] == 2
@@ -85,39 +97,61 @@ class TestProjection:
 
     def test_self_loops_dropped(self):
         graph = SameAsGraph(set(), [
-            ("http://a.org/1", "http://a.org/2"),
-            ("http://a.org/1", "http://b.org/1"),
+            ("http://a.org/1", "http://a.org/2", None),
+            ("http://a.org/1", "http://b.org/1", None),
         ])
         sbg = project_to_sbg(graph)
-        assert sbg.self_loops_dropped == 1
+        assert sbg.drop_counts == {"self_loop": 1}
         assert sbg.vertices == {"a.org", "b.org"}
 
     def test_pld_policy_collapses_subdomains(self):
         graph = SameAsGraph(set(), [
-            ("http://data.example.com/1", "http://www.example.com/1"),
-            ("http://data.example.com/2", "http://other.org/2"),
+            ("http://data.example.com/1", "http://www.example.com/1", None),
+            ("http://data.example.com/2", "http://other.org/2", None),
         ])
         sbg = project_to_sbg(graph, POLICY_PLD)
         # first link now stays inside one pay-level source
-        assert sbg.self_loops_dropped == 1
+        assert sbg.drop_counts == {"self_loop": 1}
         assert sbg.multiplicity == {("example.com", "other.org"): 1}
 
     def test_unattributable_endpoint_skipped(self):
         graph = SameAsGraph(set(), [
-            ("urn:isbn:123", "http://b.org/1"),
-            ("http://a.org/1", "http://b.org/1"),
+            ("urn:isbn:123", "http://b.org/1", None),
+            ("http://a.org/1", "http://b.org/1", None),
+            ("http://a.org/2", "urn:isbn:456", None),
         ])
         sbg = project_to_sbg(graph)
         assert sum(sbg.multiplicity.values()) == 1
-        assert sbg.no_source_dropped == 1
-        assert sbg.self_loops_dropped == 0
+        assert sbg.drop_counts == {"no_source": 2}
 
     def test_vertices_only_from_retained_edges(self):
         graph = SameAsGraph({"http://lonely.org/1"}, [
-            ("http://a.org/1", "http://a.org/2"),
+            ("http://a.org/1", "http://a.org/2", None),
         ])
         sbg = project_to_sbg(graph)
         assert sbg.vertices == set()
+
+    def test_graph_policy_endorser_is_the_stating_graph(self):
+        # the graph states the link, as it states a claim; the object
+        # names no graph of its own, so its host is the endorsee
+        graph = SameAsGraph(set(), [
+            ("http://a.org/1", "http://b.org/1", "http://g.org/x"),
+            ("http://a.org/2", "http://g.org/2", "http://g.org/x"),
+            ("http://a.org/3", "http://b.org/3", None),
+            ("http://a.org/4", "http://b.org/4", "urn:graph:4"),
+        ])
+        sbg = project_to_sbg(graph, POLICY_NAMED_GRAPH)
+        assert sbg.multiplicity == {("g.org", "b.org"): 1}
+        assert sbg.drop_counts == {"self_loop": 1, "missing_graph": 1,
+                                   "no_source": 1}
+
+    def test_host_policy_ignores_the_graph(self):
+        graph = SameAsGraph(set(), [
+            ("http://a.org/1", "http://b.org/1", "http://g.org/x"),
+            ("http://a.org/2", "http://b.org/2", None),
+        ])
+        sbg = project_to_sbg(graph)
+        assert sbg.multiplicity == {("a.org", "b.org"): 2}
 
     def test_tsv_dump_is_sorted(self):
         sbg = SourceBeliefGraph()

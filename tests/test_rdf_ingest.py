@@ -31,6 +31,7 @@ from ldtruth.rdf_ingest import (
     format_statement,
     load_alignment,
     parse_triples,
+    statement_source,
 )
 from ldtruth.graph_model import EntityClusterMap
 from ldtruth.values import normalize_object
@@ -389,6 +390,30 @@ class TestSourceExtraction:
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
             extract_source("http://a.org/x", "origin")
+        with pytest.raises(ValueError):
+            statement_source("http://a.org/x", None, "origin")
+
+    def test_policy_names_are_the_flag_names(self):
+        assert POLICIES == ("host", "pld", "graph")
+
+    @pytest.mark.parametrize("subject, graph, policy, expected", [
+        ("http://data.example.com/s", None, "host",
+         ("data.example.com", None)),
+        ("http://data.example.com/s", "http://g.org/1", "host",
+         ("data.example.com", None)),
+        ("http://data.example.com/s", "http://g.org/1", "pld",
+         ("example.com", None)),
+        ("urn:isbn:1", "http://g.org/1", "pld", (None, "no_source")),
+        ("urn:isbn:1", "http://G.org/1", "graph", ("g.org", None)),
+        ("http://data.example.com/s", None, "graph",
+         (None, "missing_graph")),
+        ("http://data.example.com/s", "urn:graph:1", "graph",
+         (None, "no_source")),
+    ])
+    def test_statement_source(self, subject, graph, policy, expected):
+        # under the graph policy the graph states the statement, else
+        # its subject does
+        assert statement_source(subject, graph, policy) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(AUTHORITIES, strategies.lists(AFTER_AUTHORITY, min_size=2,

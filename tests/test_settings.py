@@ -42,8 +42,7 @@ def seen(monkeypatch):
     def assemble(statements, **kwargs):
         calls.update(kwargs)
         store = types.SimpleNamespace(drop_counts={})
-        return types.SimpleNamespace(store=store, priors=None,
-                                     links_dropped=0)
+        return types.SimpleNamespace(store=store, priors=None, link_drops={})
 
     def stop(name):
         def spy(*args):
@@ -75,10 +74,6 @@ def _field(calls, section, key):
     return getattr(cfg, key)
 
 
-def _expected(key, cast, text):
-    return cli._POLICY_FLAGS[text] if key == "policy" else cast(text)
-
-
 def test_table_covers_the_accepted_settings():
     assert len(SETTINGS) == 26
     assert {row[1] for row in SETTINGS} == set(VALUES)
@@ -98,10 +93,10 @@ def test_file_sets_field_and_flag_overrides(row, seen, tmp_path):
     cfgfile = tmp_path / "settings.ini"
     cfgfile.write_text(f"[{section}]\n{key} = {from_file}\n")
     _run(section, tmp_path, ["--config", str(cfgfile)])
-    assert _field(seen, section, key) == _expected(key, cast, from_file)
+    assert _field(seen, section, key) == cast(from_file)
     if flag:
         _run(section, tmp_path, ["--config", str(cfgfile), flag, from_flag])
-        assert _field(seen, section, key) == _expected(key, cast, from_flag)
+        assert _field(seen, section, key) == cast(from_flag)
 
 
 def test_threads_row_is_validated_and_flag_overrides(seen, tmp_path, capsys):

@@ -15,6 +15,7 @@ from ldtruth.similarity import sim
 from ldtruth.truth_engine import (
     EngineConfig,
     _unary_from_base,
+    decide,
     object_base_trust,
     pairwise_tables,
     resolve_all,
@@ -173,6 +174,14 @@ class TestSelectTruth:
         cs = two_object_set({"s1.example"}, {"s2.example"})
         assert cs.objects[0].value.sort_key() < cs.objects[1].value.sort_key()
         assert select_truth(cs, [0.5, 0.5], {}) == 0
+
+    def test_decision_record_breaks_ties_by_trust(self):
+        cs = two_object_set({"s1.example"}, {"s2.example"})
+        decision = decide(cs, [0.5, 0.5],
+                          {"s1.example": 0.2, "s2.example": 0.9})
+        assert (decision.entity, decision.predicate) == ("e", "p")
+        assert decision.chosen == number(7)
+        assert decision.scores == (0.5, 0.5)
 
 
 class TestEngineConfig:
