@@ -93,15 +93,15 @@ class SourceBeliefGraph:
     out_degree: dict = field(default_factory=dict)
     drop_counts: Counter = field(default_factory=Counter)
 
-    def add_edge(self, a: str, b: str, count: int = 1):
+    def add_edge(self, a: str, b: str):
         if a == b:
-            self.drop_counts["self_loop"] += count
+            self.drop_counts["self_loop"] += 1
             return
         self.vertices.add(a)
         self.vertices.add(b)
         key = (a, b)
-        self.multiplicity[key] = self.multiplicity.get(key, 0) + count
-        self.out_degree[a] = self.out_degree.get(a, 0) + count
+        self.multiplicity[key] = self.multiplicity.get(key, 0) + 1
+        self.out_degree[a] = self.out_degree.get(a, 0) + 1
 
 
 def project_to_sbg(graph: SameAsGraph, policy: str = "host") -> SourceBeliefGraph:

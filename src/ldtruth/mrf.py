@@ -8,18 +8,32 @@ of at most ``EXACT_NODES`` nodes into the coupling weight of each of its
 plan for synchronous flooding with damping, where every directed message
 is recomputed from the previous round, normalized, then blended with its
 old value.  With cycles this is the usual loopy approximation.
+
+Both small cases run generated straight-line code: one joint-state sum
+per node count, and one flooding function per topology of a cyclic field
+of at most ``KERNEL_NODES`` nodes.  Each is compiled the first time it is
+needed and kept for the life of the process.  Its text holds only
+integers (node counts, indices and message offsets), never an input
+value, and it does the arithmetic of the interpreted loop in the same
+order, so the results are the same to the bit.  Larger cyclic fields run
+the interpreted loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, product
-from math import frexp, ldexp, prod
-from operator import mul, sub
+from functools import cache
+from math import frexp, inf, ldexp, prod
+from operator import sub
 
 # largest forest summed exactly: up to here enumeration beats cold
 # propagation on trees of similarity tables (cost table in CHANGES.md)
 EXACT_NODES = 8
+# largest cyclic field given a generated flood: a kernel takes as long to
+# build as a few hundred interpreted rounds (CHANGES.md), so it pays only
+# when its topology repeats, and up to 5 nodes there are at most
+# 2^3 + 2^6 + 2^10 topologies
+KERNEL_NODES = 5
 # _BITS[n][i][s]: state of node i in joint state s of an n-node field
 _BITS = [[bytes(s >> n - 1 - i & 1 for s in range(1 << n)) for i in range(n)]
          for n in range(EXACT_NODES + 1)]
@@ -29,7 +43,8 @@ _BITS = [[bytes(s >> n - 1 - i & 1 for s in range(1 << n)) for i in range(n)]
 class MarkovField:
     """``unary[i]`` is (phi(0), phi(1)); ``edges`` holds (i, j, psi) with
     i < j and ``psi[a][b]`` scoring state a at i against state b at j.
-    ``unary`` may be replaced by positive pairs of the same length."""
+    Every potential is positive and finite.  ``unary`` may be replaced by
+    such pairs of the same length."""
 
     unary: list
     edges: list
@@ -37,15 +52,15 @@ class MarkovField:
     def __post_init__(self):
         n = len(self.unary)
         for p0, p1 in self.unary:
-            if p0 <= 0.0 or p1 <= 0.0:
-                raise ValueError("unary potentials must be positive")
+            if not (0.0 < p0 < inf and 0.0 < p1 < inf):
+                raise ValueError("unary potentials must be positive and finite")
         linked = [{i} for i in range(n)]   # nodes joined to i by edges so far
         cyclic = False
         for i, j, psi in self.edges:
             if not 0 <= i < j < n:
                 raise ValueError(f"bad edge endpoints ({i}, {j})")
-            if min(*psi[0], *psi[1]) <= 0.0:
-                raise ValueError("edge potentials must be positive")
+            if not all(0.0 < w < inf for w in (*psi[0], *psi[1])):
+                raise ValueError("edge potentials must be positive and finite")
             cyclic = cyclic or linked[i] is linked[j]
             tree = linked[i] | linked[j]
             for k in tree:
@@ -60,19 +75,119 @@ class MarkovField:
                       for i, j, psi in self.edges]
             self.coupling = [prod(psi[a[s]][b[s]] for a, b, psi in tables)
                              for s in range(1 << n)]
+            self.kernel = _joint_sum(n)
             return
-        # messages are flat (m0, m1) pairs: i -> j on edge e starts at 4e,
-        # j -> i at 4e + 2; local[i] holds (offset in, offset out, c) with
-        # i's outgoing message out_b = p0 * c[2b] + p1 * c[2b + 1]
-        local = [[] for _ in range(n)]
-        for e, (i, j, ((a, b), (c, d))) in enumerate(self.edges):
-            local[i].append((4 * e + 2, 4 * e, (a, c, b, d)))
-            local[j].append((4 * e, 4 * e + 2, (a, b, c, d)))
-        self.in_slots = [tuple(s for s, _, _ in node) for node in local]
-        # per message: sender, offset out, c0..c3, offsets of the sender's
-        # other incoming messages (all but the reverse of this one)
-        self.plan = [(i, out, *cols, tuple(s for s, o, _ in node if o != out))
-                     for i, node in enumerate(local) for _, out, cols in node]
+        pairs = tuple((i, j) for i, j, _ in self.edges)
+        if n <= KERNEL_NODES:
+            self.kernel = _flood(n, pairs)
+            self.tables = tuple(w for _, _, psi in self.edges
+                                for row in psi for w in row)
+            return
+        self.kernel = None
+        self.in_slots, sends = _layout(n, pairs)
+        # per message: sender, offset out, c0..c3 with the outgoing
+        # out_b = p0 * c[2b] + p1 * c[2b + 1], offsets of the sender's
+        # other incoming messages
+        self.plan = []
+        for i, out, others in sends:
+            (a, b), (c, d) = self.edges[out // 4][2]
+            cols = (a, c, b, d) if out % 4 == 0 else (a, b, c, d)
+            self.plan.append((i, out, *cols, others))
+
+
+def _layout(n, pairs):
+    """Where each message lives: messages are flat (m0, m1) pairs, i -> j
+    on edge e at offset 4e and j -> i at 4e + 2.  Returns the offsets of
+    each node's incoming messages, and per message (sender, offset out,
+    offsets of the sender's incoming messages but the reverse one)."""
+    local = [[] for _ in range(n)]
+    for e, (i, j) in enumerate(pairs):
+        local[i].append((4 * e + 2, 4 * e))
+        local[j].append((4 * e, 4 * e + 2))
+    in_slots = [tuple(s for s, _ in node) for node in local]
+    sends = [(i, out, tuple(s for s, o in node if o != out))
+             for i, node in enumerate(local) for _, out in node]
+    return in_slots, sends
+
+
+def _build(lines, name):
+    space = {}
+    exec(compile("\n".join(lines), f"<ldtruth.mrf.{name}>", "exec"), space)
+    return space[name]
+
+
+@cache
+def _joint_sum(n):
+    """``joint(unary, coupling)``: P(state 1) of every node of an n-node
+    field whose 2^n joint states have the given coupling weights.  A
+    state's weight is ``1 * phi_0 * ... * phi_n-1 * coupling``, as ``prod``
+    multiplies, and every sum adds left to right from 0."""
+    states = range(1 << n)
+    bits = _BITS[n]
+    lines = ["def joint(unary, coupling):",
+             " " + "".join(f"w{s}, " for s in states) + "= coupling"]
+    if n:
+        lines.append(" " + "".join(f"(u{i}, v{i}), " for i in range(n))
+                     + "= unary")
+    for s in states:
+        lines.append(f" j{s} = 1" + "".join(
+            f" * {'uv'[bits[i][s]]}{i}" for i in range(n))
+            + f" * w{s}")
+    lines.append(" z = 0" + "".join(f" + j{s}" for s in states))
+    lines.append(" return [" + ", ".join(
+        "(0" + "".join(f" + j{s}" for s in states if bits[i][s])
+        + ") / z" for i in range(n)) + "]")
+    return _build(lines, "joint")
+
+
+@cache
+def _flood(n, pairs):
+    """``flood(unary, tables, messages, keep, damping, tol, max_rounds)``
+    for the field of n nodes with edges at ``pairs``: every round of the
+    interpreted loop in ``loopy_bp`` written out, returning (marginals,
+    converged, rounds, messages).  ``tables`` is each edge's psi, flat:
+    four entries per edge, as many as message slots."""
+    in_slots, sends = _layout(n, pairs)
+    width = 4 * len(pairs)
+    m = [f"m{k}" for k in range(width)]
+    f = [f"f{k}" for k in range(width)]
+    lines = ["def flood(unary, tables, messages, keep, damping, tol,"
+             " max_rounds):",
+             " " + "".join(f"(u{i}, v{i}), " for i in range(n)) + "= unary",
+             " " + "".join(f"c{k}, " for k in range(width)) + "= tables",
+             " " + "".join(f"{x}, " for x in m) + "= messages",
+             " rounds = 0",
+             " converged = False",
+             " while rounds < max_rounds:",
+             "  rounds += 1"]
+    for i, out, others in sends:
+        e = out - out % 4
+        # i -> j reads psi by columns, j -> i by rows
+        c = (e, e + 2, e + 1, e + 3) if out == e else (e, e + 1, e + 2, e + 3)
+        lines += [f"  p0 = u{i}" + "".join(f" * m{a}" for a in others),
+                  f"  p1 = v{i}" + "".join(f" * m{a + 1}" for a in others),
+                  f"  o0 = p0 * c{c[0]} + p1 * c{c[1]}",
+                  f"  o1 = p0 * c{c[2]} + p1 * c{c[3]}",
+                  "  t = o0 + o1",
+                  "  if t > 0.0:",
+                  f"   f{out} = keep * (o0 / t) + damping * m{out}",
+                  f"   f{out + 1} = keep * (o1 / t) + damping * m{out + 1}",
+                  "  else:",
+                  f"   f{out} = keep * 0.5 + damping * m{out}",
+                  f"   f{out + 1} = keep * 0.5 + damping * m{out + 1}"]
+    lines += ["  converged = " + " and ".join(
+                  f"abs({a} - {b}) < tol" for a, b in zip(f, m)),
+              "  " + ", ".join(m) + " = " + ", ".join(f),
+              "  if converged:",
+              "   break"]
+    for i, ins in enumerate(in_slots):
+        lines += [f" b = u{i}" + "".join(f" * m{a}" for a in ins),
+                  f" d = v{i}" + "".join(f" * m{a + 1}" for a in ins),
+                  " t = b + d",
+                  f" r{i} = d / t if t > 0.0 else 0.5"]
+    lines.append(" return [" + ", ".join(f"r{i}" for i in range(n))
+                 + "], converged, rounds, [" + ", ".join(m) + "]")
+    return _build(lines, "flood")
 
 
 @dataclass
@@ -98,15 +213,15 @@ def loopy_bp(field: MarkovField, damping: float = 0.3, tol: float = 1e-6,
         raise ValueError("damping must be in [0, 1)")
     unary = field.unary
     if field.exact:
-        joint = list(map(mul, map(prod, product(*unary)), field.coupling))
-        z = sum(joint)
-        return BpResult([sum(compress(joint, bits)) / z
-                         for bits in _BITS[len(unary)]], True, 0)
+        return BpResult(field.kernel(unary, field.coupling), True, 0)
 
     width = 4 * len(field.edges)
     if messages is None:
         messages = [0.5] * width
     keep = 1.0 - damping
+    if field.kernel is not None:
+        return BpResult(*field.kernel(unary, field.tables, messages, keep,
+                                      damping, tol, max_rounds))
     rounds = 0
     converged = not width
     while rounds < max_rounds and not converged:

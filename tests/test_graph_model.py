@@ -156,7 +156,8 @@ class TestProjection:
     def test_tsv_dump_is_sorted(self):
         sbg = SourceBeliefGraph()
         sbg.add_edge("b.org", "a.org")
-        sbg.add_edge("a.org", "b.org", count=2)
+        sbg.add_edge("a.org", "b.org")
+        sbg.add_edge("a.org", "b.org")
         text = sbg_to_tsv(sbg)
         assert text == ("from\tto\tmultiplicity\n"
                         "a.org\tb.org\t2\n"

@@ -1,15 +1,19 @@
 """Exact sums and belief propagation checked against brute-force
 enumeration."""
 
+import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ldtruth.mrf import EXACT_NODES, MarkovField, loopy_bp
+from ldtruth import mrf
+from ldtruth.mrf import EXACT_NODES, KERNEL_NODES, MarkovField, loopy_bp
 
-from oracles import enum_marginals, random_loopy_field, random_tree_field
+from oracles import (enum_marginals, joint_sum_marginals, random_loopy_field,
+                     random_tree_field)
 
 
 class TestFieldValidation:
@@ -31,6 +35,22 @@ class TestFieldValidation:
 
     def test_rejects_nonpositive_edge_entry(self):
         psi = ((1.0, 0.0), (1.0, 1.0))
+        with pytest.raises(ValueError, match="edge potentials"):
+            MarkovField(unary=[(1.0, 1.0), (1.0, 1.0)], edges=[(0, 1, psi)])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_nonfinite_unary(self, bad):
+        with pytest.raises(ValueError, match="unary"):
+            MarkovField(unary=[(1.0, 1.0), (bad, 1.0)], edges=[])
+        with pytest.raises(ValueError, match="unary"):
+            MarkovField(unary=[(1.0, bad)], edges=[])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("at", range(4))
+    def test_rejects_nonfinite_edge_entry(self, bad, at):
+        flat = [1.0, 2.0, 3.0, 4.0]
+        flat[at] = bad
+        psi = (tuple(flat[:2]), tuple(flat[2:]))
         with pytest.raises(ValueError, match="edge potentials"):
             MarkovField(unary=[(1.0, 1.0), (1.0, 1.0)], edges=[(0, 1, psi)])
 
@@ -114,6 +134,111 @@ class TestExactFields:
         result = loopy_bp(field)
         assert result.converged and result.rounds > 0
         assert result.messages is not None
+
+
+class TestGeneratedSum:
+
+    @pytest.mark.parametrize("size", range(EXACT_NODES + 1))
+    def test_matches_the_formula_bit_for_bit(self, size):
+        rng = random.Random(size)
+        for kind in (int, float):
+            unary = [(kind(rng.uniform(1, 9)), kind(rng.uniform(1, 9)))
+                     for _ in range(size)]
+            for shape in ("edgeless", "tree"):
+                edges = (random_tree_field(rng, size)[1]
+                         if shape == "tree" and size else [])
+                field = MarkovField(unary=unary, edges=edges)
+                assert field.exact
+                assert (loopy_bp(field).marginals
+                        == joint_sum_marginals(unary, field.coupling))
+
+    def test_one_function_per_node_count(self):
+        one = MarkovField(unary=[(1.0, 2.0)] * 3, edges=[])
+        other = MarkovField(unary=[(3.0, 1.0)] * 3,
+                            edges=[(0, 2, ((1.0, 2.0), (2.0, 1.0)))])
+        assert one.kernel is other.kernel
+        assert one.kernel is not MarkovField([(1.0, 1.0)] * 2, []).kernel
+
+
+def interpreted(unary, edges):
+    """The same field run by the interpreted flood, the bit-exact
+    reference for the generated one."""
+    with mock.patch.object(mrf, "KERNEL_NODES", 0):
+        field = MarkovField(unary=unary, edges=edges)
+    assert field.kernel is None
+    return field
+
+
+def outcome(result):
+    return result.marginals, result.converged, result.rounds, result.messages
+
+
+@st.composite
+def small_cyclic_fields(draw):
+    """Cyclic fields the generated flood takes: a cycle through 3 to
+    KERNEL_NODES nodes plus any chords, arbitrary positive potentials."""
+    size = draw(st.integers(min_value=3, max_value=KERNEL_NODES))
+    ring = draw(st.permutations(range(size)))[:draw(
+        st.integers(min_value=3, max_value=size))]
+    pairs = {tuple(sorted((a, b))) for a, b in zip(ring, ring[1:] + ring[:1])}
+    pairs |= {(i, j) for i in range(size) for j in range(i + 1, size)
+              if draw(st.booleans())}
+    unary = [(draw(positive), draw(positive)) for _ in range(size)]
+    edges = [(i, j, ((draw(positive), draw(positive)),
+                     (draw(positive), draw(positive))))
+             for i, j in sorted(pairs)]
+    return unary, edges
+
+
+class TestGeneratedFlood:
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_cyclic_fields(), st.sampled_from([0.0, 0.3]),
+           st.sampled_from([(1e-6, 100), (0.0, 1), (0.0, 100)]),
+           st.floats(min_value=0.5, max_value=2.0))
+    def test_rounds_match_the_interpreted_loop(self, spec, damping, stop,
+                                               scale):
+        unary, edges = spec
+        tol, max_rounds = stop
+        field, reference = MarkovField(unary, edges), interpreted(unary, edges)
+        assert field.kernel is not None
+        cold = loopy_bp(field, damping, tol, max_rounds)
+        assert outcome(cold) == outcome(
+            loopy_bp(reference, damping, tol, max_rounds))
+        # warm restart after the unary changes, as every outer sweep does
+        field.unary = reference.unary = [(p0 * scale, p1) for p0, p1 in unary]
+        assert outcome(loopy_bp(field, damping, tol, max_rounds,
+                                cold.messages)) == outcome(
+            loopy_bp(reference, damping, tol, max_rounds, cold.messages))
+
+    def test_same_topology_shares_one_function(self):
+        rng = random.Random(5)
+        unary, edges = random_loopy_field(rng, 4)
+        first = MarkovField(unary, edges)
+        second = MarkovField([(p1, p0) for p0, p1 in unary],
+                             [(i, j, ((2.0, 1.0), (0.5, 3.0)))
+                              for i, j, _ in edges])
+        assert first.kernel is second.kernel
+        one, two = loopy_bp(first), loopy_bp(second)
+        assert one.marginals != two.marginals
+        assert outcome(one) == outcome(loopy_bp(interpreted(unary, edges)))
+        assert outcome(two) == outcome(loopy_bp(interpreted(
+            second.unary, second.edges)))
+
+    def test_text_holds_no_input_value(self):
+        psi = ((0.123456789, 0.5), (0.5, 98.7654321))
+        for edges in ([(0, 1, psi), (0, 2, psi), (1, 2, psi)], [(0, 1, psi)]):
+            field = MarkovField([(0.3141592, 0.6)] * 3, edges)
+            consts = field.kernel.__code__.co_consts
+            assert all(c is None or type(c) in (int, bool) or c in (0.0, 0.5)
+                       for c in consts)
+
+    def test_larger_fields_run_the_interpreted_loop(self):
+        unary, edges = random_loopy_field(random.Random(6), KERNEL_NODES + 1)
+        field = MarkovField(unary, edges)
+        assert not field.exact and field.kernel is None
+        result = loopy_bp(field)
+        assert result.converged and result.rounds > 0
 
 
 class TestTreeExactness:

@@ -36,7 +36,8 @@ class TestHandFixtures:
     def test_split_endorsement_with_multiplicity(self):
         # one endorser, three links: two parallel to b, one to c
         sbg = SourceBeliefGraph()
-        sbg.add_edge("a.org", "b.org", count=2)
+        sbg.add_edge("a.org", "b.org")
+        sbg.add_edge("a.org", "b.org")
         sbg.add_edge("a.org", "c.org")
         beliefs = compute_prior(sbg)
         assert beliefs.br["b.org"] == pytest.approx(0.235, abs=1e-12)
