@@ -17,7 +17,7 @@ from .prior_belief import (EmptyGraphError, PriorBeliefs, PriorConfig,
                            compute_prior, normalize_prior)
 from .rdf_ingest import (ClaimStore, ConflictSet, Diagnostic, NormalizedValue,
                          ObjectSupport, RdfStatement, Term, build_claims,
-                         extract_source, format_statement, parse_triples)
+                         extract_source, parse_triples)
 from .similarity import sim
 from .truth_engine import (Decision, EngineConfig, ResolutionResult,
                            TrustState, object_base_trust,

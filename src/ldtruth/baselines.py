@@ -33,8 +33,7 @@ def vote(cs: ConflictSet) -> Decision:
 
 
 def vote_all(store: ClaimStore) -> list:
-    return [vote(store.conflict_sets[key])
-            for key in sorted(store.conflict_sets)]
+    return [vote(cs) for cs in store.conflict_sets.values()]
 
 
 def _confidences(cs: ConflictSet, trust: dict, sims) -> list:
@@ -61,10 +60,9 @@ def truthfinder(store: ClaimStore):
 
     Returns (decisions, source trust, iterations, converged).
     """
-    keys = sorted(store.conflict_sets)
-    sets = [store.conflict_sets[k] for k in keys]
+    sets = store.conflict_sets
     sim_tables = []
-    for cs in sets:
+    for cs in sets.values():
         values = [obj.value for obj in cs.objects]
         table = [[0.0] * len(values) for _ in values]
         for i in range(len(values)):
@@ -73,11 +71,11 @@ def truthfinder(store: ClaimStore):
         sim_tables.append(table)
 
     trust = {s: INITIAL_TRUST for s in store.incidence}
-    confidences = {k: [0.0] * len(cs.objects) for k, cs in zip(keys, sets)}
+    confidences = {}
     converged = False
     iterations = 0
     for iterations in range(1, MAX_ITER + 1):
-        for k, cs, sims in zip(keys, sets, sim_tables):
+        for (k, cs), sims in zip(sets.items(), sim_tables):
             confidences[k] = _confidences(cs, trust, sims)
         # a source with no claim in any conflict set keeps its initial trust
         fresh = source_trustworthiness(store, confidences, INITIAL_TRUST)
@@ -87,5 +85,5 @@ def truthfinder(store: ClaimStore):
             converged = True
             break
 
-    decisions = [decide(cs, confidences[k], trust) for k, cs in zip(keys, sets)]
+    decisions = [decide(cs, confidences[k], trust) for k, cs in sets.items()]
     return decisions, trust, iterations, converged

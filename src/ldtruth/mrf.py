@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from math import frexp, inf, ldexp, prod
-from operator import sub
 
 # largest forest summed exactly: up to here enumeration beats cold
 # propagation on trees of similarity tables (cost table in CHANGES.md)
@@ -206,8 +205,8 @@ def loopy_bp(field: MarkovField, damping: float = 0.3, tol: float = 1e-6,
     joint states exactly, in zero rounds.  Otherwise messages start from
     ``messages``, the ``messages`` of an earlier result on the same field
     (a warm start), or uniform when that is None.  A round recomputes all
-    of them from the previous round's values; convergence is the largest
-    componentwise message change falling under ``tol``.
+    of them from the previous round's values, and the run has converged
+    once every component moved by less than ``tol``; a NaN never has.
     """
     if not 0.0 <= damping < 1.0:
         raise ValueError("damping must be in [0, 1)")
@@ -242,7 +241,7 @@ def loopy_bp(field: MarkovField, damping: float = 0.3, tol: float = 1e-6,
                 out0 = out1 = 0.5
             fresh[out] = keep * out0 + damping * messages[out]
             fresh[out + 1] = keep * out1 + damping * messages[out + 1]
-        converged = max(map(abs, map(sub, fresh, messages))) < tol
+        converged = all(abs(f - m) < tol for f, m in zip(fresh, messages))
         messages = fresh
 
     marginals = []

@@ -298,28 +298,6 @@ def parse_triples(source, fmt: str = FORMAT_NTRIPLES, mode: str = "lenient",
         yield parsed
 
 
-def _escape_literal(text: str) -> str:
-    out = text.replace("\\", "\\\\").replace('"', '\\"')
-    return out.replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t")
-
-
-def format_statement(st: RdfStatement) -> str:
-    """Serialize one statement back to its N-Triples / N-Quads line."""
-    obj = st.object
-    if obj.is_literal:
-        rendered = f'"{_escape_literal(obj.text)}"'
-        if obj.datatype:
-            rendered += f"^^<{obj.datatype}>"
-        elif obj.lang:
-            rendered += f"@{obj.lang}"
-    else:
-        rendered = f"<{obj.text}>"
-    parts = [f"<{st.subject}>", f"<{st.predicate}>", rendered]
-    if st.graph is not None:
-        parts.append(f"<{st.graph}>")
-    return " ".join(parts) + " ."
-
-
 # ``scheme://authority``, ending where urlsplit ends the authority.  An
 # IRI with whitespace or a control character there, which urlsplit
 # strips or deletes, does not match and goes to urlsplit whole, so the

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 from .mrf import MarkovField, loopy_bp
 from .rdf_ingest import ClaimStore, ConflictSet
@@ -49,6 +51,10 @@ class EngineConfig:
             raise ValueError("edge_threshold must be in [0, 1]")
         if self.coupling <= 0:
             raise ValueError("coupling must be positive")
+        # pairwise_tables' largest exponent; math.exp overflows past 709
+        if not self.coupling * max(abs(self.dissimilar_false_factor), 1.0) <= 709:
+            raise ValueError("coupling * max(1, |dissimilar_false_factor|) "
+                             "must be at most 709")
 
 
 DEFAULT_ENGINE = EngineConfig()
@@ -149,18 +155,19 @@ def _unary_from_base(tau_base: list) -> list:
 
 
 def select_truth(cs: ConflictSet, tau: list, t_smoothed: dict) -> int:
-    """Index of the winning candidate.
+    """Index of the winning candidate, the least under ``rank``.
 
     Highest truth probability wins; exact ties fall back to broader
     support, then to larger summed supporter trust, then to the smallest
     value in canonical order so the outcome never depends on input
-    order.
+    order.  Sums here fold left to right: from Python 3.12 ``sum``
+    compensates float sums, which would make the bits version-dependent.
     """
-    best = 0
-    for i in range(1, len(cs.objects)):
-        if _beats(cs, tau, t_smoothed, i, best):
-            best = i
-    return best
+    def rank(i):
+        obj = cs.objects[i]
+        trust = reduce(add, (t_smoothed.get(s, 0.5) for s in obj.sources), 0.0)
+        return (-tau[i], -len(obj.sources), -trust, obj.value.sort_key())
+    return min(range(len(cs.objects)), key=rank)
 
 
 def decide(cs: ConflictSet, scores, trust: dict) -> Decision:
@@ -168,19 +175,6 @@ def decide(cs: ConflictSet, scores, trust: dict) -> Decision:
     winner = select_truth(cs, scores, trust)
     return Decision(cs.entity, cs.predicate, cs.objects[winner].value,
                     tuple(scores))
-
-
-def _beats(cs, tau, t_smoothed, i, best) -> bool:
-    if tau[i] != tau[best]:
-        return tau[i] > tau[best]
-    a, b = cs.objects[i], cs.objects[best]
-    if len(a.sources) != len(b.sources):
-        return len(a.sources) > len(b.sources)
-    sum_a = sum(t_smoothed.get(s, 0.5) for s in a.sources)
-    sum_b = sum(t_smoothed.get(s, 0.5) for s in b.sources)
-    if sum_a != sum_b:
-        return sum_a > sum_b
-    return a.value.sort_key() < b.value.sort_key()
 
 
 def resolve_all(store: ClaimStore, priors=None,
@@ -191,16 +185,15 @@ def resolve_all(store: ClaimStore, priors=None,
     source then sits at the neutral 0.5 prior, as do sources that have
     claims but never appear in the endorsement graph.
     """
-    keys = sorted(store.conflict_sets)
-    sets = [store.conflict_sets[k] for k in keys]
+    sets = store.conflict_sets
     fields = [MarkovField([(0.5, 0.5)] * len(cs.objects), pairwise_tables(
-        [obj.value for obj in cs.objects], cfg)) for cs in sets]
+        [obj.value for obj in cs.objects], cfg)) for cs in sets.values()]
     messages = [None] * len(sets)
     nbr = priors.nbr if priors is not None else {}
 
     t = {s: cfg.t0 for s in store.incidence}
     t_smoothed = smooth_trust(t, nbr)
-    tau = {k: [0.5] * len(cs.objects) for k, cs in zip(keys, sets)}
+    tau = {k: [0.5] * len(cs.objects) for k, cs in sets.items()}
 
     trace = []
     converged = False
@@ -209,7 +202,7 @@ def resolve_all(store: ClaimStore, priors=None,
     iteration = 0
     for iteration in range(1, cfg.outer_max + 1):
         deltas = []
-        for n, (k, cs, fld) in enumerate(zip(keys, sets, fields)):
+        for n, ((k, cs), fld) in enumerate(zip(sets.items(), fields)):
             fld.unary = _unary_from_base(object_base_trust(cs, t_smoothed))
             result = loopy_bp(fld, cfg.bp_damping, cfg.bp_tol, cfg.bp_max,
                               messages[n])
@@ -219,7 +212,8 @@ def resolve_all(store: ClaimStore, priors=None,
             deltas.extend(abs(new - old)
                           for old, new in zip(tau[k], result.marginals))
             tau[k] = result.marginals
-        mean = sum(deltas) / len(deltas) if deltas else 0.0
+        # a left fold, the same bits on every Python (see select_truth)
+        mean = reduce(add, deltas) / len(deltas) if deltas else 0.0
         peak = max(deltas, default=0.0)
         trace.append((iteration, mean, peak))
         t = source_trustworthiness(store, tau, cfg.t0)
@@ -228,7 +222,7 @@ def resolve_all(store: ClaimStore, priors=None,
             converged = True
             break
 
-    decisions = [decide(cs, tau[k], t_smoothed) for k, cs in zip(keys, sets)]
+    decisions = [decide(cs, tau[k], t_smoothed) for k, cs in sets.items()]
     state = TrustState(t=t, t_smoothed=t_smoothed)
     return ResolutionResult(decisions=decisions, trust=state, trace=trace,
                             iterations=iteration, converged=converged,

@@ -68,6 +68,9 @@ _ISO_YM = re.compile(r"^(\d{4})-(\d{1,2})$")
 _SLASH_MDY = re.compile(r"^(\d{1,2})/(\d{1,2})/(\d{4})$")
 _DAY_NAME_YEAR = re.compile(r"^(\d{1,2})\s+([A-Za-z]+)\s+(\d{4})$")
 _NAME_YEAR = re.compile(r"^([A-Za-z]+)\s+(\d{4})$")
+# a date datatype only cuts a dateTime's time and a trailing timezone
+# such as Z or +05:00 before the shapes above; gYear also takes a bare year
+_TIMEZONE = re.compile(r"(Z|[+-]\d\d:\d\d)$")
 
 
 @dataclass(frozen=True)
@@ -184,36 +187,16 @@ def _checked(year, month, day):
     return (year, month, day)
 
 
-def _parse_typed_date(lexical: str, datatype: str):
-    body = lexical.strip()
-    if datatype == _XSD + "dateTime":
-        body = body.split("T", 1)[0]
-    # trailing timezone on date forms: 1886-10-28Z or 1886-10-28+05:00
-    body = re.sub(r"(Z|[+-]\d\d:\d\d)$", "", body)
-    if datatype == _XSD + "gYear":
-        if re.fullmatch(r"\d{4}", body):
-            return (int(body), None, None)
-        return None
-    if datatype == _XSD + "gYearMonth":
-        match = re.fullmatch(r"(\d{4})-(\d{2})", body)
-        if match:
-            return _checked(int(match.group(1)), int(match.group(2)), None)
-        return None
-    match = re.fullmatch(r"(\d{4})-(\d{2})-(\d{2})", body)
-    if match:
-        return _checked(int(match.group(1)), int(match.group(2)), int(match.group(3)))
-    return None
-
-
 def normalize_object(lexical: str, datatype: str | None = None,
                      *, is_iri: bool = False) -> NormalizedValue | None:
     """Map one raw object term to its canonical value.
 
     Returns ``None`` for empty and NULL-marker literals, which callers
-    treat as the absence of a claim.  Resolution order: declared numeric
-    datatype, declared date datatype, recognised date shapes, reference
-    for IRI objects, free text otherwise.  A failed typed parse falls
-    through to the later rules instead of erroring.
+    treat as the absence of a claim.  Resolution order: reference for IRI
+    objects, declared numeric datatype, recognised date shapes (under a
+    declared date datatype first with its cuts, see ``_TIMEZONE``), free
+    text otherwise.  A failed typed parse falls through to the later
+    rules instead of erroring.
     """
     if is_iri:
         return NormalizedValue.from_reference(lexical)
@@ -229,11 +212,15 @@ def normalize_object(lexical: str, datatype: str | None = None,
                 return NormalizedValue(KIND_NUMBER, dec)
         except InvalidOperation:
             pass
+    parts = None
     if datatype in DATE_DATATYPES:
-        parts = _parse_typed_date(stripped, datatype)
-        if parts is not None:
-            return NormalizedValue(KIND_DATE, parts)
-    parts = _parse_date_lexical(stripped)
+        body = stripped.split("T", 1)[0] if datatype == _XSD + "dateTime" \
+            else stripped
+        body = _TIMEZONE.sub("", body)
+        year = datatype == _XSD + "gYear" and len(body) == 4 and body.isdecimal()
+        parts = (int(body), None, None) if year else _parse_date_lexical(body)
+    # a cut may have broken a date shape that the whole form has
+    parts = parts or _parse_date_lexical(stripped)
     if parts is not None:
         return NormalizedValue(KIND_DATE, parts)
     return NormalizedValue.from_text(" ".join(stripped.split()))

@@ -150,6 +150,28 @@ def store_from_claims(rows):
                       incidence=incidence, drop_counts={})
 
 
+def _escape_literal(text: str) -> str:
+    out = text.replace("\\", "\\\\").replace('"', '\\"')
+    return out.replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t")
+
+
+def format_statement(st) -> str:
+    """Serialize one ``RdfStatement`` back to its N-Triples / N-Quads line."""
+    obj = st.object
+    if obj.is_literal:
+        rendered = f'"{_escape_literal(obj.text)}"'
+        if obj.datatype:
+            rendered += f"^^<{obj.datatype}>"
+        elif obj.lang:
+            rendered += f"@{obj.lang}"
+    else:
+        rendered = f"<{obj.text}>"
+    parts = [f"<{st.subject}>", f"<{st.predicate}>", rendered]
+    if st.graph is not None:
+        parts.append(f"<{st.graph}>")
+    return " ".join(parts) + " ."
+
+
 def random_tree_field(rng, size, low=0.1, high=3.0):
     """Random tree-shaped potentials: each node past the first hangs off
     a uniformly chosen earlier node."""

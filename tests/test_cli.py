@@ -5,6 +5,7 @@ import gc
 import gzip
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -591,6 +592,38 @@ class TestGoldenOutputs:
         assert found == self.DIGESTS
 
 
+class TestFoldedSums:
+    """From Python 3.12 the builtin ``sum`` compensates float sums; the
+    output bytes must not depend on it."""
+
+    def test_digests_under_a_compensating_sum(self, corpus_dir, tmp_path,
+                                              monkeypatch):
+        builtin_sum = sum
+
+        def compensated(items, start=0):
+            items = list(items)
+            if any(isinstance(x, float) for x in items):
+                return math.fsum([start, *items])
+            return builtin_sum(items, start)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("ldtruth"):
+                monkeypatch.setattr(module, "sum", compensated, raising=False)
+        TestGoldenOutputs().test_digests(corpus_dir, tmp_path)
+
+    def test_eval_mean_folds_left_to_right(self, tmp_path, monkeypatch):
+        # three accuracies whose compensated sum differs from the fold
+        rows = [{"seed": k, "conflict_sets": 1,
+                 "report": {"vote": {"accuracy": acc, "seconds": 0.0}}}
+                for k, acc in enumerate((0.1, 0.2, 0.3))]
+        monkeypatch.setattr(cli, "run_benchmark", lambda *a, **k: rows)
+        assert main(["eval", "--seeds", "0,1,2", "--methods", "vote",
+                     "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["mean_vote"] == (0.1 + 0.2 + 0.3) / 3
+        assert report["mean_vote"] != math.fsum((0.1, 0.2, 0.3)) / 3
+
+
 class TestEvalCommand:
 
     def test_report_structure(self, tmp_path, capsys):
@@ -636,6 +669,33 @@ class TestEvalCommandSettings:
                   "--config", str(cfgfile), "--out", str(tmp_path / "e")])
         assert seen["prior_cfg"].damping == 0.0
         assert seen["prior_cfg"].tolerance == 1e-5
+
+
+class TestCouplingOverflow:
+
+    @pytest.mark.parametrize("flags", [["--coupling", "1000"],
+                                       ["--coupling", "inf"]])
+    def test_one_error_line_and_exit_1(self, corpus_dir, tmp_path, capsys,
+                                       flags):
+        code = main(["resolve", "--input", str(corpus_dir / "corpus.nt"),
+                     *flags, "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "ERROR: coupling * max(1, |dissimilar_false_factor|) "
+            "must be at most 709"]
+        assert not (tmp_path / "o").exists()
+
+    def test_no_traceback_from_the_command(self, corpus_dir, tmp_path):
+        run = subprocess.run(
+            [sys.executable, "-m", "ldtruth.cli", "resolve", "--input",
+             str(corpus_dir / "corpus.nt"), "--coupling", "1000",
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert run.returncode == 1
+        assert run.stderr.count("\n") == 1
+        assert run.stderr.startswith("ERROR: ")
 
 
 class TestConfigFileErrors:

@@ -313,6 +313,30 @@ class TestWarmStart:
             assert abs(a - b) <= 1e-8
 
 
+class TestStopRule:
+
+    @pytest.mark.parametrize("size", [5, 6])
+    def test_nan_message_is_not_convergence(self, size):
+        # a ring with near-hard couplings converges cold; one huge unary
+        # then drives some messages to NaN (inf / inf), and never the
+        # first one.  Five nodes run a generated flood, six the loop.
+        psi = ((1e10, 1.0), (1.0, 1e10))
+        edges = sorted((min(i, (i + 1) % size), max(i, (i + 1) % size), psi)
+                       for i in range(size))
+        field = MarkovField([(1.0, 1.0)] * size, edges)
+        assert (field.kernel is None) == (size > KERNEL_NODES)
+        cold = loopy_bp(field)
+        assert cold.converged
+        field.unary = [(1.0, 1.0), (1e300, 1e299)] + [(1.0, 1.0)] * (size - 2)
+        warm = loopy_bp(field, messages=cold.messages)
+        # the first message is a number, so a max over the changes,
+        # which starts from it, would skip every NaN after it
+        assert any(map(math.isnan, warm.messages))
+        assert not math.isnan(warm.messages[0])
+        assert not warm.converged
+        assert warm.rounds == 100
+
+
 class TestDegenerateShapes:
 
     def test_edgeless_field_is_exact_and_instant(self):

@@ -28,13 +28,13 @@ from ldtruth.rdf_ingest import (
     Term,
     build_claims,
     extract_source,
-    format_statement,
     load_alignment,
     parse_triples,
     statement_source,
 )
 from ldtruth.graph_model import EntityClusterMap
 from ldtruth.values import normalize_object
+from oracles import format_statement
 
 
 # absolute IRIs over the characters the parser accepts inside <...>

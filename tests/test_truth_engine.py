@@ -5,6 +5,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldtruth.eval_harness import SynthConfig, generate, no_dominant_config
 from ldtruth.pipeline import assemble
@@ -184,6 +186,60 @@ class TestSelectTruth:
         assert decision.scores == (0.5, 0.5)
 
 
+def outranks(cs, tau, trust, j, i):
+    """Whether candidate j comes before candidate i in the documented
+    order: truth probability, then supporter count, then summed
+    supporter trust (added left to right), then canonical value order."""
+    def summed(obj):
+        total = 0.0
+        for source in obj.sources:
+            total += trust.get(source, 0.5)
+        return total
+    a, b = cs.objects[j], cs.objects[i]
+    for x, y in ((tau[j], tau[i]), (len(a.sources), len(b.sources)),
+                 (summed(a), summed(b))):
+        if x != y:
+            return x > y
+    return a.value.sort_key() < b.value.sort_key()
+
+
+@st.composite
+def tied_sets(draw):
+    """A conflict set whose candidates tie often on every key but the
+    last: few distinct probabilities, support counts and trust levels."""
+    size = draw(st.integers(min_value=2, max_value=6))
+    values = draw(st.lists(st.integers(min_value=0, max_value=20),
+                           min_size=size, max_size=size, unique=True))
+    pool = [f"s{k}.example" for k in range(6)]
+    objects = tuple(sorted(
+        (ObjectSupport(number(v), tuple(sorted(draw(st.sets(
+            st.sampled_from(pool), min_size=1, max_size=3)))))
+         for v in values), key=lambda o: o.value.sort_key()))
+    levels = st.sampled_from([0.1, 0.2, 0.3, 0.7, 1 / 3])
+    tau = draw(st.lists(st.sampled_from([0.25, 0.5, 0.75]),
+                        min_size=size, max_size=size))
+    trust = {s: draw(levels) for s in pool if draw(st.booleans())}
+    return ConflictSet("e", "p", objects), tau, trust
+
+
+class TestWinnerKey:
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_sets())
+    def test_no_candidate_outranks_the_winner(self, spec):
+        cs, tau, trust = spec
+        winner = select_truth(cs, tau, trust)
+        assert not any(outranks(cs, tau, trust, j, winner)
+                       for j in range(len(cs.objects)) if j != winner)
+
+    def test_winner_ignores_candidate_order(self):
+        cs = two_object_set({"s1.example"}, {"s2.example", "s3.example"})
+        flipped = ConflictSet("e", "p", cs.objects[::-1])
+        for tau in ([0.5, 0.5], [0.6, 0.4], [0.4, 0.6]):
+            assert (cs.objects[select_truth(cs, tau, {})]
+                    == flipped.objects[select_truth(flipped, tau[::-1], {})])
+
+
 class TestEngineConfig:
 
     def test_defaults(self):
@@ -207,6 +263,32 @@ class TestEngineConfig:
     def test_rejects_bad_settings(self, kwargs):
         with pytest.raises(ValueError):
             EngineConfig(**kwargs)
+
+
+class TestCouplingRange:
+    """``pairwise_tables`` raises e to at most coupling * max(1, |factor|)
+    in magnitude; past 709 the largest entry would overflow."""
+
+    @pytest.mark.parametrize("kwargs", [
+        {"coupling": 709.5}, {"coupling": 1000.0}, {"coupling": math.inf},
+        {"coupling": math.nan}, {"coupling": 400.0,
+                                 "dissimilar_false_factor": -2.0},
+        {"coupling": 300.0, "dissimilar_false_factor": 3.0},
+    ])
+    def test_rejects_tables_past_the_float_range(self, kwargs):
+        with pytest.raises(ValueError, match="at most 709"):
+            EngineConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"coupling": 709.0}, {"coupling": 709.0,
+                              "dissimilar_false_factor": 1.0},
+        {"coupling": 354.5, "dissimilar_false_factor": -2.0},
+    ])
+    def test_largest_accepted_coupling_gives_finite_tables(self, kwargs):
+        # similarity 1 - 1e-6, as close to the bound as two values get
+        (_, _, psi), = pairwise_tables(
+            [number(1_000_000), number(1_000_001)], EngineConfig(**kwargs))
+        assert all(0.0 < w < math.inf for row in psi for w in row)
 
 
 def ladder_rows():

@@ -161,6 +161,33 @@ class TestDates:
         value = normalize_object("1886-10-28+05:00", XSD + "date")
         assert value.payload == (1886, 10, 28)
 
+    @pytest.mark.parametrize("lexical, datatype, payload", [
+        # cut, then read by the untyped date shapes
+        ("1886-10Z", "date", (1886, 10, None)),
+        ("10/28/1886Z", "date", (1886, 10, 28)),
+        ("28 October 1886-03:00", "date", (1886, 10, 28)),
+        ("1886-#-#+05:00", "gYearMonth", (1886, None, None)),
+        ("1886-10-28Z", "gYear", (1886, 10, 28)),
+        ("1886-10T14:30:00Z", "dateTime", (1886, 10, None)),
+        # a bare year is read only under gYear
+        ("1886Z", "gYear", (1886, None, None)),
+        ("1886", "gYear", (1886, None, None)),
+        # a cut that breaks the shape falls back to the whole form
+        ("28 OCTOBER 1886", "dateTime", (1886, 10, 28)),
+    ])
+    def test_typed_cut_then_date_shapes(self, lexical, datatype, payload):
+        value = normalize_object(lexical, XSD + datatype)
+        assert (value.kind, value.payload) == (KIND_DATE, payload)
+
+    @pytest.mark.parametrize("lexical, datatype", [
+        ("1886", "date"), ("1886", "dateTime"), ("1886-13Z", "gYearMonth"),
+        ("  1886-02-30Z ", "date"), ("1886-10-28T09:00:00", "date"),
+        ("1886-10-28T09:00:00", "gYear"),
+    ])
+    def test_typed_text_comes_from_the_uncut_form(self, lexical, datatype):
+        value = normalize_object(lexical, XSD + datatype)
+        assert (value.kind, value.payload) == (KIND_TEXT, lexical.strip())
+
 
 class TestTextAndReferences:
     def test_whitespace_collapses(self):
