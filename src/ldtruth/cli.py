@@ -191,9 +191,9 @@ def _assemble(args, filecfg, prior_cfg: PriorConfig = DEFAULT_PRIOR):
 
 
 def _warn_dropped(counts: dict, what: str):
-    """Report the drops that lose attributable data; identity statements,
-    self loops, duplicates and null objects are expected."""
-    for reason in ("no_source", "missing_graph"):
+    """Report the drops that lose data; identity links, self loops,
+    duplicates and null objects are expected."""
+    for reason in ("no_source", "missing_graph", "literal_sameas"):
         if counts.get(reason):
             print(f"WARN dropped {counts[reason]} {what}: {reason}",
                   file=sys.stderr)

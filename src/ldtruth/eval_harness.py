@@ -75,9 +75,10 @@ class SynthConfig:
         if not 2 <= self.claims_min <= self.claims_max:
             raise SynthConfigError(
                 "claims_min and claims_max must be ordered, minimum 2")
-        if self.support_skew < 0:
+        # written so that NaN fails the check
+        if not self.support_skew >= 0:
             raise SynthConfigError("support_skew must be non-negative")
-        if self.decoy_concentration < 0:
+        if not self.decoy_concentration >= 0:
             raise SynthConfigError("decoy_concentration must be non-negative")
         if not 0.0 <= self.near_truth_rate <= 1.0:
             raise SynthConfigError("near_truth_rate must be in [0, 1]")

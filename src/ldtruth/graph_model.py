@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .rdf_ingest import (NoAuthorityError, OWL_SAMEAS, extract_source,
+from .rdf_ingest import (NoAuthorityError, extract_source, is_identity_link,
                          statement_source)
 
 
@@ -31,9 +31,9 @@ def build_sameas_graph(statements) -> SameAsGraph:
     vertices = set()
     edges = []
     for st in statements:
-        if st.predicate != OWL_SAMEAS or st.object.is_literal:
+        if not is_identity_link(st):
             continue
-        u, v = st.subject, st.object.text
+        u, v = st.subject, st.object
         vertices.add(u)
         vertices.add(v)
         edges.append((u, v, st.graph))

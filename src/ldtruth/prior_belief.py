@@ -27,7 +27,8 @@ class PriorConfig:
     def __post_init__(self):
         if not 0.0 <= self.damping < 1.0:
             raise ValueError("damping must be in [0, 1)")
-        if self.tolerance <= 0:
+        # written so that NaN fails the check
+        if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be at least 1")

@@ -49,21 +49,17 @@ class NoAuthorityError(ValueError):
     """The IRI has no usable authority component."""
 
 
-@dataclass(frozen=True)
-class Term:
-    """Object position term: an IRI or a literal with optional annotations."""
+@dataclass(frozen=True, slots=True)
+class RdfStatement:
+    """One statement; ``object`` is an IRI, or a literal's lexical form
+    when ``is_literal``."""
 
-    text: str
+    subject: str
+    predicate: str
+    object: str
     is_literal: bool = False
     datatype: str | None = None
     lang: str | None = None
-
-
-@dataclass(frozen=True)
-class RdfStatement:
-    subject: str
-    predicate: str
-    object: Term
     graph: str | None = None
     line: int = 0
 
@@ -164,7 +160,8 @@ def _skip_ws(text: str, pos: int) -> int:
 
 
 def _parse_term(text: str, pos: int, line: int, *, allow_literal: bool):
-    """Returns (Term | "bnode", end position)."""
+    """Returns ((text, is_literal, datatype, lang), end position), with
+    None in place of the parts for a blank node."""
     if pos >= len(text):
         raise MalformedLineError(line, "unexpected end of line")
     ch = text[pos]
@@ -172,12 +169,13 @@ def _parse_term(text: str, pos: int, line: int, *, allow_literal: bool):
         match = _IRI_RE.match(text, pos)
         if not match:
             raise MalformedLineError(line, "unterminated or invalid IRI")
-        return Term(_unescape(match.group(1), line, iri=True)), match.end()
+        return (_unescape(match.group(1), line, iri=True), False, None,
+                None), match.end()
     if ch == "_":
         match = _BNODE_RE.match(text, pos)
         if not match:
             raise MalformedLineError(line, "invalid blank node label")
-        return "bnode", match.end()
+        return None, match.end()
     if ch == '"' and allow_literal:
         match = _LITERAL_RE.match(text, pos)
         if not match:
@@ -198,7 +196,7 @@ def _parse_term(text: str, pos: int, line: int, *, allow_literal: bool):
                 raise MalformedLineError(line, "bad language tag")
             lang = lang_match.group(1)
             end = lang_match.end()
-        return Term(lexical, is_literal=True, datatype=datatype, lang=lang), end
+        return (lexical, True, datatype, lang), end
     raise MalformedLineError(line, f"unexpected character {ch!r}")
 
 
@@ -212,8 +210,9 @@ def _parse_plain(text: str, lineno: int, fmt: str):
     if ":" not in subject or ":" not in predicate or \
             (graph is not None and fmt != FORMAT_NQUADS):
         return None
-    obj = Term(iri) if iri is not None else Term(lexical, True, datatype, lang)
-    return RdfStatement(subject, predicate, obj, graph, lineno)
+    is_literal = iri is None
+    return RdfStatement(subject, predicate, lexical if is_literal else iri,
+                        is_literal, datatype, lang, graph, lineno)
 
 
 def _parse_line(text: str, lineno: int, fmt: str):
@@ -227,7 +226,7 @@ def _parse_line(text: str, lineno: int, fmt: str):
     pos = _skip_ws(text, pos)
     obj, pos = _parse_term(text, pos, lineno, allow_literal=True)
     pos = _skip_ws(text, pos)
-    graph = None
+    graph = (None,)     # the parts of an absent graph term
     if pos < len(text) and text[pos] not in ".":
         if fmt != FORMAT_NQUADS:
             raise MalformedLineError(lineno, "unexpected fourth term")
@@ -238,13 +237,11 @@ def _parse_line(text: str, lineno: int, fmt: str):
     pos = _skip_ws(text, pos + 1)
     if pos < len(text) and text[pos] != "#":
         raise MalformedLineError(lineno, "trailing garbage after dot")
-    if subject == "bnode" or predicate == "bnode" or obj == "bnode" \
-            or graph == "bnode":
+    if None in (subject, predicate, obj, graph):
         return "bnode"
-    if ":" not in subject.text or ":" not in predicate.text:
+    if ":" not in subject[0] or ":" not in predicate[0]:
         raise MalformedLineError(lineno, "relative IRI in subject or predicate")
-    graph_iri = graph.text if isinstance(graph, Term) else None
-    return RdfStatement(subject.text, predicate.text, obj, graph_iri, lineno)
+    return RdfStatement(subject[0], predicate[0], *obj, graph[0], lineno)
 
 
 def _iter_decoded_lines(source, mode: str, diagnostics):
@@ -351,8 +348,17 @@ def load_alignment(path: str) -> dict:
             parts = text.split("\t")
             if len(parts) != 2:
                 raise ValueError(f"bad alignment row: {text!r}")
-            table[parts[0]] = parts[1]
+            predicate, canonical = parts
+            if table.setdefault(predicate, canonical) != canonical:
+                raise ValueError(f"alignment maps {predicate!r} to both "
+                                 f"{table[predicate]!r} and {canonical!r}")
     return table
+
+
+def is_identity_link(st: RdfStatement) -> bool:
+    """An ``owl:sameAs`` statement with an IRI object: the one kind of
+    statement the identity graph takes."""
+    return st.predicate == OWL_SAMEAS and not st.is_literal
 
 
 def statement_source(subject: str, graph: str | None, policy: str):
@@ -378,8 +384,9 @@ def build_claims(statements, clusters=None, alignment: dict | None = None,
 
     Every dropped statement lands in exactly one drop counter, so
     ``len(claims) + sum(drop_counts.values())`` equals the number of
-    statements handed in.  Identity linkage statements are counted but
-    contribute no claims; they feed the graph stage instead.
+    statements handed in.  Identity links are counted but contribute no
+    claims; they feed the graph stage instead.  An ``owl:sameAs`` with a
+    literal object is neither, and counts as ``literal_sameas``.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown source policy: {policy!r}")
@@ -392,17 +399,17 @@ def build_claims(statements, clusters=None, alignment: dict | None = None,
     normalized = {}
     for st in statements:
         if st.predicate == OWL_SAMEAS:
-            drop_counts["sameas"] += 1
+            drop_counts["sameas" if is_identity_link(st)
+                        else "literal_sameas"] += 1
             continue
         source, err = statement_source(st.subject, st.graph, policy)
         if err is not None:
             drop_counts[err] += 1
             continue
-        obj = st.object
-        raw = (obj.text, obj.datatype) if obj.is_literal else obj.text
+        raw = (st.object, st.datatype) if st.is_literal else st.object
         if raw not in normalized:
-            normalized[raw] = normalize_object(obj.text, obj.datatype,
-                                               is_iri=not obj.is_literal)
+            normalized[raw] = normalize_object(st.object, st.datatype,
+                                               is_iri=not st.is_literal)
         value = normalized[raw]
         if value is None:
             drop_counts["null_object"] += 1

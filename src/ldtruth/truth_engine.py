@@ -41,7 +41,8 @@ class EngineConfig:
     def __post_init__(self):
         if not 0.0 < self.t0 < 1.0:
             raise ValueError("t0 must be strictly between 0 and 1")
-        if self.outer_threshold <= 0 or self.bp_tol <= 0:
+        # written so that NaN fails the check
+        if not (self.outer_threshold > 0 and self.bp_tol > 0):
             raise ValueError("thresholds must be positive")
         if self.outer_max < 1 or self.bp_max < 1:
             raise ValueError("iteration caps must be at least 1")
@@ -49,7 +50,7 @@ class EngineConfig:
             raise ValueError("bp_damping must be in [0, 1)")
         if not 0.0 <= self.edge_threshold <= 1.0:
             raise ValueError("edge_threshold must be in [0, 1]")
-        if self.coupling <= 0:
+        if not self.coupling > 0:
             raise ValueError("coupling must be positive")
         # pairwise_tables' largest exponent; math.exp overflows past 709
         if not self.coupling * max(abs(self.dissimilar_false_factor), 1.0) <= 709:

@@ -157,15 +157,14 @@ def _escape_literal(text: str) -> str:
 
 def format_statement(st) -> str:
     """Serialize one ``RdfStatement`` back to its N-Triples / N-Quads line."""
-    obj = st.object
-    if obj.is_literal:
-        rendered = f'"{_escape_literal(obj.text)}"'
-        if obj.datatype:
-            rendered += f"^^<{obj.datatype}>"
-        elif obj.lang:
-            rendered += f"@{obj.lang}"
+    if st.is_literal:
+        rendered = f'"{_escape_literal(st.object)}"'
+        if st.datatype:
+            rendered += f"^^<{st.datatype}>"
+        elif st.lang:
+            rendered += f"@{st.lang}"
     else:
-        rendered = f"<{obj.text}>"
+        rendered = f"<{st.object}>"
     parts = [f"<{st.subject}>", f"<{st.predicate}>", rendered]
     if st.graph is not None:
         parts.append(f"<{st.graph}>")

@@ -388,6 +388,20 @@ class TestDropWarnings:
         assert not any("statements" in line for line in err
                        if line.startswith("WARN"))
 
+    @pytest.mark.parametrize("command", [["resolve"],
+                                         ["baseline", "--method", "vote"]])
+    def test_literal_sameas_is_reported(self, tmp_path, capsys, command):
+        path = tmp_path / "literal.nt"
+        path.write_text(
+            '<http://a.example/s> <http://www.w3.org/2002/07/owl#sameAs> '
+            '"http://b.example/s" .\n'
+            '<http://a.example/s> <http://a.example/p> "x" .\n'
+            '<http://b.example/s> <http://a.example/p> "y" .\n')
+        assert main([*command, "--input", str(path),
+                     "--out", str(tmp_path / "o")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert "WARN dropped 1 statements: literal_sameas" in err
+
     def test_graph_policy_links_endorse_from_their_graph(self, tmp_path,
                                                          capsys):
         # g1.example states the identity link, as it states claim "1",
@@ -543,6 +557,16 @@ class TestAlignmentOption:
         assert code == 1
         assert capsys.readouterr().err.startswith("ERROR: ")
 
+    def test_conflicting_rows_are_fatal(self, corpus_dir, tmp_path, capsys):
+        table = tmp_path / "alignment.tsv"
+        table.write_text("http://a.example/p\tP\nhttp://a.example/p\tQ\n")
+        code = main(["resolve", "--input", str(corpus_dir / "corpus.nt"),
+                     "--alignment", str(table), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "ERROR: alignment maps 'http://a.example/p' to both 'P' and 'Q'"]
+        assert not (tmp_path / "o").exists()
+
     def test_prior_has_no_alignment(self, corpus_dir, tmp_path):
         with pytest.raises(SystemExit):
             main(["prior", "--input", str(corpus_dir / "corpus.nt"),
@@ -696,6 +720,29 @@ class TestCouplingOverflow:
         assert run.returncode == 1
         assert run.stderr.count("\n") == 1
         assert run.stderr.startswith("ERROR: ")
+
+
+class TestNanSettings:
+    """NaN fails every range check, as a flag or as a file entry."""
+
+    @pytest.mark.parametrize("argv,ini,message", [
+        (["resolve", "--outer-threshold", "nan"], None,
+         "thresholds must be positive"),
+        (["resolve"], "[prior]\ntolerance = nan\n",
+         "tolerance must be positive"),
+        (["synth", "--support-skew", "nan"], None,
+         "support_skew must be non-negative"),
+    ], ids=["outer_threshold", "prior_tolerance", "support_skew"])
+    def test_one_error_line_and_exit_1(self, corpus_dir, tmp_path, capsys,
+                                       argv, ini, message):
+        if argv[0] == "resolve":
+            argv = [*argv, "--input", str(corpus_dir / "corpus.nt")]
+        if ini:
+            (tmp_path / "nan.ini").write_text(ini)
+            argv = [*argv, "--config", str(tmp_path / "nan.ini")]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"ERROR: {message}"]
+        assert not (tmp_path / "o").exists()
 
 
 class TestConfigFileErrors:

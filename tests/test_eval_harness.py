@@ -62,6 +62,7 @@ class TestSynthConfig:
         {"claims_min": 1, "claims_max": 4}, {"claims_min": 4, "claims_max": 2},
         {"support_skew": -1.0}, {"decoy_concentration": -0.5},
         {"near_truth_rate": 1.5},
+        {"support_skew": math.nan}, {"decoy_concentration": math.nan},
     ])
     def test_rejects_impossible_shapes(self, kwargs):
         with pytest.raises(SynthConfigError):

@@ -1,5 +1,6 @@
 """Endorsement prior fixed-point tests."""
 
+import math
 import random
 
 import pytest
@@ -117,5 +118,7 @@ class TestConfig:
             PriorConfig(damping=1.0)
         with pytest.raises(ValueError):
             PriorConfig(tolerance=0.0)
+        with pytest.raises(ValueError):
+            PriorConfig(tolerance=math.nan)
         with pytest.raises(ValueError):
             PriorConfig(max_sweeps=0)

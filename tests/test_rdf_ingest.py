@@ -2,7 +2,7 @@
 
 import io
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from urllib.parse import urlsplit
 
 import pytest
@@ -25,9 +25,9 @@ from ldtruth.rdf_ingest import (
     MalformedLineError,
     NoAuthorityError,
     RdfStatement,
-    Term,
     build_claims,
     extract_source,
+    is_identity_link,
     load_alignment,
     parse_triples,
     statement_source,
@@ -40,17 +40,21 @@ from oracles import format_statement
 # absolute IRIs over the characters the parser accepts inside <...>
 IRIS = strategies.from_regex(r"[a-z][a-z0-9+.-]*:" + _IRI_BODY, fullmatch=True)
 
+
+def _statements(obj, **annotations):
+    return strategies.builds(RdfStatement, IRIS, IRIS, obj, **annotations,
+                             graph=strategies.none() | IRIS,
+                             line=strategies.just(1))
+
+
 # statements of every object shape, each as format_statement writes it
-STATEMENTS = strategies.builds(
-    RdfStatement, IRIS, IRIS, strategies.one_of(
-        IRIS.map(Term),
-        strategies.builds(Term, strategies.text(), strategies.just(True)),
-        strategies.builds(Term, strategies.text(), strategies.just(True),
-                          datatype=IRIS),
-        strategies.builds(Term, strategies.text(), strategies.just(True),
-                          lang=strategies.from_regex(
-                              r"[a-zA-Z]+(-[a-zA-Z0-9]+)*", fullmatch=True))),
-    strategies.none() | IRIS, line=strategies.just(1))
+LITERAL = {"is_literal": strategies.just(True)}
+STATEMENTS = strategies.one_of(
+    _statements(IRIS),
+    _statements(strategies.text(), **LITERAL),
+    _statements(strategies.text(), **LITERAL, datatype=IRIS),
+    _statements(strategies.text(), **LITERAL, lang=strategies.from_regex(
+        r"[a-zA-Z]+(-[a-zA-Z0-9]+)*", fullmatch=True)))
 
 # scheme and authority: ports, userinfo, mixed case, IPv6 literals good
 # and bad, percent-escapes, empty hosts, whitespace and control
@@ -87,26 +91,27 @@ class TestLineParser:
         st = parse_one('<http://a.org/s> <http://a.org/p> <http://a.org/o> .')
         assert st.subject == "http://a.org/s"
         assert st.predicate == "http://a.org/p"
-        assert st.object == Term("http://a.org/o")
+        assert (st.object, st.is_literal, st.datatype, st.lang) == \
+            ("http://a.org/o", False, None, None)
         assert st.graph is None
         assert st.line == 1
 
     def test_typed_literal(self):
         st = parse_one('<http://a.org/s> <http://a.org/p> '
                        '"93"^^<http://www.w3.org/2001/XMLSchema#integer> .')
-        assert st.object.is_literal
-        assert st.object.text == "93"
-        assert st.object.datatype == "http://www.w3.org/2001/XMLSchema#integer"
+        assert st.is_literal
+        assert st.object == "93"
+        assert st.datatype == "http://www.w3.org/2001/XMLSchema#integer"
 
     def test_language_tag(self):
         st = parse_one('<http://a.org/s> <http://a.org/p> "statue"@en-US .')
-        assert st.object.lang == "en-US"
-        assert st.object.datatype is None
+        assert st.lang == "en-US"
+        assert st.datatype is None
 
     def test_literal_escapes(self):
         st = parse_one(r'<http://a.org/s> <http://a.org/p> '
                        r'"say \"hi\"\né\U0001F600\\" .')
-        assert st.object.text == 'say "hi"\né\U0001F600\\'
+        assert st.object == 'say "hi"\né\U0001F600\\'
 
     def test_comments_blanks_and_trailing_comment(self):
         text = ("# header\n"
@@ -119,7 +124,7 @@ class TestLineParser:
 
     def test_crlf_and_tabs(self):
         st = parse_one('<http://a.org/s>\t<http://a.org/p>\t"x"\t.\r\n')
-        assert st.object.text == "x"
+        assert st.object == "x"
 
     def test_nquads_graph_term(self):
         st = parse_one('<http://a.org/s> <http://a.org/p> "x" <http://g.org/g> .',
@@ -158,7 +163,7 @@ class TestLineParser:
                 '<http://a.org/s2> <http://a.org/p> "ok2" .\n')
         diagnostics = []
         statements = list(parse_triples(text, diagnostics=diagnostics))
-        assert [st.object.text for st in statements] == ["ok", "ok2"]
+        assert [st.object for st in statements] == ["ok", "ok2"]
         assert len(diagnostics) == 1
         assert diagnostics[0].line == 2
         assert diagnostics[0].category == "malformed"
@@ -171,7 +176,7 @@ class TestLineParser:
                 '<http://a.org/s> <http://a.org/p> "ok" .\n')
         diagnostics = []
         statements = list(parse_triples(text, diagnostics=diagnostics))
-        assert [st.object.text for st in statements] == ["ok"]
+        assert [st.object for st in statements] == ["ok"]
         assert [(d.line, d.category, d.reason) for d in diagnostics] == \
             [(1, "malformed", f"bad \\{key} escape")]
         with pytest.raises(MalformedLineError) as err:
@@ -181,7 +186,7 @@ class TestLineParser:
     def test_largest_scalar_escapes_decode(self):
         st = parse_one(r'<http://a.org/s> <http://a.org/p> '
                        r'"\U0010FFFF\uD7FF\uE000" .')
-        assert st.object.text == "\U0010FFFF\uD7FF\uE000"
+        assert st.object == "\U0010FFFF\uD7FF\uE000"
 
     def test_blank_nodes_are_set_aside(self):
         text = ('_:b1 <http://a.org/p> "x" .\n'
@@ -215,15 +220,15 @@ class TestRoundTrip:
         alphabet = 'abc"\\\n\txyz '
         for i in range(200):
             if rng.random() < 0.5:
-                obj = Term("".join(rng.choice(alphabet) for _ in range(6)),
-                           is_literal=True,
-                           datatype=rng.choice(
-                               [None, "http://www.w3.org/2001/XMLSchema#string"]))
+                obj = ("".join(rng.choice(alphabet) for _ in range(6)), True,
+                       rng.choice(
+                           [None, "http://www.w3.org/2001/XMLSchema#string"]))
             else:
-                obj = Term(f"http://o.example.org/{i}")
+                obj = (f"http://o.example.org/{i}", False, None)
             graph = f"http://g.example.org/{i}" if rng.random() < 0.3 else None
             st = RdfStatement(f"http://s.example.org/{i}",
-                              f"http://p.example.org/{i}", obj, graph, line=1)
+                              f"http://p.example.org/{i}", *obj, graph=graph,
+                              line=1)
             fmt = FORMAT_NQUADS if graph else "ntriples"
             back = parse_one(format_statement(st), fmt=fmt, mode="strict")
             assert back == st
@@ -339,7 +344,7 @@ class TestDecoderProperties:
     def test_literal_text_reads_back(self, written):
         text, lexical = written
         line = f'<http://a.org/s> <http://a.org/p> "{lexical}" .'
-        assert parse_one(line, mode="strict").object.text == text
+        assert parse_one(line, mode="strict").object == text
 
     @settings(max_examples=300, deadline=None)
     @given(written_out(strategies.characters(
@@ -366,6 +371,18 @@ class TestPlainLineFastPath:
         if variant == "escape":
             assert parse_one(varied, fmt=FORMAT_NQUADS, mode="strict") == \
                 replace(statement, subject=statement.subject + "A")
+
+    @pytest.mark.parametrize("line", [
+        '<http://a.org/s> <http://a.org/p> "x"@en <http://g.org/g> .',
+        '<http://a.org/s>\t<http://a.org/p> "x"@en <http://g.org/g> .'],
+        ids=["plain", "term_parser"])
+    def test_statement_is_one_slotted_record(self, line):
+        st = parse_one(line, fmt=FORMAT_NQUADS)
+        assert not hasattr(st, "__dict__")
+        assert (st.object, st.is_literal, st.lang, st.graph) == \
+            ("x", True, "en", "http://g.org/g")
+        with pytest.raises(FrozenInstanceError):
+            st.object = "y"
 
     def test_fourth_term_defers_in_triples(self):
         line = '<http://a.org/s> <http://a.org/p> "x" <http://g.org/g> .'
@@ -469,6 +486,15 @@ class TestBuildClaims:
         assert store.drop_counts["null_object"] == 1
         assert store.drop_counts["sameas"] == 1
 
+    def test_literal_sameas_is_its_own_drop(self):
+        statements = statements_from(
+            f'<http://a.org/s> <{OWL_SAMEAS}> "http://b.org/s" .\n'
+            f'<http://a.org/s> <{OWL_SAMEAS}> <http://b.org/s> .\n')
+        assert [is_identity_link(st) for st in statements] == [False, True]
+        store = build_claims(statements)
+        assert store.claims == []
+        assert store.drop_counts == {"literal_sameas": 1, "sameas": 1}
+
     def test_alignment_merges_predicates(self):
         statements = statements_from(CORPUS)
         alignment = {"http://w.org/alt-height": "http://v.org/height"}
@@ -568,4 +594,15 @@ class TestAlignmentTable:
         path = tmp_path / "alignment.tsv"
         path.write_text("only-one-column\n", encoding="utf-8")
         with pytest.raises(ValueError):
+            load_alignment(str(path))
+
+    def test_conflicting_rows(self, tmp_path):
+        path = tmp_path / "alignment.tsv"
+        path.write_text("http://a.org/p\tP\nhttp://a.org/p\tP\n",
+                        encoding="utf-8")
+        assert load_alignment(str(path)) == {"http://a.org/p": "P"}
+        path.write_text("http://a.org/p\tP\nhttp://a.org/p\tQ\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match="'http://a.org/p' to both "
+                                             "'P' and 'Q'"):
             load_alignment(str(path))

@@ -259,6 +259,7 @@ class TestEngineConfig:
         {"outer_max": 0}, {"bp_max": 0},
         {"bp_damping": 1.0}, {"bp_damping": -0.1},
         {"edge_threshold": 1.5}, {"coupling": 0.0},
+        {"outer_threshold": math.nan}, {"bp_tol": math.nan},
     ])
     def test_rejects_bad_settings(self, kwargs):
         with pytest.raises(ValueError):
@@ -271,13 +272,16 @@ class TestCouplingRange:
 
     @pytest.mark.parametrize("kwargs", [
         {"coupling": 709.5}, {"coupling": 1000.0}, {"coupling": math.inf},
-        {"coupling": math.nan}, {"coupling": 400.0,
-                                 "dissimilar_false_factor": -2.0},
+        {"coupling": 400.0, "dissimilar_false_factor": -2.0},
         {"coupling": 300.0, "dissimilar_false_factor": 3.0},
     ])
     def test_rejects_tables_past_the_float_range(self, kwargs):
         with pytest.raises(ValueError, match="at most 709"):
             EngineConfig(**kwargs)
+
+    def test_nan_coupling_is_not_positive(self):
+        with pytest.raises(ValueError, match="coupling must be positive"):
+            EngineConfig(coupling=math.nan)
 
     @pytest.mark.parametrize("kwargs", [
         {"coupling": 709.0}, {"coupling": 709.0,
