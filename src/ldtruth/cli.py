@@ -21,9 +21,9 @@ from operator import add
 from .baselines import METHOD_TRUTHFINDER, METHOD_VOTE
 from .eval_harness import (METHOD_ENGINE, SynthConfig, generate, run_benchmark,
                            run_method)
-from .graph_model import build_sameas_graph, sbg_to_tsv
-from .pipeline import assemble, parse_files, source_prior
-from .prior_belief import DEFAULT_PRIOR, PriorConfig
+from .graph_model import build_sameas_graph, project_to_sbg, sbg_to_tsv
+from .pipeline import assemble, parse_files
+from .prior_belief import DEFAULT_PRIOR, PriorConfig, compute_prior
 from .rdf_ingest import POLICIES, load_alignment
 from .truth_engine import EngineConfig, resolve_all
 
@@ -203,7 +203,7 @@ def cmd_resolve(args, filecfg: dict) -> int:
     built, n_statements = _assemble(args, filecfg,
                                     _config(args, filecfg, "prior"))
     store, priors = built.store, built.priors
-    if priors is not None and store.incidence.keys().isdisjoint(priors.nbr):
+    if priors.nbr and store.incidence.keys().isdisjoint(priors.nbr):
         print("WARN no claim source has an endorsement prior", file=sys.stderr)
     result = resolve_all(store, priors, _config(args, filecfg, "engine"))
 
@@ -214,35 +214,32 @@ def cmd_resolve(args, filecfg: dict) -> int:
     _atomic_write(os.path.join(args.out, "trace.csv"),
                   _trace_csv(result.trace))
     trust_lines = ["source\tt\tt_smoothed\tnbr"]
-    nbr = priors.nbr if priors else {}
     for source in sorted(result.trust.t):
         trust_lines.append(
             f"{source}\t{result.trust.t[source]!r}"
             f"\t{result.trust.t_smoothed[source]!r}"
-            f"\t{nbr.get(source, 0.5)!r}")
+            f"\t{priors.nbr.get(source, 0.5)!r}")
     _atomic_write(os.path.join(args.out, "source_trust.tsv"),
                   "\n".join(trust_lines) + "\n")
 
-    # without identity links there is no prior to run, and nothing to fail
-    prior_sweeps, prior_ok = ((priors.sweeps_used, priors.converged)
-                              if priors is not None else (0, True))
     print(f"statements={n_statements} claims={len(store.claims)} "
           f"conflict_sets={len(store.conflict_sets)} "
           f"iterations={result.iterations} converged={result.converged} "
           f"bp_converged={result.bp_converged} bp_rounds={result.bp_rounds} "
-          f"prior_sweeps={prior_sweeps} prior_converged={prior_ok}",
+          f"prior_sweeps={priors.sweeps_used} "
+          f"prior_converged={priors.converged}",
           file=sys.stderr)
-    if not (result.converged and result.bp_converged and prior_ok):
+    if not (result.converged and result.bp_converged and priors.converged):
         return EXIT_NONCONVERGED
     return EXIT_OK
 
 
 def cmd_prior(args, filecfg: dict) -> int:
     statements, policy = _ingest(args, filecfg)
-    sbg, priors = source_prior(build_sameas_graph(statements), policy,
-                               _config(args, filecfg, "prior"))
+    sbg = project_to_sbg(build_sameas_graph(statements), policy)
+    priors = compute_prior(sbg, _config(args, filecfg, "prior"))
     _warn_dropped(sbg.drop_counts, "identity links")
-    if priors is None:
+    if not sbg.vertices:
         print("ERROR: no usable identity links, source graph is empty",
               file=sys.stderr)
         return EXIT_FATAL
@@ -317,8 +314,10 @@ def cmd_eval(args, filecfg: dict) -> int:
 
 
 def cmd_baseline(args, filecfg: dict) -> int:
-    store = _assemble(args, filecfg)[0].store
-    decisions, iterations, converged, _ = run_method(args.method, store)
+    built = _assemble(args, filecfg)[0]
+    store = built.store
+    decisions, iterations, converged, _ = run_method(args.method, store,
+                                                     built.priors)
     os.makedirs(args.out, exist_ok=True)
     _atomic_write(os.path.join(args.out, "decisions.jsonl"),
                   _decisions_jsonl(decisions, store, args.method,

@@ -15,6 +15,7 @@ import random
 import string
 import time
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 from .baselines import METHOD_TRUTHFINDER, METHOD_VOTE, truthfinder, vote_all
 from .pipeline import assemble
@@ -113,12 +114,12 @@ def _entity_iri(host: str, entity_idx: int) -> str:
     return f"http://{host}/resource/e{entity_idx:06d}"
 
 
-def _weighted_distinct(rng, population, weights, k: int) -> list:
+def _weighted_distinct(rng, population, cum_weights, k: int) -> list:
     chosen = []
     taken = set()
     guard = 0
     while len(chosen) < k:
-        pick = rng.choices(population, weights=weights)[0]
+        pick = rng.choices(population, cum_weights=cum_weights)[0]
         guard += 1
         if pick not in taken:
             taken.add(pick)
@@ -252,7 +253,14 @@ def generate(cfg: SynthConfig) -> SynthResult:
         weights = [(ranks[i] + 1) ** -cfg.support_skew for i in range(n)]
     else:
         weights = [1.0] * n
+    # weights go to choices accumulated once, not again on every draw;
+    # choices takes the same path either way, so the draws are the same
+    activity = list(accumulate(weights))
     population = list(range(n))
+    # popular wrong values: earlier decoy slots soak up more false claims
+    decoy_cum = list(accumulate(
+        (q + 1) ** -cfg.decoy_concentration
+        for q in range(cfg.values_per_conflict - 1)))
 
     claim_lines = []
     sameas_lines = []
@@ -279,17 +287,14 @@ def generate(cfg: SynthConfig) -> SynthResult:
                 if candidate != gold_value and candidate not in decoys:
                     near = candidate
                     break
-        # popular wrong values: earlier decoy slots soak up more false claims
-        decoy_weights = [(q + 1) ** -cfg.decoy_concentration
-                         for q in range(len(decoys))]
 
         def false_draw():
             if near is not None and rng.random() < cfg.near_truth_rate:
                 return near
-            return rng.choices(decoys, weights=decoy_weights)[0]
+            return rng.choices(decoys, cum_weights=decoy_cum)[0]
 
         count = rng.randint(cmin, max(cmin, cmax))
-        supporters = _weighted_distinct(rng, population, weights, count)
+        supporters = _weighted_distinct(rng, population, activity, count)
         asserted = None
         for _ in range(25):
             draw = [gold_value if rng.random() < reliability[hosts[s]]
@@ -324,7 +329,7 @@ def generate(cfg: SynthConfig) -> SynthResult:
 
     filler_predicate = "http://schema.example.org/label"
     for entity_idx in range(cfg.n_conflict_predicates, cfg.n_entities):
-        pair = _weighted_distinct(rng, population, weights, min(2, n))
+        pair = _weighted_distinct(rng, population, activity, min(2, n))
         mentioned[entity_idx] = list(pair)
         label = f"e{entity_idx:06d}"
         for s in pair:
@@ -387,7 +392,7 @@ def no_dominant_config(seed: int = 0) -> SynthConfig:
         decoy_concentration=1.8, seed=seed)
 
 
-def run_method(method: str, store, priors=None,
+def run_method(method: str, store, priors,
                engine_cfg: EngineConfig = DEFAULT_ENGINE):
     """Decide every conflict set of ``store`` with the named method.
 

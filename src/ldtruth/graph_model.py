@@ -12,8 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .rdf_ingest import (NoAuthorityError, extract_source, is_identity_link,
-                         statement_source)
+from .rdf_ingest import extract_source, is_identity_link, statement_source
 
 
 @dataclass
@@ -113,15 +112,11 @@ def project_to_sbg(graph: SameAsGraph, policy: str = "host") -> SourceBeliefGrap
     sbg = SourceBeliefGraph()
     for u, v, g in graph.edges:
         endorser, reason = statement_source(u, g, policy)
-        if reason is None:
-            try:
-                endorsee = extract_source(v, policy)
-            except NoAuthorityError:
-                reason = "no_source"
-            else:
-                sbg.add_edge(endorser, endorsee)
-                continue
-        sbg.drop_counts[reason] += 1
+        endorsee = extract_source(v, policy) if reason is None else None
+        if endorsee:
+            sbg.add_edge(endorser, endorsee)
+        else:
+            sbg.drop_counts[reason or "no_source"] += 1
     return sbg
 
 

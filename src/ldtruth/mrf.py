@@ -77,35 +77,36 @@ class MarkovField:
             self.kernel = _joint_sum(n)
             return
         pairs = tuple((i, j) for i, j, _ in self.edges)
+        tables = tuple(w for _, _, psi in self.edges
+                       for row in psi for w in row)
         if n <= KERNEL_NODES:
-            self.kernel = _flood(n, pairs)
-            self.tables = tuple(w for _, _, psi in self.edges
-                                for row in psi for w in row)
+            self.kernel, self.tables = _flood(n, pairs), tables
             return
         self.kernel = None
         self.in_slots, sends = _layout(n, pairs)
         # per message: sender, offset out, c0..c3 with the outgoing
         # out_b = p0 * c[2b] + p1 * c[2b + 1], offsets of the sender's
         # other incoming messages
-        self.plan = []
-        for i, out, others in sends:
-            (a, b), (c, d) = self.edges[out // 4][2]
-            cols = (a, c, b, d) if out % 4 == 0 else (a, b, c, d)
-            self.plan.append((i, out, *cols, others))
+        self.plan = [(i, out, *(tables[k] for k in cols), others)
+                     for i, out, cols, others in sends]
 
 
 def _layout(n, pairs):
     """Where each message lives: messages are flat (m0, m1) pairs, i -> j
-    on edge e at offset 4e and j -> i at 4e + 2.  Returns the offsets of
-    each node's incoming messages, and per message (sender, offset out,
-    offsets of the sender's incoming messages but the reverse one)."""
+    on edge e at offset 4e and j -> i at 4e + 2, and edge e's psi is
+    flat from 4e, row by row.  Returns the offsets of each node's
+    incoming messages, and per message (sender, offset out, offsets of
+    the psi entries c0..c3 it reads, offsets of the sender's incoming
+    messages but the reverse one)."""
     local = [[] for _ in range(n)]
     for e, (i, j) in enumerate(pairs):
-        local[i].append((4 * e + 2, 4 * e))
-        local[j].append((4 * e, 4 * e + 2))
-    in_slots = [tuple(s for s, _ in node) for node in local]
-    sends = [(i, out, tuple(s for s, o in node if o != out))
-             for i, node in enumerate(local) for _, out in node]
+        to_j, to_i = 4 * e, 4 * e + 2
+        # i -> j reads psi by columns, j -> i by rows
+        local[i].append((to_i, to_j, (to_j, to_j + 2, to_j + 1, to_j + 3)))
+        local[j].append((to_j, to_i, (to_j, to_j + 1, to_j + 2, to_j + 3)))
+    in_slots = [tuple(s for s, _, _ in node) for node in local]
+    sends = [(i, out, cols, tuple(s for s, o, _ in node if o != out))
+             for i, node in enumerate(local) for _, out, cols in node]
     return in_slots, sends
 
 
@@ -159,10 +160,7 @@ def _flood(n, pairs):
              " converged = False",
              " while rounds < max_rounds:",
              "  rounds += 1"]
-    for i, out, others in sends:
-        e = out - out % 4
-        # i -> j reads psi by columns, j -> i by rows
-        c = (e, e + 2, e + 1, e + 3) if out == e else (e, e + 1, e + 2, e + 3)
+    for i, out, c, others in sends:
         lines += [f"  p0 = u{i}" + "".join(f" * m{a}" for a in others),
                   f"  p1 = v{i}" + "".join(f" * m{a + 1}" for a in others),
                   f"  o0 = p0 * c{c[0]} + p1 * c{c[1]}",

@@ -32,29 +32,21 @@ def parse_files(paths, fmt: str | None = None, mode: str = "lenient",
                 diagnostics: list | None = None) -> list:
     """Parse several files one after another, in the order given.
 
-    ``diagnostics``, when given, collects ``(path, diagnostic)`` pairs.
+    ``diagnostics``, when given, collects ``(path, diagnostic)`` pairs;
+    without it a line set aside raises, as in ``parse_triples``.
     """
     statements = []
     for path in paths:
-        found = []
+        found = [] if diagnostics is not None else None
         opener = gzip.open if path.endswith(".gz") else open
         with opener(path, "rb") as handle:
             buffered = io.BufferedReader(handle) if not isinstance(
                 handle, io.BufferedReader) else handle
             statements.extend(parse_triples(
                 buffered, format_for_path(path, fmt), mode, found))
-        if diagnostics is not None:
+        if found:
             diagnostics.extend((path, d) for d in found)
     return statements
-
-
-def source_prior(graph, policy: str = "host",
-                 prior_cfg: PriorConfig = DEFAULT_PRIOR) -> tuple:
-    """The endorsement graph of ``graph``'s sources and its prior, as
-    (sbg, priors); priors is None when the graph has no vertices."""
-    sbg = project_to_sbg(graph, policy)
-    priors = compute_prior(sbg, prior_cfg) if sbg.vertices else None
-    return sbg, priors
 
 
 def assemble(statements, policy: str = "host", alignment: dict | None = None,
@@ -62,6 +54,7 @@ def assemble(statements, policy: str = "host", alignment: dict | None = None,
     """Build every derived structure a resolution run needs."""
     graph = build_sameas_graph(statements)
     clusters = sameas_closure(graph)
-    sbg, priors = source_prior(graph, policy, prior_cfg)
+    sbg = project_to_sbg(graph, policy)
+    priors = compute_prior(sbg, prior_cfg)
     store = build_claims(statements, clusters, alignment, policy)
     return Assembled(store=store, priors=priors, link_drops=sbg.drop_counts)

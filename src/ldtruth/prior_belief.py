@@ -14,10 +14,6 @@ from dataclasses import dataclass
 from .graph_model import SourceBeliefGraph
 
 
-class EmptyGraphError(ValueError):
-    """No vertices to score."""
-
-
 @dataclass(frozen=True)
 class PriorConfig:
     damping: float = 0.85
@@ -53,9 +49,10 @@ def compute_prior(sbg: SourceBeliefGraph,
     Synchronous sweeps from a unit start vector, stopping when the
     largest per-source change drops under the tolerance.  Hitting the
     sweep cap still returns the last vector, flagged as not converged.
+    A graph with no vertices has the empty prior.
     """
     if not sbg.vertices:
-        raise EmptyGraphError("source belief graph has no vertices")
+        return PriorBeliefs({}, {}, 0, 0.0, True)
     order = sorted(sbg.vertices)
     index = {s: i for i, s in enumerate(order)}
     # incoming[j] holds (i, weight) with weight = multiplicity / out-degree

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import io
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from urllib.parse import urlsplit
@@ -33,7 +34,8 @@ FORMAT_NQUADS = "nquads"
 
 
 class MalformedLineError(ValueError):
-    """Raised in strict mode for the first unparseable line."""
+    """Raised for an unparseable line in strict mode, or in any mode
+    when there is no diagnostics list to record it in."""
 
     def __init__(self, line: int, reason: str):
         super().__init__(f"line {line}: {reason}")
@@ -42,11 +44,7 @@ class MalformedLineError(ValueError):
 
 
 class EncodingError(MalformedLineError):
-    """Raised in strict mode for a line that is not valid UTF-8."""
-
-
-class NoAuthorityError(ValueError):
-    """The IRI has no usable authority component."""
+    """Raised, as a malformed line is, for a line that is not valid UTF-8."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -211,7 +209,10 @@ def _parse_plain(text: str, lineno: int, fmt: str):
             (graph is not None and fmt != FORMAT_NQUADS):
         return None
     is_literal = iri is None
-    return RdfStatement(subject, predicate, lexical if is_literal else iri,
+    # nearly every line repeats a predicate, so statements share one copy
+    # of each; subjects repeat too seldom to pay for the lookup
+    return RdfStatement(subject, sys.intern(predicate),
+                        lexical if is_literal else iri,
                         is_literal, datatype, lang, graph, lineno)
 
 
@@ -241,7 +242,8 @@ def _parse_line(text: str, lineno: int, fmt: str):
         return "bnode"
     if ":" not in subject[0] or ":" not in predicate[0]:
         raise MalformedLineError(lineno, "relative IRI in subject or predicate")
-    return RdfStatement(subject[0], predicate[0], *obj, graph[0], lineno)
+    return RdfStatement(subject[0], sys.intern(predicate[0]), *obj, graph[0],
+                        lineno)
 
 
 def _iter_decoded_lines(source, mode: str, diagnostics):
@@ -252,10 +254,9 @@ def _iter_decoded_lines(source, mode: str, diagnostics):
             try:
                 raw = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
-                if mode == "strict":
+                if mode == "strict" or diagnostics is None:
                     raise EncodingError(lineno, str(exc)) from exc
-                if diagnostics is not None:
-                    diagnostics.append(Diagnostic(lineno, "encoding", str(exc)))
+                diagnostics.append(Diagnostic(lineno, "encoding", str(exc)))
                 continue
         yield lineno, raw.rstrip("\r\n")
 
@@ -265,8 +266,10 @@ def parse_triples(source, fmt: str = FORMAT_NTRIPLES, mode: str = "lenient",
     """Yield statements from a text, a string, or a binary line source.
 
     ``mode="strict"`` raises on the first malformed line; lenient mode
-    records a diagnostic and keeps going.  Statement line numbers are
-    1-based positions in the input.
+    records a diagnostic in ``diagnostics`` and keeps going.  A line set
+    aside is never dropped unrecorded: without a ``diagnostics`` list,
+    a malformed, undecodable or blank-node line raises in either mode.
+    Statement line numbers are 1-based positions in the input.
     """
     if fmt not in (FORMAT_NTRIPLES, FORMAT_NQUADS):
         raise ValueError(f"unknown format: {fmt!r}")
@@ -280,17 +283,17 @@ def parse_triples(source, fmt: str = FORMAT_NTRIPLES, mode: str = "lenient",
         try:
             parsed = _parse_line(text, lineno, fmt)
         except MalformedLineError as exc:
-            if mode == "strict":
+            if mode == "strict" or diagnostics is None:
                 raise
-            if diagnostics is not None:
-                diagnostics.append(Diagnostic(lineno, "malformed", exc.reason))
+            diagnostics.append(Diagnostic(lineno, "malformed", exc.reason))
             continue
         if parsed is None:
             continue
         if parsed == "bnode":
-            if diagnostics is not None:
-                diagnostics.append(Diagnostic(
-                    lineno, "blank_node", "blank node outside supported subset"))
+            reason = "blank node outside supported subset"
+            if diagnostics is None:
+                raise MalformedLineError(lineno, reason)
+            diagnostics.append(Diagnostic(lineno, "blank_node", reason))
             continue
         yield parsed
 
@@ -304,9 +307,12 @@ _AUTHORITY_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*://[^/?#\x00-\x20]*"
 
 
 def _host_source(iri: str, policy: str):
-    """The source of ``iri``'s host under ``policy``, None without a host;
-    raises ValueError where urlsplit does."""
-    host = urlsplit(iri).hostname
+    """The source of ``iri``'s host under ``policy``, None without a host,
+    as where urlsplit rejects the IRI."""
+    try:
+        host = urlsplit(iri).hostname
+    except ValueError:
+        return None
     if host and policy == POLICY_PLD:
         return pay_level_domain(host)
     return host
@@ -317,8 +323,9 @@ def _host_source(iri: str, policy: str):
 _authority_source = functools.lru_cache(maxsize=1 << 14)(_host_source)
 
 
-def extract_source(iri: str, policy: str = POLICY_HOST) -> str:
-    """Source identifier for an IRI under the given granularity policy.
+def extract_source(iri: str, policy: str = POLICY_HOST) -> str | None:
+    """Source identifier for an IRI under the given granularity policy,
+    None when the IRI has no usable authority.
 
     ``host`` and ``graph`` take the lower-cased authority host of the IRI
     handed in, since an IRI on its own names no graph; ``pld`` shortens
@@ -327,14 +334,8 @@ def extract_source(iri: str, policy: str = POLICY_HOST) -> str:
     if policy not in POLICIES:
         raise ValueError(f"unknown source policy: {policy!r}")
     match = _AUTHORITY_RE.match(iri)
-    try:
-        source = (_authority_source(match.group(), policy) if match
-                  else _host_source(iri, policy))
-    except ValueError as exc:
-        raise NoAuthorityError(f"unparseable IRI: {iri!r}") from exc
-    if source is None:
-        raise NoAuthorityError(f"no authority in IRI: {iri!r}")
-    return source
+    return (_authority_source(match.group(), policy) if match
+            else _host_source(iri, policy))
 
 
 def load_alignment(path: str) -> dict:
@@ -372,10 +373,8 @@ def statement_source(subject: str, graph: str | None, policy: str):
         if graph is None:
             return None, "missing_graph"
         subject = graph
-    try:
-        return extract_source(subject, policy), None
-    except NoAuthorityError:
-        return None, "no_source"
+    source = extract_source(subject, policy)
+    return source, None if source else "no_source"
 
 
 def build_claims(statements, clusters=None, alignment: dict | None = None,

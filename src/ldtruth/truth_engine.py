@@ -22,6 +22,7 @@ from functools import reduce
 from operator import add
 
 from .mrf import MarkovField, loopy_bp
+from .prior_belief import PriorBeliefs
 from .rdf_ingest import ClaimStore, ConflictSet
 from .similarity import sim
 
@@ -178,22 +179,20 @@ def decide(cs: ConflictSet, scores, trust: dict) -> Decision:
                     tuple(scores))
 
 
-def resolve_all(store: ClaimStore, priors=None,
+def resolve_all(store: ClaimStore, priors: PriorBeliefs,
                 cfg: EngineConfig = DEFAULT_ENGINE) -> ResolutionResult:
     """Run the alternating estimation over every conflict set.
 
-    ``priors`` may be None when no identity structure exists; every
-    source then sits at the neutral 0.5 prior, as do sources that have
-    claims but never appear in the endorsement graph.
+    A source with claims but no place in the endorsement graph sits at
+    the neutral 0.5 prior, as every source does under the empty prior.
     """
     sets = store.conflict_sets
     fields = [MarkovField([(0.5, 0.5)] * len(cs.objects), pairwise_tables(
         [obj.value for obj in cs.objects], cfg)) for cs in sets.values()]
     messages = [None] * len(sets)
-    nbr = priors.nbr if priors is not None else {}
 
     t = {s: cfg.t0 for s in store.incidence}
-    t_smoothed = smooth_trust(t, nbr)
+    t_smoothed = smooth_trust(t, priors.nbr)
     tau = {k: [0.5] * len(cs.objects) for k, cs in sets.items()}
 
     trace = []
@@ -218,7 +217,7 @@ def resolve_all(store: ClaimStore, priors=None,
         peak = max(deltas, default=0.0)
         trace.append((iteration, mean, peak))
         t = source_trustworthiness(store, tau, cfg.t0)
-        t_smoothed = smooth_trust(t, nbr)
+        t_smoothed = smooth_trust(t, priors.nbr)
         if peak < cfg.outer_threshold:
             converged = True
             break

@@ -228,9 +228,21 @@ class TestResolveCommand:
                         '<http://b.example/s> <http://a.example/p> "y" .\n')
         code = main(["resolve", "--input", str(path),
                      "--out", str(tmp_path / "o")])
-        summary = capsys.readouterr().err.splitlines()[-1]
+        err = capsys.readouterr().err
         assert code == 0
-        assert summary.endswith(" prior_sweeps=0 prior_converged=True")
+        assert err.splitlines()[-1].endswith(
+            " prior_sweeps=0 prior_converged=True")
+        # the empty prior covers no source, and that is no warning
+        assert "endorsement prior" not in err
+        nbr = [row.split("\t")[3] for row in
+               (tmp_path / "o" / "source_trust.tsv").read_text().splitlines()]
+        assert nbr == ["nbr", "0.5", "0.5"]
+        code = main(["prior", "--input", str(path),
+                     "--out", str(tmp_path / "p")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "ERROR: no usable identity links, source graph is empty\n")
+        assert not (tmp_path / "p").exists()
 
     def test_zero_threads_rejected(self, corpus_dir, tmp_path, capsys):
         code = main(["resolve", "--input", str(corpus_dir / "corpus.nt"),

@@ -1,8 +1,10 @@
 """Synthetic corpus generation, scoring, and benchmark plumbing."""
 
+import hashlib
 import math
 import re
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -77,6 +79,23 @@ class TestGenerate:
         assert first.triples == second.triples
         assert first.gold.to_tsv() == second.gold.to_tsv()
         assert first.reliabilities == second.reliabilities
+
+    # the benchmark's three workload shapes, corpus 0 of seed 7 (see
+    # perfbench/workloads.py), and the corpus digest each one pins
+    @pytest.mark.parametrize("cfg, digest", [
+        (SynthConfig(n_sources=300, n_entities=6500,
+                     n_conflict_predicates=375, seed=7),
+         "ecf4e31210188421eb77bb24a839e3042c2e520f73d5aa739131f8812ff0e3e6"),
+        (replace(no_dominant_config(7), n_entities=200,
+                 n_conflict_predicates=800, near_truth_rate=0.3),
+         "4a7687976971de6fe572d6921ebedfafabbef22d3b0afe4241d5e27771c078c8"),
+        (SynthConfig(n_sources=300, n_entities=6250,
+                     n_conflict_predicates=94, seed=7),
+         "6ef82a1f112ec30918d62260a461eda944d25f3b8531d5e19d2d810d749e37d5"),
+    ], ids=["scale_c8", "loopy_near", "quads_pld_split"])
+    def test_benchmark_corpora_do_not_drift(self, cfg, digest):
+        triples = generate(cfg).triples.encode("utf-8")
+        assert hashlib.sha256(triples).hexdigest() == digest
 
     def test_corpus_parses_strictly(self):
         synth = generate(SMALL)

@@ -119,10 +119,15 @@ class TestProjection:
             ("urn:isbn:123", "http://b.org/1", None),
             ("http://a.org/1", "http://b.org/1", None),
             ("http://a.org/2", "urn:isbn:456", None),
+            # hostless at both ends, or where urlsplit fails: one drop each
+            ("urn:isbn:7", "urn:isbn:8", None),
+            ("http://[::1/x", "http://b.org/1", None),
+            ("http://a.org/3", "http://[::1/x", None),
+            ("http:///x", "http://b.org/1", None),
         ])
         sbg = project_to_sbg(graph)
         assert sum(sbg.multiplicity.values()) == 1
-        assert sbg.drop_counts == {"no_source": 2}
+        assert sbg.drop_counts == {"no_source": 6}
 
     def test_vertices_only_from_retained_edges(self):
         graph = SameAsGraph({"http://lonely.org/1"}, [

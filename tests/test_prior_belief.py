@@ -8,7 +8,7 @@ import pytest
 from oracles import prior_linear_solve, prior_rhs, random_sbg
 from ldtruth.graph_model import SourceBeliefGraph
 from ldtruth.prior_belief import (
-    EmptyGraphError,
+    PriorBeliefs,
     PriorConfig,
     compute_prior,
     normalize_prior,
@@ -85,9 +85,10 @@ class TestFixedPoint:
         b = compute_prior(sbg)
         assert a.br == b.br
 
-    def test_empty_graph_rejected(self):
-        with pytest.raises(EmptyGraphError):
-            compute_prior(SourceBeliefGraph())
+    def test_empty_graph_has_the_empty_prior(self):
+        # no scores, no sweeps, and nothing that failed to converge
+        assert compute_prior(SourceBeliefGraph()) == PriorBeliefs(
+            br={}, nbr={}, sweeps_used=0, residual=0.0, converged=True)
 
 
 class TestNormalization:

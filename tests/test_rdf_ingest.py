@@ -23,7 +23,6 @@ from ldtruth.rdf_ingest import (
     POLICY_PLD,
     EncodingError,
     MalformedLineError,
-    NoAuthorityError,
     RdfStatement,
     build_claims,
     extract_source,
@@ -33,6 +32,7 @@ from ldtruth.rdf_ingest import (
     statement_source,
 )
 from ldtruth.graph_model import EntityClusterMap
+from ldtruth.pipeline import parse_files
 from ldtruth.values import normalize_object
 from oracles import format_statement
 
@@ -206,6 +206,35 @@ class TestLineParser:
         assert diagnostics[0].category == "encoding"
         with pytest.raises(EncodingError):
             list(parse_triples(io.BytesIO(payload), mode="strict"))
+
+    @pytest.mark.parametrize("mode, bad, error, reason", [
+        ("lenient", b'<http://a.org/s> <http://a.org/p> "open .',
+         MalformedLineError, "unterminated literal"),
+        ("lenient", b'_:b <http://a.org/p> "x" .', MalformedLineError,
+         "blank node outside supported subset"),
+        ("strict", b'_:b <http://a.org/p> "x" .', MalformedLineError,
+         "blank node outside supported subset"),
+        ("lenient", b'<http://a.org/s> <http://a.org/p> "\xff" .',
+         EncodingError, "invalid start byte"),
+    ], ids=["malformed", "blank_node", "blank_node_strict", "undecodable"])
+    def test_no_diagnostics_list_raises(self, mode, bad, error, reason):
+        # with nowhere to record it, a line set aside is an error, never
+        # a silent drop; strict mode already raises on the other two
+        payload = b'<http://a.org/s> <http://a.org/p> "ok" .\n' + bad + b"\n"
+        with pytest.raises(error) as err:
+            list(parse_triples(io.BytesIO(payload), mode=mode))
+        assert err.value.line == 2
+        assert reason in err.value.reason
+
+    def test_parse_files_without_a_list_raises(self, tmp_path):
+        path = tmp_path / "bad.nt"
+        path.write_text('<http://a.org/s> <http://a.org/p> "ok" .\n'
+                        "broken line\n")
+        found = []
+        assert len(parse_files([str(path)], diagnostics=found)) == 1
+        assert [(p, d.line) for p, d in found] == [(str(path), 2)]
+        with pytest.raises(MalformedLineError):
+            parse_files([str(path)])
 
     def test_unknown_format_or_mode(self):
         with pytest.raises(ValueError):
@@ -400,9 +429,15 @@ class TestSourceExtraction:
         assert extract_source("http://a.b.example.co.uk/x",
                               POLICY_PLD) == "example.co.uk"
 
-    def test_no_authority(self):
-        with pytest.raises(NoAuthorityError):
-            extract_source("urn:isbn:0451450523")
+    @pytest.mark.parametrize("iri", [
+        "urn:isbn:0451450523",
+        "http://[::1/x",        # urlsplit rejects the authority
+        "http://[::1 /x",       # ... also where it reads the IRI whole
+        "http:///x",
+    ])
+    def test_no_authority_is_no_source(self, iri):
+        for policy in POLICIES:
+            assert extract_source(iri, policy) is None
 
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
@@ -445,13 +480,9 @@ class TestSourceExtraction:
                     host = urlsplit(iri).hostname
                 except ValueError:
                     host = None
-                if host is None:
-                    with pytest.raises(NoAuthorityError):
-                        extract_source(iri, policy)
-                else:
-                    expected = pay_level_domain(host) \
-                        if policy == POLICY_PLD else host
-                    assert extract_source(iri, policy) == expected
+                expected = pay_level_domain(host) \
+                    if host and policy == POLICY_PLD else host
+                assert extract_source(iri, policy) == expected
 
     def test_authority_is_looked_up_once(self, monkeypatch):
         calls = []

@@ -8,7 +8,7 @@ import pytest
 from ldtruth import cli
 from ldtruth.cli import SETTINGS, main
 from ldtruth.eval_harness import SynthConfig
-from ldtruth.prior_belief import PriorConfig
+from ldtruth.prior_belief import PriorBeliefs, PriorConfig
 from ldtruth.truth_engine import EngineConfig
 
 # INI key -> (file value, flag value), both valid and off the default
@@ -42,7 +42,8 @@ def seen(monkeypatch):
     def assemble(statements, **kwargs):
         calls.update(kwargs)
         store = types.SimpleNamespace(drop_counts={})
-        return types.SimpleNamespace(store=store, priors=None, link_drops={})
+        priors = PriorBeliefs({}, {}, 0, 0.0, True)
+        return types.SimpleNamespace(store=store, priors=priors, link_drops={})
 
     def stop(name):
         def spy(*args):

@@ -313,6 +313,11 @@ def ladder_priors():
                         residual=0.0, converged=True)
 
 
+def empty_priors():
+    return PriorBeliefs(br={}, nbr={}, sweeps_used=0, residual=0.0,
+                        converged=True)
+
+
 class TestResolveAll:
 
     def test_trust_ladder_snapshots_are_exact(self):
@@ -357,7 +362,7 @@ class TestResolveAll:
 
     def test_no_priors_means_neutral_start_and_instant_convergence(self):
         store = store_from_claims(ladder_rows())
-        result = resolve_all(store)
+        result = resolve_all(store, empty_priors())
         assert result.converged
         assert result.iterations == 1
         # symmetric evidence, so ties resolve by canonical value order
@@ -374,8 +379,8 @@ class TestResolveAll:
                 for s in rng.sample(sources, rng.randrange(1, 3)):
                     rows.append((f"e{k}", "p", number(v), s))
         store = store_from_claims(rows)
-        first = resolve_all(store)
-        second = resolve_all(store)
+        first = resolve_all(store, empty_priors())
+        second = resolve_all(store, empty_priors())
         assert first.decisions == second.decisions
         assert first.trust.t_smoothed == second.trust.t_smoothed
         assert first.trace == second.trace
