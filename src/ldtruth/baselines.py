@@ -15,6 +15,7 @@ from .rdf_ingest import ClaimStore, ConflictSet
 from .similarity import sim
 from .truth_engine import Decision, decide, source_trustworthiness
 
+METHOD_ENGINE = "ldtruth"
 METHOD_VOTE = "vote"
 METHOD_TRUTHFINDER = "truthfinder"
 

@@ -10,7 +10,6 @@ default.  Output files are written atomically via rename.
 from __future__ import annotations
 
 import argparse
-import configparser
 import gc
 import json
 import os
@@ -18,9 +17,7 @@ import sys
 from functools import reduce
 from operator import add
 
-from .baselines import METHOD_TRUTHFINDER, METHOD_VOTE
-from .eval_harness import (METHOD_ENGINE, SynthConfig, generate, run_benchmark,
-                           run_method)
+from .baselines import METHOD_ENGINE, METHOD_TRUTHFINDER, METHOD_VOTE
 from .graph_model import build_sameas_graph, project_to_sbg, sbg_to_tsv
 from .pipeline import assemble, parse_files
 from .prior_belief import DEFAULT_PRIOR, PriorConfig, compute_prior
@@ -78,15 +75,23 @@ _FLAG_EXTRAS = {
     "damping": {"help": "prior damping factor"},
 }
 
+
+def _synth_config(**given):
+    # the harness loads only for the commands that generate corpora
+    from .eval_harness import SynthConfig
+    return SynthConfig(**given)
+
+
 # what each section builds; "run" settings stay a plain dict
 _CONFIGS = {"run": dict, "prior": PriorConfig, "engine": EngineConfig,
-            "synth": SynthConfig}
+            "synth": _synth_config}
 
 
 def _load_config(path: str | None) -> dict:
     """Read an INI settings file; unknown sections and keys are errors."""
     if not path:
         return {}
+    import configparser
     # an empty default section name turns off the [DEFAULT] fallback, so a
     # [DEFAULT] header is checked like any other section
     parser = configparser.ConfigParser(default_section="")
@@ -257,6 +262,7 @@ def cmd_prior(args, filecfg: dict) -> int:
 
 
 def cmd_synth(args, filecfg: dict) -> int:
+    from .eval_harness import generate
     cfg = _config(args, filecfg, "synth")
     result = generate(cfg)
     os.makedirs(args.out, exist_ok=True)
@@ -277,6 +283,7 @@ def cmd_synth(args, filecfg: dict) -> int:
 
 
 def cmd_eval(args, filecfg: dict) -> int:
+    from .eval_harness import run_benchmark
     cfg = _config(args, filecfg, "synth")
     if args.runs < 1:
         raise ValueError("--runs must be at least 1")
@@ -314,6 +321,7 @@ def cmd_eval(args, filecfg: dict) -> int:
 
 
 def cmd_baseline(args, filecfg: dict) -> int:
+    from .eval_harness import run_method
     built = _assemble(args, filecfg)[0]
     store = built.store
     decisions, iterations, converged, _ = run_method(args.method, store,

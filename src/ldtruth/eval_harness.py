@@ -17,14 +17,13 @@ import time
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 
-from .baselines import METHOD_TRUTHFINDER, METHOD_VOTE, truthfinder, vote_all
+from .baselines import (METHOD_ENGINE, METHOD_TRUTHFINDER, METHOD_VOTE,
+                        truthfinder, vote_all)
 from .pipeline import assemble
 from .prior_belief import DEFAULT_PRIOR, PriorConfig
 from .rdf_ingest import FORMAT_NTRIPLES, OWL_SAMEAS, parse_triples
 from .truth_engine import DEFAULT_ENGINE, EngineConfig, resolve_all
 from .values import NormalizedValue
-
-METHOD_ENGINE = "ldtruth"
 
 _KINDS = ("number", "date", "text")
 _XSD_DECIMAL = "http://www.w3.org/2001/XMLSchema#decimal"

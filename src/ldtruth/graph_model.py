@@ -10,13 +10,12 @@ that multigraph is what the reliability prior runs on.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .rdf_ingest import extract_source, is_identity_link, statement_source
 
 
-@dataclass
-class SameAsGraph:
+class SameAsGraph(NamedTuple):
     vertices: set
     edges: list     # (subject, object, graph or None) per identity link
 
@@ -39,8 +38,7 @@ def build_sameas_graph(statements) -> SameAsGraph:
     return SameAsGraph(vertices, edges)
 
 
-@dataclass
-class EntityClusterMap:
+class EntityClusterMap(NamedTuple):
     """Total map from IRIs to entity ids.
 
     An IRI never touched by an identity link is its own singleton
@@ -77,9 +75,8 @@ def sameas_closure(graph: SameAsGraph) -> EntityClusterMap:
     return EntityClusterMap(parent, members)
 
 
-@dataclass
 class SourceBeliefGraph:
-    """Directed endorsement multigraph over sources.
+    """Directed endorsement multigraph over sources, empty when made.
 
     ``multiplicity[(a, b)]`` counts parallel links from a to b, and
     ``out_degree[a]`` sums every outgoing multiplicity.  Links left out
@@ -87,10 +84,11 @@ class SourceBeliefGraph:
     ``no_source`` or ``missing_graph``.
     """
 
-    vertices: set = field(default_factory=set)
-    multiplicity: dict = field(default_factory=dict)
-    out_degree: dict = field(default_factory=dict)
-    drop_counts: Counter = field(default_factory=Counter)
+    def __init__(self):
+        self.vertices = set()
+        self.multiplicity = {}
+        self.out_degree = {}
+        self.drop_counts = Counter()
 
     def add_edge(self, a: str, b: str):
         if a == b:

@@ -21,9 +21,9 @@ the interpreted loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import frexp, inf, ldexp, prod
+from typing import NamedTuple
 
 # largest forest summed exactly: up to here enumeration beats cold
 # propagation on trees of similarity tables (cost table in CHANGES.md)
@@ -38,24 +38,22 @@ _BITS = [[bytes(s >> n - 1 - i & 1 for s in range(1 << n)) for i in range(n)]
          for n in range(EXACT_NODES + 1)]
 
 
-@dataclass
 class MarkovField:
     """``unary[i]`` is (phi(0), phi(1)); ``edges`` holds (i, j, psi) with
     i < j and ``psi[a][b]`` scoring state a at i against state b at j.
     Every potential is positive and finite.  ``unary`` may be replaced by
     such pairs of the same length."""
 
-    unary: list
-    edges: list
-
-    def __post_init__(self):
-        n = len(self.unary)
-        for p0, p1 in self.unary:
+    def __init__(self, unary: list, edges: list):
+        self.unary = unary
+        self.edges = edges
+        n = len(unary)
+        for p0, p1 in unary:
             if not (0.0 < p0 < inf and 0.0 < p1 < inf):
                 raise ValueError("unary potentials must be positive and finite")
         linked = [{i} for i in range(n)]   # nodes joined to i by edges so far
         cyclic = False
-        for i, j, psi in self.edges:
+        for i, j, psi in edges:
             if not 0 <= i < j < n:
                 raise ValueError(f"bad edge endpoints ({i}, {j})")
             if not all(0.0 < w < inf for w in (*psi[0], *psi[1])):
@@ -187,8 +185,7 @@ def _flood(n, pairs):
     return _build(lines, "flood")
 
 
-@dataclass
-class BpResult:
+class BpResult(NamedTuple):
     marginals: list
     converged: bool
     rounds: int

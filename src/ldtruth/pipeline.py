@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import gzip
 import io
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph_model import build_sameas_graph, project_to_sbg, sameas_closure
 from .prior_belief import DEFAULT_PRIOR, PriorConfig, compute_prior
@@ -12,8 +12,7 @@ from .rdf_ingest import (FORMAT_NQUADS, FORMAT_NTRIPLES, build_claims,
                          parse_triples)
 
 
-@dataclass
-class Assembled:
+class Assembled(NamedTuple):
     store: object
     priors: object
     link_drops: dict    # identity links left out of the source graph, by reason

@@ -9,18 +9,23 @@ trust update can mix them with claim-level evidence on a shared scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph_model import SourceBeliefGraph
 
 
-@dataclass(frozen=True)
-class PriorConfig:
+class _PriorFields(NamedTuple):
     damping: float = 0.85
     tolerance: float = 1e-9
     max_sweeps: int = 200
 
-    def __post_init__(self):
+
+class PriorConfig(_PriorFields):
+    __slots__ = ()
+    _make = classmethod(lambda cls, row: cls(*row))  # so _replace checks
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 <= self.damping < 1.0:
             raise ValueError("damping must be in [0, 1)")
         # written so that NaN fails the check
@@ -28,13 +33,13 @@ class PriorConfig:
             raise ValueError("tolerance must be positive")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be at least 1")
+        return self
 
 
 DEFAULT_PRIOR = PriorConfig()
 
 
-@dataclass
-class PriorBeliefs:
+class PriorBeliefs(NamedTuple):
     br: dict
     nbr: dict
     sweeps_used: int

@@ -16,7 +16,7 @@ import io
 import re
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from typing import NamedTuple
 from urllib.parse import urlsplit
 
 from .public_suffix import pay_level_domain
@@ -47,8 +47,7 @@ class EncodingError(MalformedLineError):
     """Raised, as a malformed line is, for a line that is not valid UTF-8."""
 
 
-@dataclass(frozen=True, slots=True)
-class RdfStatement:
+class RdfStatement(NamedTuple):
     """One statement; ``object`` is an IRI, or a literal's lexical form
     when ``is_literal``."""
 
@@ -62,34 +61,36 @@ class RdfStatement:
     line: int = 0
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     line: int
     category: str
     reason: str
 
 
-@dataclass(frozen=True)
-class ObjectSupport:
+class ObjectSupport(NamedTuple):
     value: NormalizedValue
     sources: tuple      # the supporting sources, sorted
 
 
-@dataclass(frozen=True)
-class ConflictSet:
-    """All mutually exclusive candidates for one (entity, predicate) slot."""
-
+class _ConflictSetFields(NamedTuple):
     entity: str
     predicate: str
     objects: tuple
 
-    def __post_init__(self):
-        if len(self.objects) < 2:
+
+class ConflictSet(_ConflictSetFields):
+    """All mutually exclusive candidates for one (entity, predicate) slot."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, row: cls(*row))  # so _replace checks
+
+    def __new__(cls, entity: str, predicate: str, objects: tuple):
+        if len(objects) < 2:
             raise ValueError("a conflict set needs at least two candidates")
+        return tuple.__new__(cls, (entity, predicate, objects))
 
 
-@dataclass
-class ClaimStore:
+class ClaimStore(NamedTuple):
     """(entity, predicate, value, source) claims in first-seen order, the
     conflict sets by sorted key, and ``incidence``: every claim source,
     sorted, to the ascending (key, candidate slot) pairs it backs."""
@@ -97,7 +98,7 @@ class ClaimStore:
     claims: list
     conflict_sets: dict
     incidence: dict
-    drop_counts: dict = field(default_factory=dict)
+    drop_counts: dict
 
 
 _IRI_CHAR = r'[^<>"{}|^`\\\x00-\x20]'
@@ -209,11 +210,11 @@ def _parse_plain(text: str, lineno: int, fmt: str):
             (graph is not None and fmt != FORMAT_NQUADS):
         return None
     is_literal = iri is None
-    # nearly every line repeats a predicate, so statements share one copy
-    # of each; subjects repeat too seldom to pay for the lookup
+    # statements share one copy of each predicate and graph, which nearly
+    # every line repeats; subjects repeat too seldom to pay for the lookup
     return RdfStatement(subject, sys.intern(predicate),
-                        lexical if is_literal else iri,
-                        is_literal, datatype, lang, graph, lineno)
+                        lexical if is_literal else iri, is_literal, datatype,
+                        lang, graph and sys.intern(graph), lineno)
 
 
 def _parse_line(text: str, lineno: int, fmt: str):
@@ -242,8 +243,8 @@ def _parse_line(text: str, lineno: int, fmt: str):
         return "bnode"
     if ":" not in subject[0] or ":" not in predicate[0]:
         raise MalformedLineError(lineno, "relative IRI in subject or predicate")
-    return RdfStatement(subject[0], sys.intern(predicate[0]), *obj, graph[0],
-                        lineno)
+    return RdfStatement(subject[0], sys.intern(predicate[0]), *obj,
+                        graph[0] and sys.intern(graph[0]), lineno)
 
 
 def _iter_decoded_lines(source, mode: str, diagnostics):

@@ -17,9 +17,9 @@ sweep, with propagation warm-started from the set's previous messages.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from operator import add
+from typing import NamedTuple
 
 from .mrf import MarkovField, loopy_bp
 from .prior_belief import PriorBeliefs
@@ -27,8 +27,7 @@ from .rdf_ingest import ClaimStore, ConflictSet
 from .similarity import sim
 
 
-@dataclass(frozen=True)
-class EngineConfig:
+class _EngineFields(NamedTuple):
     t0: float = 0.5
     outer_threshold: float = 1e-3
     outer_max: int = 20
@@ -39,7 +38,13 @@ class EngineConfig:
     coupling: float = 1.0
     dissimilar_false_factor: float = -0.5
 
-    def __post_init__(self):
+
+class EngineConfig(_EngineFields):
+    __slots__ = ()
+    _make = classmethod(lambda cls, row: cls(*row))  # so _replace checks
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 < self.t0 < 1.0:
             raise ValueError("t0 must be strictly between 0 and 1")
         # written so that NaN fails the check
@@ -57,19 +62,18 @@ class EngineConfig:
         if not self.coupling * max(abs(self.dissimilar_false_factor), 1.0) <= 709:
             raise ValueError("coupling * max(1, |dissimilar_false_factor|) "
                              "must be at most 709")
+        return self
 
 
 DEFAULT_ENGINE = EngineConfig()
 
 
-@dataclass
-class TrustState:
+class TrustState(NamedTuple):
     t: dict
     t_smoothed: dict
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     """The value one method chose for one conflict set.
 
     ``scores`` holds one number per candidate, in object order: the truth
@@ -83,8 +87,7 @@ class Decision:
     scores: tuple
 
 
-@dataclass
-class ResolutionResult:
+class ResolutionResult(NamedTuple):
     decisions: list
     trust: TrustState
     trace: list         # (iteration, mean delta tau, max delta tau) per sweep

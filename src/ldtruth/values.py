@@ -13,9 +13,9 @@ text rather than being guessed at.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal,
                      InvalidOperation)
+from typing import NamedTuple
 
 KIND_NUMBER = "number"
 KIND_DATE = "date"
@@ -73,26 +73,32 @@ _NAME_YEAR = re.compile(r"^([A-Za-z]+)\s+(\d{4})$")
 _TIMEZONE = re.compile(r"(Z|[+-]\d\d:\d\d)$")
 
 
-@dataclass(frozen=True)
-class NormalizedValue:
+class _ValueFields(NamedTuple):
+    kind: str
+    payload: Decimal | tuple | str
+
+
+class NormalizedValue(_ValueFields):
     """One canonical claim object.
 
     The payload's type is the one ``kind`` names.  Date components use
     ``None`` as the wildcard; a concrete day is only allowed when the
-    month is concrete too, and must exist in that month.
+    month is concrete too, and must exist in that month.  As a tuple it
+    hashes and compares as ``(kind, payload)``.
     """
 
-    kind: str
-    payload: Decimal | tuple | str
+    __slots__ = ()
+    _make = classmethod(lambda cls, row: cls(*row))  # so _replace checks
 
-    def __post_init__(self):
+    def __new__(cls, kind: str, payload):
         # an unknown kind has no payload type, so nothing passes
-        if not isinstance(self.payload, _PAYLOAD_TYPE.get(self.kind, ())):
-            raise ValueError(f"no {self.kind!r} value holds {self.payload!r}")
-        if self.kind == KIND_DATE:
+        if not isinstance(payload, _PAYLOAD_TYPE.get(kind, ())):
+            raise ValueError(f"no {kind!r} value holds {payload!r}")
+        if kind == KIND_DATE:
             # the same calendar rule the parsers apply
-            if not isinstance(self.payload[0], int) or _checked(*self.payload) is None:
-                raise ValueError(f"no such date: {self.payload}")
+            if not isinstance(payload[0], int) or _checked(*payload) is None:
+                raise ValueError(f"no such date: {payload}")
+        return tuple.__new__(cls, (kind, payload))
 
     @classmethod
     def from_number(cls, value) -> "NormalizedValue":

@@ -652,7 +652,8 @@ class TestFoldedSums:
         rows = [{"seed": k, "conflict_sets": 1,
                  "report": {"vote": {"accuracy": acc, "seconds": 0.0}}}
                 for k, acc in enumerate((0.1, 0.2, 0.3))]
-        monkeypatch.setattr(cli, "run_benchmark", lambda *a, **k: rows)
+        monkeypatch.setattr(eval_harness, "run_benchmark",
+                            lambda *a, **k: rows)
         assert main(["eval", "--seeds", "0,1,2", "--methods", "vote",
                      "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "report.json").read_text())

@@ -2,7 +2,6 @@
 
 import io
 import random
-from dataclasses import FrozenInstanceError, replace
 from urllib.parse import urlsplit
 
 import pytest
@@ -42,6 +41,10 @@ IRIS = strategies.from_regex(r"[a-z][a-z0-9+.-]*:" + _IRI_BODY, fullmatch=True)
 
 
 def _statements(obj, **annotations):
+    # builds draws every field of a NamedTuple, so pin each default
+    annotations = {"is_literal": strategies.just(False),
+                   "datatype": strategies.none(), "lang": strategies.none(),
+                   **annotations}
     return strategies.builds(RdfStatement, IRIS, IRIS, obj, **annotations,
                              graph=strategies.none() | IRIS,
                              line=strategies.just(1))
@@ -399,7 +402,7 @@ class TestPlainLineFastPath:
         assert _parse_plain(varied, 1, FORMAT_NQUADS) is None
         if variant == "escape":
             assert parse_one(varied, fmt=FORMAT_NQUADS, mode="strict") == \
-                replace(statement, subject=statement.subject + "A")
+                statement._replace(subject=statement.subject + "A")
 
     @pytest.mark.parametrize("line", [
         '<http://a.org/s> <http://a.org/p> "x"@en <http://g.org/g> .',
@@ -410,7 +413,7 @@ class TestPlainLineFastPath:
         assert not hasattr(st, "__dict__")
         assert (st.object, st.is_literal, st.lang, st.graph) == \
             ("x", True, "en", "http://g.org/g")
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError):
             st.object = "y"
 
     def test_fourth_term_defers_in_triples(self):

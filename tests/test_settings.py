@@ -5,7 +5,7 @@ import types
 
 import pytest
 
-from ldtruth import cli
+from ldtruth import cli, eval_harness
 from ldtruth.cli import SETTINGS, main
 from ldtruth.eval_harness import SynthConfig
 from ldtruth.prior_belief import PriorBeliefs, PriorConfig
@@ -53,7 +53,7 @@ def seen(monkeypatch):
 
     monkeypatch.setattr(cli, "assemble", assemble)
     monkeypatch.setattr(cli, "resolve_all", stop("engine"))
-    monkeypatch.setattr(cli, "generate", stop("synth"))
+    monkeypatch.setattr(eval_harness, "generate", stop("synth"))
     return calls
 
 
