@@ -13,11 +13,13 @@ import math
 
 from .rdf_ingest import ClaimStore, ConflictSet
 from .similarity import sim
-from .truth_engine import Decision, decide, source_trustworthiness
+from .truth_engine import (DEFAULT_ENGINE, Decision, EngineConfig, decide,
+                           resolve_all, source_trustworthiness)
 
 METHOD_ENGINE = "ldtruth"
 METHOD_VOTE = "vote"
 METHOD_TRUTHFINDER = "truthfinder"
+METHODS = (METHOD_ENGINE, METHOD_VOTE, METHOD_TRUTHFINDER)
 
 # truthfinder's starting trust, sigmoid dampening, weight of similar
 # candidates' scores, and its stopping rule
@@ -88,3 +90,22 @@ def truthfinder(store: ClaimStore):
 
     decisions = [decide(cs, confidences[k], trust) for k, cs in sets.items()]
     return decisions, trust, iterations, converged
+
+
+def run_method(method: str, store: ClaimStore, priors,
+               engine_cfg: EngineConfig = DEFAULT_ENGINE):
+    """Decide every conflict set of ``store`` with the named method.
+
+    Returns (decisions, iterations, converged, trace), each of the last
+    three None where the method has none; only the engine reads ``priors``.
+    """
+    if method == METHOD_ENGINE:
+        result = resolve_all(store, priors, engine_cfg)
+        return (result.decisions, result.iterations, result.converged,
+                result.trace)
+    if method == METHOD_VOTE:
+        return vote_all(store), None, None, None
+    if method == METHOD_TRUTHFINDER:
+        decisions, _, iterations, converged = truthfinder(store)
+        return decisions, iterations, converged, None
+    raise ValueError(f"unknown method: {method!r}")

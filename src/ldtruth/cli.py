@@ -17,7 +17,8 @@ import sys
 from functools import reduce
 from operator import add
 
-from .baselines import METHOD_ENGINE, METHOD_TRUTHFINDER, METHOD_VOTE
+from .baselines import (METHOD_ENGINE, METHOD_TRUTHFINDER, METHOD_VOTE,
+                        run_method)
 from .graph_model import build_sameas_graph, project_to_sbg, sbg_to_tsv
 from .pipeline import assemble, parse_files
 from .prior_belief import DEFAULT_PRIOR, PriorConfig, compute_prior
@@ -321,7 +322,6 @@ def cmd_eval(args, filecfg: dict) -> int:
 
 
 def cmd_baseline(args, filecfg: dict) -> int:
-    from .eval_harness import run_method
     built = _assemble(args, filecfg)[0]
     store = built.store
     decisions, iterations, converged, _ = run_method(args.method, store,

@@ -17,12 +17,11 @@ import time
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 
-from .baselines import (METHOD_ENGINE, METHOD_TRUTHFINDER, METHOD_VOTE,
-                        truthfinder, vote_all)
+from .baselines import METHOD_ENGINE, METHOD_VOTE, METHODS, run_method
 from .pipeline import assemble
 from .prior_belief import DEFAULT_PRIOR, PriorConfig
 from .rdf_ingest import FORMAT_NTRIPLES, OWL_SAMEAS, parse_triples
-from .truth_engine import DEFAULT_ENGINE, EngineConfig, resolve_all
+from .truth_engine import DEFAULT_ENGINE, EngineConfig
 from .values import NormalizedValue
 
 _KINDS = ("number", "date", "text")
@@ -101,7 +100,6 @@ class SynthResult:
     triples: str
     gold: GoldStandard
     reliabilities: dict
-    claim_counts: dict
     unanimous_slots: int
 
 
@@ -265,7 +263,6 @@ def generate(cfg: SynthConfig) -> SynthResult:
     sameas_lines = []
     gold = GoldStandard()
     pending_gold = []
-    claim_counts = {h: 0 for h in hosts}
     mentioned = {}
     unanimous = 0
 
@@ -312,12 +309,9 @@ def generate(cfg: SynthConfig) -> SynthResult:
         conflicting = len(set(asserted)) >= 2
         members = mentioned.setdefault(entity_idx, [])
         for s, value in zip(supporters, asserted):
-            host = hosts[s]
-            subject = _entity_iri(host, entity_idx)
+            subject = _entity_iri(hosts[s], entity_idx)
             claim_lines.append(
                 f"<{subject}> <{predicate}> {_literal_for(rng, value)} .")
-            if conflicting:
-                claim_counts[host] += 1
             if s not in members:
                 members.append(s)
         if conflicting:
@@ -361,8 +355,7 @@ def generate(cfg: SynthConfig) -> SynthResult:
         gold.truths[(cluster, predicate)] = gold_value
 
     triples = "\n".join(claim_lines + sameas_lines) + "\n"
-    return SynthResult(triples=triples, gold=gold,
-                       reliabilities=reliability, claim_counts=claim_counts,
+    return SynthResult(triples=triples, gold=gold, reliabilities=reliability,
                        unanimous_slots=unanimous)
 
 
@@ -391,25 +384,6 @@ def no_dominant_config(seed: int = 0) -> SynthConfig:
         decoy_concentration=1.8, seed=seed)
 
 
-def run_method(method: str, store, priors,
-               engine_cfg: EngineConfig = DEFAULT_ENGINE):
-    """Decide every conflict set of ``store`` with the named method.
-
-    Returns (decisions, iterations, converged, trace), each of the last
-    three None where the method has none; only the engine reads ``priors``.
-    """
-    if method == METHOD_ENGINE:
-        result = resolve_all(store, priors, engine_cfg)
-        return (result.decisions, result.iterations, result.converged,
-                result.trace)
-    if method == METHOD_VOTE:
-        return vote_all(store), None, None, None
-    if method == METHOD_TRUTHFINDER:
-        decisions, _, iterations, converged = truthfinder(store)
-        return decisions, iterations, converged, None
-    raise ValueError(f"unknown method: {method!r}")
-
-
 def run_methods(store, priors, gold: GoldStandard, methods,
                 engine_cfg: EngineConfig = DEFAULT_ENGINE) -> dict:
     """Score each requested method on an assembled store."""
@@ -430,6 +404,9 @@ def run_benchmark(base_cfg: SynthConfig, seeds, methods=None,
                   prior_cfg: PriorConfig = DEFAULT_PRIOR) -> list:
     """Generate, assemble and score one corpus per seed."""
     methods = list(methods or (METHOD_ENGINE, METHOD_VOTE))
+    for method in methods:
+        if method not in METHODS:
+            raise ValueError(f"unknown method: {method!r}")
     rows = []
     for seed in seeds:
         synth = generate(replace(base_cfg, seed=seed))

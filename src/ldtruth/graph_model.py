@@ -16,7 +16,6 @@ from .rdf_ingest import extract_source, is_identity_link, statement_source
 
 
 class SameAsGraph(NamedTuple):
-    vertices: set
     edges: list     # (subject, object, graph or None) per identity link
 
     @property
@@ -26,16 +25,8 @@ class SameAsGraph(NamedTuple):
 
 def build_sameas_graph(statements) -> SameAsGraph:
     """Collect directed identity links whose object is an IRI."""
-    vertices = set()
-    edges = []
-    for st in statements:
-        if not is_identity_link(st):
-            continue
-        u, v = st.subject, st.object
-        vertices.add(u)
-        vertices.add(v)
-        edges.append((u, v, st.graph))
-    return SameAsGraph(vertices, edges)
+    return SameAsGraph([(st.subject, st.object, st.graph)
+                        for st in statements if is_identity_link(st)])
 
 
 class EntityClusterMap(NamedTuple):
@@ -47,17 +38,27 @@ class EntityClusterMap(NamedTuple):
     """
 
     cluster_of: dict
-    members: dict
 
     def cluster(self, iri: str) -> str:
         return self.cluster_of.get(iri, iri)
+
+    @property
+    def members(self) -> dict:
+        """Each linked component's IRIs, sorted, by root; grouped when read."""
+        members = {}
+        for iri in sorted(self.cluster_of):
+            members.setdefault(self.cluster_of[iri], []).append(iri)
+        return members
 
 
 def sameas_closure(graph: SameAsGraph) -> EntityClusterMap:
     """Connected components of the undirected identity graph.  Each union
     hangs the larger root under the smaller, so a root is the smallest
     IRI of its component."""
-    parent = {v: v for v in graph.vertices}
+    parent = {}
+    for u, v, _ in graph.edges:
+        parent[u] = u
+        parent[v] = v
 
     def find(x):
         while parent[x] != x:
@@ -68,11 +69,9 @@ def sameas_closure(graph: SameAsGraph) -> EntityClusterMap:
         low, high = sorted((find(u), find(v)))
         parent[high] = low
     # point every vertex at its root: the parent dict is the cluster map
-    members = {}
-    for v in sorted(parent):
-        parent[v] = root = find(v)
-        members.setdefault(root, []).append(v)
-    return EntityClusterMap(parent, members)
+    for v in parent:
+        parent[v] = find(v)
+    return EntityClusterMap(parent)
 
 
 class SourceBeliefGraph:

@@ -58,7 +58,6 @@ class RdfStatement(NamedTuple):
     datatype: str | None = None
     lang: str | None = None
     graph: str | None = None
-    line: int = 0
 
 
 class Diagnostic(NamedTuple):
@@ -199,7 +198,7 @@ def _parse_term(text: str, pos: int, line: int, *, allow_literal: bool):
     raise MalformedLineError(line, f"unexpected character {ch!r}")
 
 
-def _parse_plain(text: str, lineno: int, fmt: str):
+def _parse_plain(text: str, fmt: str):
     """The statement of a plain line, or None to defer to ``_parse_line``:
     one pattern match instead of the term-by-term scan."""
     match = _PLAIN_LINE_RE.fullmatch(text)
@@ -214,7 +213,7 @@ def _parse_plain(text: str, lineno: int, fmt: str):
     # every line repeats; subjects repeat too seldom to pay for the lookup
     return RdfStatement(subject, sys.intern(predicate),
                         lexical if is_literal else iri, is_literal, datatype,
-                        lang, graph and sys.intern(graph), lineno)
+                        lang, graph and sys.intern(graph))
 
 
 def _parse_line(text: str, lineno: int, fmt: str):
@@ -244,7 +243,7 @@ def _parse_line(text: str, lineno: int, fmt: str):
     if ":" not in subject[0] or ":" not in predicate[0]:
         raise MalformedLineError(lineno, "relative IRI in subject or predicate")
     return RdfStatement(subject[0], sys.intern(predicate[0]), *obj,
-                        graph[0] and sys.intern(graph[0]), lineno)
+                        graph[0] and sys.intern(graph[0]))
 
 
 def _iter_decoded_lines(source, mode: str, diagnostics):
@@ -270,14 +269,15 @@ def parse_triples(source, fmt: str = FORMAT_NTRIPLES, mode: str = "lenient",
     records a diagnostic in ``diagnostics`` and keeps going.  A line set
     aside is never dropped unrecorded: without a ``diagnostics`` list,
     a malformed, undecodable or blank-node line raises in either mode.
-    Statement line numbers are 1-based positions in the input.
+    Line numbers, on diagnostics and errors, are 1-based positions in
+    the input; a statement carries none.
     """
     if fmt not in (FORMAT_NTRIPLES, FORMAT_NQUADS):
         raise ValueError(f"unknown format: {fmt!r}")
     if mode not in ("lenient", "strict"):
         raise ValueError(f"unknown mode: {mode!r}")
     for lineno, text in _iter_decoded_lines(source, mode, diagnostics):
-        parsed = _parse_plain(text, lineno, fmt)
+        parsed = _parse_plain(text, fmt)
         if parsed is not None:
             yield parsed
             continue

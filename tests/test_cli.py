@@ -8,6 +8,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -627,6 +628,39 @@ class TestGoldenOutputs:
                  ).hexdigest() for run, name in self.DIGESTS}
         assert found == self.DIGESTS
 
+    # the same corpus as gzip N-Quads: hosts renamed to registrable
+    # .co.uk names and each line in its subject's host's graph
+    QUAD_DIGESTS = {
+        ("pld", "decisions.jsonl"):
+            "24bd7d7faebd0dabccdd93ad6e20a4e628083d45b0bab1eb9586350ee9abcfbd",
+        ("pld", "trace.csv"):
+            "b2a3038be241c5df43fd3e3910ffe3d7804f1c76bde2ab6ae4b2340e225ffe84",
+        ("pld", "source_trust.tsv"):
+            "aae0008e12b1bc50e47417ca0053b0ff804f2dcfb65b4139fcdb08423aafd594",
+        ("graph", "decisions.jsonl"):
+            "a670d63e9ae28185e1523b78a4d45bb0811ebbab6262c4d01783363867445f77",
+        ("graph", "trace.csv"):
+            "b2a3038be241c5df43fd3e3910ffe3d7804f1c76bde2ab6ae4b2340e225ffe84",
+        ("graph", "source_trust.tsv"):
+            "9544d07ff9b957851413f15c77528da2fea119421df4ccfa32e42e032aa1447a",
+    }
+
+    def test_nquads_digests(self, corpus_dir, tmp_path):
+        triples = re.sub(r"src(\d{3})\.example\.org", r"data.src\1.co.uk",
+                         (corpus_dir / "corpus.nt").read_text())
+        quads = tmp_path / "corpus.nq.gz"
+        with gzip.open(quads, "wt", encoding="utf-8") as handle:
+            for line in triples.splitlines():
+                host = line[len("<http://"):line.index("/", len("<http://"))]
+                handle.write(f"{line[:-2]} <http://{host}/graph> .\n")
+        for policy in ("pld", "graph"):
+            assert main(["resolve", "--input", str(quads), "--policy", policy,
+                         "--out", str(tmp_path / policy)]) == 0
+        found = {(run, name): hashlib.sha256(
+                     (tmp_path / run / name).read_bytes()).hexdigest()
+                 for run, name in self.QUAD_DIGESTS}
+        assert found == self.QUAD_DIGESTS
+
 
 class TestFoldedSums:
     """From Python 3.12 the builtin ``sum`` compensates float sums; the
@@ -682,6 +716,18 @@ class TestEvalCommand:
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err == \
             "ERROR: --runs must be at least 1\n"
+        assert not out.exists()
+
+    def test_unknown_method_fails_before_any_corpus(self, tmp_path, capsys,
+                                                    monkeypatch):
+        def generate(cfg):
+            raise AssertionError("generated a corpus for a bad method list")
+
+        monkeypatch.setattr(eval_harness, "generate", generate)
+        out = tmp_path / "eval"
+        assert main(["eval", *SYNTH_FLAGS, "--methods", "ldtruth,bogus",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "ERROR: unknown method: 'bogus'\n"
         assert not out.exists()
 
 

@@ -9,10 +9,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ldtruth.baselines import METHOD_ENGINE, METHOD_TRUTHFINDER, METHOD_VOTE
 from ldtruth.eval_harness import (
-    METHOD_ENGINE,
-    METHOD_TRUTHFINDER,
-    METHOD_VOTE,
     GoldStandard,
     MissingDecisionError,
     SynthConfig,
@@ -120,8 +118,12 @@ class TestGenerate:
             assert value in {obj.value for obj in cs.objects}
 
     def test_claim_volume_is_heavy_tailed(self):
-        synth = generate(SynthConfig(seed=42))
-        counts = sorted(synth.claim_counts.values(), reverse=True)
+        cfg = SynthConfig(seed=42)
+        _, built = assemble_small(cfg)
+        # conflict claims per source, a source with none counting 0
+        incidence = built.store.incidence
+        counts = sorted((len(incidence.get(f"src{i:03d}.example.org", ()))
+                         for i in range(cfg.n_sources)), reverse=True)
         assert sum(counts[:5]) / sum(counts) >= 0.6
         light = sum(1 for c in counts if c <= 25)
         assert light / len(counts) >= 0.6

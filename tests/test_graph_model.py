@@ -63,27 +63,32 @@ class TestClosure:
             edges = [(vertices[rng.randrange(n)], vertices[rng.randrange(n)])
                      for _ in range(rng.randint(1, 2 * n))]
             clusters = sameas_closure(SameAsGraph(
-                set(vertices), [(u, v, None) for u, v in edges]))
-            expected = bfs_components(vertices, edges)
+                [(u, v, None) for u, v in edges]))
+            linked = {v for edge in edges for v in edge}
+            expected = bfs_components(linked, edges)
             got = {frozenset(group) for group in clusters.members.values()}
             assert got == expected
             for group in expected:
                 assert clusters.cluster(next(iter(group))) == min(group)
+            # an IRI on no link is its own cluster without an entry
+            for v in set(vertices) - linked:
+                assert clusters.cluster(v) == v
+            assert clusters.cluster_of.keys() == linked
 
     def test_order_invariance(self):
         rng = random.Random(777)
         vertices = [f"http://v{i}.org/r" for i in range(25)]
         edges = [(vertices[rng.randrange(25)], vertices[rng.randrange(25)],
                   None) for _ in range(40)]
-        base = sameas_closure(SameAsGraph(set(vertices), list(edges)))
+        base = sameas_closure(SameAsGraph(list(edges)))
         rng.shuffle(edges)
-        shuffled = sameas_closure(SameAsGraph(set(vertices), edges))
+        shuffled = sameas_closure(SameAsGraph(edges))
         assert base.cluster_of == shuffled.cluster_of
 
 
 class TestProjection:
     def test_multiplicity_and_degrees(self):
-        graph = SameAsGraph(set(), [
+        graph = SameAsGraph([
             ("http://a.org/1", "http://b.org/1", None),
             ("http://a.org/2", "http://b.org/2", None),
             ("http://a.org/3", "http://c.org/1", None),
@@ -96,7 +101,7 @@ class TestProjection:
         assert sum(sbg.multiplicity.values()) == 4
 
     def test_self_loops_dropped(self):
-        graph = SameAsGraph(set(), [
+        graph = SameAsGraph([
             ("http://a.org/1", "http://a.org/2", None),
             ("http://a.org/1", "http://b.org/1", None),
         ])
@@ -105,7 +110,7 @@ class TestProjection:
         assert sbg.vertices == {"a.org", "b.org"}
 
     def test_pld_policy_collapses_subdomains(self):
-        graph = SameAsGraph(set(), [
+        graph = SameAsGraph([
             ("http://data.example.com/1", "http://www.example.com/1", None),
             ("http://data.example.com/2", "http://other.org/2", None),
         ])
@@ -115,7 +120,7 @@ class TestProjection:
         assert sbg.multiplicity == {("example.com", "other.org"): 1}
 
     def test_unattributable_endpoint_skipped(self):
-        graph = SameAsGraph(set(), [
+        graph = SameAsGraph([
             ("urn:isbn:123", "http://b.org/1", None),
             ("http://a.org/1", "http://b.org/1", None),
             ("http://a.org/2", "urn:isbn:456", None),
@@ -130,7 +135,7 @@ class TestProjection:
         assert sbg.drop_counts == {"no_source": 6}
 
     def test_vertices_only_from_retained_edges(self):
-        graph = SameAsGraph({"http://lonely.org/1"}, [
+        graph = SameAsGraph([
             ("http://a.org/1", "http://a.org/2", None),
         ])
         sbg = project_to_sbg(graph)
@@ -139,7 +144,7 @@ class TestProjection:
     def test_graph_policy_endorser_is_the_stating_graph(self):
         # the graph states the link, as it states a claim; the object
         # names no graph of its own, so its host is the endorsee
-        graph = SameAsGraph(set(), [
+        graph = SameAsGraph([
             ("http://a.org/1", "http://b.org/1", "http://g.org/x"),
             ("http://a.org/2", "http://g.org/2", "http://g.org/x"),
             ("http://a.org/3", "http://b.org/3", None),
@@ -151,7 +156,7 @@ class TestProjection:
                                    "no_source": 1}
 
     def test_host_policy_ignores_the_graph(self):
-        graph = SameAsGraph(set(), [
+        graph = SameAsGraph([
             ("http://a.org/1", "http://b.org/1", "http://g.org/x"),
             ("http://a.org/2", "http://b.org/2", None),
         ])

@@ -46,8 +46,7 @@ def _statements(obj, **annotations):
                    "datatype": strategies.none(), "lang": strategies.none(),
                    **annotations}
     return strategies.builds(RdfStatement, IRIS, IRIS, obj, **annotations,
-                             graph=strategies.none() | IRIS,
-                             line=strategies.just(1))
+                             graph=strategies.none() | IRIS)
 
 
 # statements of every object shape, each as format_statement writes it
@@ -97,7 +96,6 @@ class TestLineParser:
         assert (st.object, st.is_literal, st.datatype, st.lang) == \
             ("http://a.org/o", False, None, None)
         assert st.graph is None
-        assert st.line == 1
 
     def test_typed_literal(self):
         st = parse_one('<http://a.org/s> <http://a.org/p> '
@@ -120,10 +118,13 @@ class TestLineParser:
         text = ("# header\n"
                 "\n"
                 "   \n"
-                '<http://a.org/s> <http://a.org/p> "x" . # trailing\n')
-        statements = list(parse_triples(text))
-        assert len(statements) == 1
-        assert statements[0].line == 4
+                '<http://a.org/s> <http://a.org/p> "x" . # trailing\n'
+                "<http://a.org/s> <http://a.org/p> .\n")
+        diagnostics = []
+        statements = list(parse_triples(text, diagnostics=diagnostics))
+        assert [st.object for st in statements] == ["x"]
+        # comment and blank lines count toward a diagnostic's line number
+        assert [d.line for d in diagnostics] == [5]
 
     def test_crlf_and_tabs(self):
         st = parse_one('<http://a.org/s>\t<http://a.org/p>\t"x"\t.\r\n')
@@ -259,8 +260,7 @@ class TestRoundTrip:
                 obj = (f"http://o.example.org/{i}", False, None)
             graph = f"http://g.example.org/{i}" if rng.random() < 0.3 else None
             st = RdfStatement(f"http://s.example.org/{i}",
-                              f"http://p.example.org/{i}", *obj, graph=graph,
-                              line=1)
+                              f"http://p.example.org/{i}", *obj, graph=graph)
             fmt = FORMAT_NQUADS if graph else "ntriples"
             back = parse_one(format_statement(st), fmt=fmt, mode="strict")
             assert back == st
@@ -274,7 +274,7 @@ class TestRoundTrip:
         # the plain-line pattern agrees with the term parser or defers to
         # it, and it takes every line written without an escape
         for fmt in (FORMAT_NQUADS, FORMAT_NTRIPLES):
-            fast = _parse_plain(line, 1, fmt)
+            fast = _parse_plain(line, fmt)
             if fast is not None:
                 assert fast == _parse_line(line, 1, fmt)
             plain = "\\" not in line and (
@@ -336,7 +336,8 @@ class TestIriEscapes:
         diagnostics = []
         statements = list(parse_triples(text, fmt=FORMAT_NQUADS,
                                         diagnostics=diagnostics))
-        assert [st.line for st in statements] == [2]
+        assert statements == [parse_one(
+            IRI_POSITIONS[position].format(CAFE + "e"), fmt=FORMAT_NQUADS)]
         assert [(d.line, d.category, d.reason) for d in diagnostics] == \
             [(1, "malformed", reason)]
         with pytest.raises(MalformedLineError) as err:
@@ -399,7 +400,7 @@ class TestPlainLineFastPath:
     def test_unusual_lines_take_the_term_parser(self, statement, variant):
         line = format_statement(statement)
         varied = DEFERRED[variant](line, statement.subject)
-        assert _parse_plain(varied, 1, FORMAT_NQUADS) is None
+        assert _parse_plain(varied, FORMAT_NQUADS) is None
         if variant == "escape":
             assert parse_one(varied, fmt=FORMAT_NQUADS, mode="strict") == \
                 statement._replace(subject=statement.subject + "A")
@@ -418,8 +419,8 @@ class TestPlainLineFastPath:
 
     def test_fourth_term_defers_in_triples(self):
         line = '<http://a.org/s> <http://a.org/p> "x" <http://g.org/g> .'
-        assert _parse_plain(line, 1, FORMAT_NTRIPLES) is None
-        assert _parse_plain(line, 1, FORMAT_NQUADS).graph == "http://g.org/g"
+        assert _parse_plain(line, FORMAT_NTRIPLES) is None
+        assert _parse_plain(line, FORMAT_NQUADS).graph == "http://g.org/g"
 
 
 class TestSourceExtraction:
@@ -535,7 +536,7 @@ class TestBuildClaims:
         clusters = EntityClusterMap(cluster_of={
             "http://one.example.org/e": "http://one.example.org/e",
             "http://two.example.org/e": "http://one.example.org/e",
-        }, members={})
+        })
         store = build_claims(statements, clusters, alignment)
         key = ("http://one.example.org/e", "http://v.org/height")
         assert list(store.conflict_sets) == [key]
@@ -585,7 +586,7 @@ class TestBuildClaims:
                              f'"{rng.choice("abc")}" .')
         rng.shuffle(lines)
         store = build_claims(statements_from("\n".join(lines)),
-                             EntityClusterMap(cluster_of, members={}))
+                             EntityClusterMap(cluster_of))
         assert len(store.conflict_sets) == 3
         for cs in store.conflict_sets.values():
             for obj in cs.objects:

@@ -5,6 +5,7 @@ import argparse
 import ast
 import math
 import os
+import random
 import subprocess
 import sys
 from decimal import Decimal
@@ -13,7 +14,7 @@ import pytest
 
 import ldtruth
 from ldtruth import cli
-from ldtruth.graph_model import EntityClusterMap, SameAsGraph
+from ldtruth.graph_model import EntityClusterMap, SameAsGraph, sameas_closure
 from ldtruth.mrf import BpResult
 from ldtruth.pipeline import Assembled
 from ldtruth.prior_belief import PriorBeliefs, PriorConfig
@@ -22,6 +23,7 @@ from ldtruth.rdf_ingest import (ClaimStore, ConflictSet, Diagnostic,
 from ldtruth.truth_engine import (Decision, EngineConfig, ResolutionResult,
                                   TrustState)
 from ldtruth.values import KIND_NUMBER, KIND_TEXT, NormalizedValue
+from oracles import bfs_components
 
 A = NormalizedValue.from_text("a")
 B = NormalizedValue.from_text("b")
@@ -30,13 +32,13 @@ TRUST = TrustState({"s1": 0.5}, {"s1": 0.5})
 
 RECORDS = [
     RdfStatement("http://a.org/s", "http://a.org/p", "x", True, None, "en",
-                 "http://a.org/g", 3),
+                 "http://a.org/g"),
     Diagnostic(3, "malformed", "missing terminating dot"),
     ObjectSupport(A, ("s1",)),
     ConflictSet("e", "p", CANDIDATES),
     ClaimStore([], {}, {}, {}),
-    SameAsGraph(set(), []),
-    EntityClusterMap({}, {}),
+    SameAsGraph([]),
+    EntityClusterMap({}),
     PriorBeliefs({}, {}, 0, 0.0, True),
     BpResult([0.5], True, 0),
     TRUST,
@@ -82,6 +84,38 @@ class TestImmutableRecords:
         assert five == NormalizedValue.from_number(5.0)
         assert hash(five) == hash(NormalizedValue.from_number(5.0))
         assert len({five, NormalizedValue.from_number("5.00")}) == 1
+
+
+class TestIngestKeepsEachFactOnce:
+    """Ingest state holds no copy of what another field already holds."""
+
+    def test_statement_has_no_line_and_fits_96_bytes(self):
+        assert RdfStatement._fields == ("subject", "predicate", "object",
+                                        "is_literal", "datatype", "lang",
+                                        "graph")
+        # 24 bytes of header, 7 slots and the collector's 16: pymalloc's
+        # 96-byte size class, where an eighth field would take 112
+        assert sys.getsizeof(RECORDS[0]) == 96
+
+    def test_identity_graph_is_its_edges(self):
+        assert SameAsGraph._fields == ("edges",)
+
+    def test_cluster_map_stores_only_cluster_of(self):
+        assert EntityClusterMap._fields == ("cluster_of",)
+
+    def test_members_are_the_components_grouped_when_read(self):
+        rng = random.Random(4242)
+        names = [f"http://v{i}.org/r" for i in range(40)]
+        pairs = [(rng.choice(names), rng.choice(names)) for _ in range(30)]
+        clusters = sameas_closure(SameAsGraph([(u, v, None)
+                                               for u, v in pairs]))
+        linked = {v for pair in pairs for v in pair}
+        members = clusters.members
+        assert {frozenset(group) for group in members.values()} == \
+            bfs_components(linked, pairs)
+        assert list(members) == sorted(members)
+        for root, group in members.items():
+            assert group == sorted(group) and group[0] == root
 
 
 class TestChecksStayOn:
@@ -130,7 +164,8 @@ code = cli.main(sys.argv[1:])
 print(sorted(set(sys.modules) - before))
 sys.exit(code)
 """
-# what resolve has no use for: eval-only code and its machinery
+# what resolve and baseline have no use for: eval-only code and its
+# machinery
 UNUSED_BY_RESOLVE = {"dataclasses", "configparser", "ldtruth.eval_harness"}
 
 
@@ -144,14 +179,19 @@ def test_resolve_loads_nothing_it_does_not_run(tmp_path):
         '<http://a.org/e> <http://www.w3.org/2002/07/owl#sameAs> '
         '<http://b.org/e> .\n')
     src = os.path.dirname(os.path.dirname(ldtruth.__file__))
-    run = subprocess.run(
-        [sys.executable, "-c", _GUARD, "resolve", "--input", str(corpus),
-         "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, cwd=tmp_path, timeout=120,
-        env={**os.environ, "PYTHONPATH": src})
-    assert run.returncode == 0, run.stderr
-    imported, resolved = map(ast.literal_eval, run.stdout.splitlines())
-    assert "ldtruth.cli" in imported
-    assert (tmp_path / "out" / "decisions.jsonl").read_text().count("\n") == 1
-    assert UNUSED_BY_RESOLVE.isdisjoint(imported)
-    assert UNUSED_BY_RESOLVE.isdisjoint(resolved)
+    for name, command in [
+            ("resolve", ["resolve"]),
+            ("vote", ["baseline", "--method", "vote"]),
+            ("truthfinder", ["baseline", "--method", "truthfinder"])]:
+        out = tmp_path / name
+        run = subprocess.run(
+            [sys.executable, "-c", _GUARD, *command, "--input", str(corpus),
+             "--out", str(out)],
+            capture_output=True, text=True, cwd=tmp_path, timeout=120,
+            env={**os.environ, "PYTHONPATH": src})
+        assert run.returncode == 0, (name, run.stderr)
+        imported, ran = map(ast.literal_eval, run.stdout.splitlines())
+        assert "ldtruth.cli" in imported
+        assert (out / "decisions.jsonl").read_text().count("\n") == 1
+        assert UNUSED_BY_RESOLVE.isdisjoint(imported), name
+        assert UNUSED_BY_RESOLVE.isdisjoint(ran), name
