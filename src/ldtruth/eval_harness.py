@@ -232,27 +232,26 @@ def _literal_for(rng, value: NormalizedValue) -> str:
 def generate(cfg: SynthConfig) -> SynthResult:
     """Build one corpus plus its answer key.
 
-    A conflict slot is redrawn a bounded number of times until the true
-    value is asserted at least once alongside a disagreement; slots where
-    that never happens (certain at reliability 1.0) are emitted as
-    unanimous claims and left out of the answer key, since nothing about
-    them is in dispute.
+    A conflict slot is drawn up to 26 times, until the true value is
+    asserted alongside a disagreement; the last draw gives the truth to
+    the most reliable supporter.  A slot left without a disagreement
+    (certain at reliability 1.0) is emitted as unanimous claims and left
+    out of the answer key, since nothing about it is in dispute.
     """
     rng = random.Random(cfg.seed)
     n = cfg.n_sources
     hosts = [_source_host(i) for i in range(n)]
-    low, high = cfg.reliability_low, cfg.reliability_high
-    reliability = {hosts[i]: rng.uniform(low, high) for i in range(n)}
+    # each source's reliability, by source number
+    reliability = [rng.uniform(cfg.reliability_low, cfg.reliability_high)
+                   for _ in range(n)]
 
     ranks = list(range(n))
     rng.shuffle(ranks)
-    if cfg.support_skew > 0:
-        weights = [(ranks[i] + 1) ** -cfg.support_skew for i in range(n)]
-    else:
-        weights = [1.0] * n
     # weights go to choices accumulated once, not again on every draw;
-    # choices takes the same path either way, so the draws are the same
-    activity = list(accumulate(weights))
+    # choices takes the same path either way, so the draws are the same.
+    # A skew of 0 weighs every source 1.0, since x ** -0.0 == 1.0.
+    activity = list(accumulate((rank + 1.0) ** -cfg.support_skew
+                               for rank in ranks))
     population = list(range(n))
     # popular wrong values: earlier decoy slots soak up more false claims
     decoy_cum = list(accumulate(
@@ -274,10 +273,9 @@ def generate(cfg: SynthConfig) -> SynthResult:
         predicate = f"http://schema.example.org/p{pred_idx:03d}"
         kind = _KINDS[pred_idx % len(_KINDS)]
         gold_value = _gold_value(rng, kind)
-        use_near = cfg.near_truth_rate > 0 and cfg.values_per_conflict >= 3
         decoys = _distinct_decoys(rng, kind, gold_value, cfg.values_per_conflict - 1)
         near = None
-        if use_near:
+        if cfg.near_truth_rate > 0 and cfg.values_per_conflict >= 3:
             for _ in range(40):
                 candidate = _near_decoy(rng, kind, gold_value)
                 if candidate != gold_value and candidate not in decoys:
@@ -291,20 +289,14 @@ def generate(cfg: SynthConfig) -> SynthResult:
 
         count = rng.randint(cmin, max(cmin, cmax))
         supporters = _weighted_distinct(rng, population, activity, count)
-        asserted = None
-        for _ in range(25):
-            draw = [gold_value if rng.random() < reliability[hosts[s]]
-                    else false_draw() for s in supporters]
-            if gold_value in draw and len(set(draw)) >= 2:
-                asserted = draw
+        for attempt in range(26):
+            asserted = [gold_value if rng.random() < reliability[s]
+                        else false_draw() for s in supporters]
+            if attempt == 25:
+                best = max(supporters, key=reliability.__getitem__)
+                asserted[supporters.index(best)] = gold_value
+            elif gold_value in asserted and len(set(asserted)) >= 2:
                 break
-        if asserted is None:
-            draw = [gold_value if rng.random() < reliability[hosts[s]]
-                    else false_draw() for s in supporters]
-            best = max(range(len(supporters)),
-                       key=lambda q: reliability[hosts[supporters[q]]])
-            draw[best] = gold_value
-            asserted = draw
 
         conflicting = len(set(asserted)) >= 2
         members = mentioned.setdefault(entity_idx, [])
@@ -336,11 +328,11 @@ def generate(cfg: SynthConfig) -> SynthResult:
             links = min(cfg.attachment_m, q)
             for _ in range(links):
                 if rng.random() < cfg.sameas_fidelity:
-                    other = max(members[:q], key=lambda s: reliability[hosts[s]])
+                    other = max(members[:q], key=reliability.__getitem__)
                 else:
                     other = members[rng.randrange(q)]
                 a, b = new, other
-                if reliability[hosts[a]] > reliability[hosts[b]]:
+                if reliability[a] > reliability[b]:
                     a, b = b, a
                 # a is now the less reliable endpoint
                 if rng.random() >= cfg.sameas_fidelity:
@@ -355,7 +347,8 @@ def generate(cfg: SynthConfig) -> SynthResult:
         gold.truths[(cluster, predicate)] = gold_value
 
     triples = "\n".join(claim_lines + sameas_lines) + "\n"
-    return SynthResult(triples=triples, gold=gold, reliabilities=reliability,
+    return SynthResult(triples=triples, gold=gold,
+                       reliabilities=dict(zip(hosts, reliability)),
                        unanimous_slots=unanimous)
 
 

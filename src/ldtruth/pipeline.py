@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gzip
 import io
+import zlib
 from typing import NamedTuple
 
 from .graph_model import build_sameas_graph, project_to_sbg, sameas_closure
@@ -32,17 +33,21 @@ def parse_files(paths, fmt: str | None = None, mode: str = "lenient",
     """Parse several files one after another, in the order given.
 
     ``diagnostics``, when given, collects ``(path, diagnostic)`` pairs;
-    without it a line set aside raises, as in ``parse_triples``.
+    without it a line set aside raises, as in ``parse_triples``.  A
+    ``.gz`` file that does not decompress raises one OSError naming it.
     """
     statements = []
     for path in paths:
         found = [] if diagnostics is not None else None
         opener = gzip.open if path.endswith(".gz") else open
-        with opener(path, "rb") as handle:
-            buffered = io.BufferedReader(handle) if not isinstance(
-                handle, io.BufferedReader) else handle
-            statements.extend(parse_triples(
-                buffered, format_for_path(path, fmt), mode, found))
+        try:
+            with opener(path, "rb") as handle:
+                buffered = io.BufferedReader(handle) if not isinstance(
+                    handle, io.BufferedReader) else handle
+                statements.extend(parse_triples(
+                    buffered, format_for_path(path, fmt), mode, found))
+        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+            raise OSError(f"{path}: not a readable gzip file: {exc}") from exc
         if found:
             diagnostics.extend((path, d) for d in found)
     return statements

@@ -198,6 +198,15 @@ def _parse_term(text: str, pos: int, line: int, *, allow_literal: bool):
     raise MalformedLineError(line, f"unexpected character {ch!r}")
 
 
+def _statement(subject, predicate, obj, is_literal, datatype, lang, graph):
+    """A line's statement, None if its subject or predicate is relative."""
+    # statements share one copy of each predicate and graph, which nearly
+    # every line repeats; subjects repeat too seldom to pay for the lookup
+    if ":" in subject and ":" in predicate:
+        return RdfStatement(subject, sys.intern(predicate), obj, is_literal,
+                            datatype, lang, graph and sys.intern(graph))
+
+
 def _parse_plain(text: str, fmt: str):
     """The statement of a plain line, or None to defer to ``_parse_line``:
     one pattern match instead of the term-by-term scan."""
@@ -205,15 +214,10 @@ def _parse_plain(text: str, fmt: str):
     if match is None:
         return None
     subject, predicate, iri, lexical, datatype, lang, graph = match.groups()
-    if ":" not in subject or ":" not in predicate or \
-            (graph is not None and fmt != FORMAT_NQUADS):
+    if graph is not None and fmt != FORMAT_NQUADS:
         return None
-    is_literal = iri is None
-    # statements share one copy of each predicate and graph, which nearly
-    # every line repeats; subjects repeat too seldom to pay for the lookup
-    return RdfStatement(subject, sys.intern(predicate),
-                        lexical if is_literal else iri, is_literal, datatype,
-                        lang, graph and sys.intern(graph))
+    return _statement(subject, predicate, lexical if iri is None else iri,
+                      iri is None, datatype, lang, graph)
 
 
 def _parse_line(text: str, lineno: int, fmt: str):
@@ -240,63 +244,60 @@ def _parse_line(text: str, lineno: int, fmt: str):
         raise MalformedLineError(lineno, "trailing garbage after dot")
     if None in (subject, predicate, obj, graph):
         return "bnode"
-    if ":" not in subject[0] or ":" not in predicate[0]:
+    statement = _statement(subject[0], predicate[0], *obj, graph[0])
+    if statement is None:
         raise MalformedLineError(lineno, "relative IRI in subject or predicate")
-    return RdfStatement(subject[0], sys.intern(predicate[0]), *obj,
-                        graph[0] and sys.intern(graph[0]))
+    return statement
 
 
-def _iter_decoded_lines(source, mode: str, diagnostics):
-    if isinstance(source, str):
-        source = io.StringIO(source)
-    for lineno, raw in enumerate(source, start=1):
-        if isinstance(raw, bytes):
-            try:
-                raw = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                if mode == "strict" or diagnostics is None:
-                    raise EncodingError(lineno, str(exc)) from exc
-                diagnostics.append(Diagnostic(lineno, "encoding", str(exc)))
-                continue
-        yield lineno, raw.rstrip("\r\n")
+def _set_aside(diagnostics, error, category: str, fatal: bool):
+    """Record a set-aside line, or raise ``error`` if fatal or unrecorded."""
+    if fatal or diagnostics is None:
+        raise error
+    diagnostics.append(Diagnostic(error.line, category, error.reason))
 
 
 def parse_triples(source, fmt: str = FORMAT_NTRIPLES, mode: str = "lenient",
                   diagnostics: list | None = None):
     """Yield statements from a text, a string, or a binary line source.
 
-    ``mode="strict"`` raises on the first malformed line; lenient mode
-    records a diagnostic in ``diagnostics`` and keeps going.  A line set
-    aside is never dropped unrecorded: without a ``diagnostics`` list,
-    a malformed, undecodable or blank-node line raises in either mode.
-    Line numbers, on diagnostics and errors, are 1-based positions in
-    the input; a statement carries none.
+    A malformed, undecodable or blank-node line is set aside: recorded
+    in ``diagnostics`` while parsing goes on.  ``mode="strict"`` raises
+    on a malformed or undecodable line instead (a blank-node line is
+    still recorded), and without a ``diagnostics`` list every set-aside
+    line raises, in either mode.  Line numbers, on diagnostics and
+    errors, are 1-based positions in the input; a statement carries none.
     """
     if fmt not in (FORMAT_NTRIPLES, FORMAT_NQUADS):
         raise ValueError(f"unknown format: {fmt!r}")
     if mode not in ("lenient", "strict"):
         raise ValueError(f"unknown mode: {mode!r}")
-    for lineno, text in _iter_decoded_lines(source, mode, diagnostics):
+    strict = mode == "strict"
+    if isinstance(source, str):
+        source = io.StringIO(source)
+    for lineno, text in enumerate(source, start=1):
+        if isinstance(text, bytes):
+            try:
+                text = text.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                _set_aside(diagnostics, EncodingError(lineno, str(exc)),
+                           "encoding", strict)
+                continue
+        text = text.rstrip("\r\n")
         parsed = _parse_plain(text, fmt)
+        if parsed is None:
+            try:
+                parsed = _parse_line(text, lineno, fmt)
+            except MalformedLineError as exc:
+                _set_aside(diagnostics, exc, "malformed", strict)
+                continue
+            if parsed == "bnode":
+                _set_aside(diagnostics, MalformedLineError(
+                    lineno, "blank node outside supported subset"),
+                    "blank_node", False)
+                continue
         if parsed is not None:
             yield parsed
-            continue
-        try:
-            parsed = _parse_line(text, lineno, fmt)
-        except MalformedLineError as exc:
-            if mode == "strict" or diagnostics is None:
-                raise
-            diagnostics.append(Diagnostic(lineno, "malformed", exc.reason))
-            continue
-        if parsed is None:
-            continue
-        if parsed == "bnode":
-            reason = "blank node outside supported subset"
-            if diagnostics is None:
-                raise MalformedLineError(lineno, reason)
-            diagnostics.append(Diagnostic(lineno, "blank_node", reason))
-            continue
-        yield parsed
 
 
 # ``scheme://authority``, ending where urlsplit ends the authority.  An
@@ -378,7 +379,7 @@ def statement_source(subject: str, graph: str | None, policy: str):
     return source, None if source else "no_source"
 
 
-def build_claims(statements, clusters=None, alignment: dict | None = None,
+def build_claims(statements, clusters, alignment: dict | None = None,
                  policy: str = POLICY_HOST) -> ClaimStore:
     """Turn parsed statements into a deduplicated claim store.
 
@@ -415,7 +416,7 @@ def build_claims(statements, clusters=None, alignment: dict | None = None,
             drop_counts["null_object"] += 1
             continue
         predicate = alignment.get(st.predicate, st.predicate)
-        entity = clusters.cluster(st.subject) if clusters is not None else st.subject
+        entity = clusters.cluster(st.subject)
         backers = by_slot.setdefault((entity, predicate), {}) \
                          .setdefault(value, set())
         if source in backers:

@@ -295,6 +295,41 @@ class TestParseDiagnostics:
         assert f"ERROR: line 2: bad \\{key} escape" in capsys.readouterr().err
 
 
+class TestUnreadableGzip:
+    """A .gz input that does not decompress is one error line naming the
+    file, exit 1, from every command that reads input."""
+
+    @staticmethod
+    def damaged(kind, plain):
+        packed = gzip.compress(plain)
+        if kind == "truncated":
+            return packed[:len(packed) // 2]
+        if kind == "corrupt":
+            # the first deflate block's header byte: a reserved block type
+            return packed[:10] + b"\xff" + packed[11:]
+        return plain
+
+    @pytest.mark.parametrize("command", [
+        ["resolve"], ["baseline", "--method", "vote"], ["prior"]],
+        ids=["resolve", "baseline", "prior"])
+    @pytest.mark.parametrize("kind", ["truncated", "corrupt", "not_gzip"])
+    def test_one_error_line_and_exit_1(self, corpus_dir, tmp_path, command,
+                                       kind):
+        path = tmp_path / "corpus.nt.gz"
+        path.write_bytes(self.damaged(
+            kind, (corpus_dir / "corpus.nt").read_bytes()))
+        run = subprocess.run(
+            [sys.executable, "-m", "ldtruth.cli", *command, "--input",
+             str(path), "--out", str(tmp_path / "o")],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert run.returncode == 1
+        assert "Traceback" not in run.stderr
+        assert len(run.stderr.splitlines()) == 1
+        assert run.stderr.startswith("ERROR: ")
+        assert str(path) in run.stderr
+
+
 class TestCollectorState:
     """main pauses the cyclic collector while it builds, and hands the
     collector back as it found it."""

@@ -95,6 +95,21 @@ class TestGenerate:
         triples = generate(cfg).triples.encode("utf-8")
         assert hashlib.sha256(triples).hexdigest() == digest
 
+    def test_forced_draws_do_not_drift(self):
+        # near-perfect sources: some slots never draw a disagreement with
+        # the truth in them, and take the last draw, which hands the
+        # truth to the most reliable supporter
+        cfg = SynthConfig(n_sources=30, n_entities=200,
+                          n_conflict_predicates=400, reliability_low=0.9,
+                          reliability_high=1.0, seed=3)
+        synth = generate(cfg)
+        triples = synth.triples.encode("utf-8")
+        gold = synth.gold.to_tsv().encode("utf-8")
+        assert hashlib.sha256(triples).hexdigest() == \
+            "0569dbdda6435674546aeb483e3086032ba58f88f7cdeaa153f7af774062c0e2"
+        assert hashlib.sha256(gold).hexdigest() == \
+            "d17e3fa4ae8114ab0c989e2c939f2c7319d6b02307f06ceb5b7be9a56789447c"
+
     def test_corpus_parses_strictly(self):
         synth = generate(SMALL)
         statements = list(parse_triples(synth.triples, FORMAT_NTRIPLES,

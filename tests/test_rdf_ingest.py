@@ -230,6 +230,41 @@ class TestLineParser:
         assert err.value.line == 2
         assert reason in err.value.reason
 
+    # the whole set-aside rule: each line kind under each mode, with and
+    # without a diagnostics list, gives the error raised or the
+    # (line, category) recorded while parsing goes on
+    SET_ASIDE_LINES = {
+        "malformed": b'<http://a.org/s> <http://a.org/p> "open .',
+        "undecodable": b'<http://a.org/s> <http://a.org/p> "\xff" .',
+        "blank_node": b'_:b <http://a.org/p> "x" .',
+    }
+    RECORDED = {"malformed": (2, "malformed"), "undecodable": (2, "encoding"),
+                "blank_node": (2, "blank_node")}
+    RAISED = {"malformed": MalformedLineError, "undecodable": EncodingError,
+              "blank_node": MalformedLineError}
+
+    @pytest.mark.parametrize("kind", SET_ASIDE_LINES)
+    @pytest.mark.parametrize("has_list", [True, False],
+                             ids=["list", "no_list"])
+    @pytest.mark.parametrize("mode", ["lenient", "strict"])
+    def test_set_aside_table(self, mode, has_list, kind):
+        records = mode == "lenient" or kind == "blank_node"
+        ok = b'<http://a.org/s> <http://a.org/p> "ok" .\n'
+        payload = ok + self.SET_ASIDE_LINES[kind] + b"\n" + ok
+        diagnostics = [] if has_list else None
+        parsed = parse_triples(io.BytesIO(payload), mode=mode,
+                               diagnostics=diagnostics)
+        if has_list and records:
+            assert len(list(parsed)) == 2
+            assert [(d.line, d.category) for d in diagnostics] == \
+                [self.RECORDED[kind]]
+            return
+        with pytest.raises(MalformedLineError) as err:
+            list(parsed)
+        assert type(err.value) is self.RAISED[kind]
+        assert err.value.line == 2
+        assert diagnostics in ([], None)
+
     def test_parse_files_without_a_list_raises(self, tmp_path):
         path = tmp_path / "bad.nt"
         path.write_text('<http://a.org/s> <http://a.org/p> "ok" .\n'
@@ -515,7 +550,7 @@ CORPUS = """
 class TestBuildClaims:
     def test_every_statement_lands_somewhere(self):
         statements = statements_from(CORPUS)
-        store = build_claims(statements)
+        store = build_claims(statements, EntityClusterMap({}))
         assert len(store.claims) + sum(store.drop_counts.values()) == len(statements)
         assert store.drop_counts["duplicate"] == 1
         assert store.drop_counts["null_object"] == 1
@@ -526,7 +561,7 @@ class TestBuildClaims:
             f'<http://a.org/s> <{OWL_SAMEAS}> "http://b.org/s" .\n'
             f'<http://a.org/s> <{OWL_SAMEAS}> <http://b.org/s> .\n')
         assert [is_identity_link(st) for st in statements] == [False, True]
-        store = build_claims(statements)
+        store = build_claims(statements, EntityClusterMap({}))
         assert store.claims == []
         assert store.drop_counts == {"literal_sameas": 1, "sameas": 1}
 
@@ -559,17 +594,17 @@ class TestBuildClaims:
                          '<http://two.example.org/f> <http://v.org/link> '
                          '<http://x.org/93> .\n')
         statements = statements_from(text)
-        first = build_claims(statements)
+        first = build_claims(statements, EntityClusterMap({}))
         distinct = sorted(calls, key=repr)
         # "93" typed and untyped are two objects, the repeated IRI is one
         assert len(distinct) == len(set(distinct)) == 6
         calls.clear()
-        assert build_claims(statements) == first
+        assert build_claims(statements, EntityClusterMap({})) == first
         assert sorted(calls, key=repr) == distinct
 
     def test_no_clusters_means_no_conflicts_here(self):
         # different subjects stay different entities without identity info
-        store = build_claims(statements_from(CORPUS))
+        store = build_claims(statements_from(CORPUS), EntityClusterMap({}))
         assert store.conflict_sets == {}
 
     def test_supporters_and_incidence(self):
@@ -608,7 +643,7 @@ class TestBuildClaims:
                  '<http://x.org/e> <http://v.org/p> "2"^^<http://www.w3.org/2001/XMLSchema#integer> <http://two.example.org/g> .\n'
                  '<http://x.org/e> <http://v.org/p> "3"^^<http://www.w3.org/2001/XMLSchema#integer> .\n')
         store = build_claims(statements_from(quads, fmt=FORMAT_NQUADS),
-                             policy=POLICY_NAMED_GRAPH)
+                             EntityClusterMap({}), policy=POLICY_NAMED_GRAPH)
         assert store.drop_counts == {"missing_graph": 1}
         key = ("http://x.org/e", "http://v.org/p")
         sources = {s for obj in store.conflict_sets[key].objects
