@@ -31,6 +31,7 @@ EXIT_NONCONVERGED = 2
 
 
 def _atomic_write(path: str, text: str):
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as handle:
         handle.write(text)
@@ -101,7 +102,7 @@ def _load_config(path: str | None) -> dict:
             parser.read_file(handle)
         filecfg = {section: dict(parser.items(section))
                    for section in parser.sections()}
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
     keys = {row[:2] for row in SETTINGS}
     for section, entries in filecfg.items():
@@ -213,7 +214,6 @@ def cmd_resolve(args, filecfg: dict) -> int:
         print("WARN no claim source has an endorsement prior", file=sys.stderr)
     result = resolve_all(store, priors, _config(args, filecfg, "engine"))
 
-    os.makedirs(args.out, exist_ok=True)
     _atomic_write(os.path.join(args.out, "decisions.jsonl"),
                   _decisions_jsonl(result.decisions, store, METHOD_ENGINE,
                                    result.iterations, result.converged))
@@ -245,11 +245,10 @@ def cmd_prior(args, filecfg: dict) -> int:
     sbg = project_to_sbg(build_sameas_graph(statements), policy)
     priors = compute_prior(sbg, _config(args, filecfg, "prior"))
     _warn_dropped(sbg.drop_counts, "identity links")
-    if not sbg.vertices:
+    if not sbg.multiplicity:
         print("ERROR: no usable identity links, source graph is empty",
               file=sys.stderr)
         return EXIT_FATAL
-    os.makedirs(args.out, exist_ok=True)
     lines = ["source\tbr\tnbr"]
     ranked = sorted(priors.br, key=lambda s: (-priors.br[s], s))
     for source in ranked:
@@ -266,7 +265,6 @@ def cmd_synth(args, filecfg: dict) -> int:
     from .eval_harness import generate
     cfg = _config(args, filecfg, "synth")
     result = generate(cfg)
-    os.makedirs(args.out, exist_ok=True)
     _atomic_write(os.path.join(args.out, "corpus.nt"), result.triples)
     _atomic_write(os.path.join(args.out, "gold.tsv"), result.gold.to_tsv())
     manifest = {"seed": cfg.seed, "n_sources": cfg.n_sources,
@@ -306,7 +304,6 @@ def cmd_eval(args, filecfg: dict) -> int:
         accs = [row["report"][method]["accuracy"] for row in rows]
         # a left fold, the same bits on every Python (see select_truth)
         report[f"mean_{method}"] = reduce(add, accs) / len(accs)
-    os.makedirs(args.out, exist_ok=True)
     _atomic_write(os.path.join(args.out, "report.json"),
                   json.dumps(report, indent=2, sort_keys=True) + "\n")
 
@@ -326,7 +323,6 @@ def cmd_baseline(args, filecfg: dict) -> int:
     store = built.store
     decisions, iterations, converged, _ = run_method(args.method, store,
                                                      built.priors)
-    os.makedirs(args.out, exist_ok=True)
     _atomic_write(os.path.join(args.out, "decisions.jsonl"),
                   _decisions_jsonl(decisions, store, args.method,
                                    iterations, converged))

@@ -74,6 +74,8 @@ class SynthConfig:
         if not 2 <= self.claims_min <= self.claims_max:
             raise SynthConfigError(
                 "claims_min and claims_max must be ordered, minimum 2")
+        if self.claims_min > self.n_sources:
+            raise SynthConfigError("claims_min must not exceed n_sources")
         # written so that NaN fails the check
         if not self.support_skew >= 0:
             raise SynthConfigError("support_skew must be non-negative")
@@ -81,6 +83,9 @@ class SynthConfig:
             raise SynthConfigError("decoy_concentration must be non-negative")
         if not 0.0 <= self.near_truth_rate <= 1.0:
             raise SynthConfigError("near_truth_rate must be in [0, 1]")
+        if self.near_truth_rate > 0 and self.values_per_conflict < 3:
+            raise SynthConfigError(
+                "near_truth_rate needs values_per_conflict of at least 3")
 
 
 @dataclass
@@ -275,7 +280,7 @@ def generate(cfg: SynthConfig) -> SynthResult:
         gold_value = _gold_value(rng, kind)
         decoys = _distinct_decoys(rng, kind, gold_value, cfg.values_per_conflict - 1)
         near = None
-        if cfg.near_truth_rate > 0 and cfg.values_per_conflict >= 3:
+        if cfg.near_truth_rate > 0:
             for _ in range(40):
                 candidate = _near_decoy(rng, kind, gold_value)
                 if candidate != gold_value and candidate not in decoys:
@@ -287,7 +292,7 @@ def generate(cfg: SynthConfig) -> SynthResult:
                 return near
             return rng.choices(decoys, cum_weights=decoy_cum)[0]
 
-        count = rng.randint(cmin, max(cmin, cmax))
+        count = rng.randint(cmin, cmax)
         supporters = _weighted_distinct(rng, population, activity, count)
         for attempt in range(26):
             asserted = [gold_value if rng.random() < reliability[s]
@@ -314,7 +319,7 @@ def generate(cfg: SynthConfig) -> SynthResult:
 
     filler_predicate = "http://schema.example.org/label"
     for entity_idx in range(cfg.n_conflict_predicates, cfg.n_entities):
-        pair = _weighted_distinct(rng, population, activity, min(2, n))
+        pair = _weighted_distinct(rng, population, activity, 2)
         mentioned[entity_idx] = list(pair)
         label = f"e{entity_idx:06d}"
         for s in pair:

@@ -77,27 +77,25 @@ def sameas_closure(graph: SameAsGraph) -> EntityClusterMap:
 class SourceBeliefGraph:
     """Directed endorsement multigraph over sources, empty when made.
 
-    ``multiplicity[(a, b)]`` counts parallel links from a to b, and
-    ``out_degree[a]`` sums every outgoing multiplicity.  Links left out
-    are counted in ``drop_counts`` by reason: ``self_loop``,
-    ``no_source`` or ``missing_graph``.
+    ``multiplicity[(a, b)]`` counts parallel links from a to b; a
+    source's out-degree is the sum of its outgoing multiplicities.
+    Links left out are counted in ``drop_counts`` by reason:
+    ``self_loop``, ``no_source`` or ``missing_graph``.
     """
 
     def __init__(self):
-        self.vertices = set()
-        self.multiplicity = {}
-        self.out_degree = {}
+        self.multiplicity = Counter()
         self.drop_counts = Counter()
+
+    @property
+    def vertices(self) -> set:
+        return {v for edge in self.multiplicity for v in edge}
 
     def add_edge(self, a: str, b: str):
         if a == b:
             self.drop_counts["self_loop"] += 1
-            return
-        self.vertices.add(a)
-        self.vertices.add(b)
-        key = (a, b)
-        self.multiplicity[key] = self.multiplicity.get(key, 0) + 1
-        self.out_degree[a] = self.out_degree.get(a, 0) + 1
+        else:
+            self.multiplicity[(a, b)] += 1
 
 
 def project_to_sbg(graph: SameAsGraph, policy: str = "host") -> SourceBeliefGraph:

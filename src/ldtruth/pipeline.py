@@ -9,8 +9,8 @@ from typing import NamedTuple
 
 from .graph_model import build_sameas_graph, project_to_sbg, sameas_closure
 from .prior_belief import DEFAULT_PRIOR, PriorConfig, compute_prior
-from .rdf_ingest import (FORMAT_NQUADS, FORMAT_NTRIPLES, build_claims,
-                         parse_triples)
+from .rdf_ingest import (FORMAT_NQUADS, FORMAT_NTRIPLES, MalformedLineError,
+                         build_claims, parse_triples)
 
 
 class Assembled(NamedTuple):
@@ -19,9 +19,7 @@ class Assembled(NamedTuple):
     link_drops: dict    # identity links left out of the source graph, by reason
 
 
-def format_for_path(path: str, fmt: str | None = None) -> str:
-    if fmt:
-        return fmt
+def format_for_path(path: str) -> str:
     name = path[:-3] if path.endswith(".gz") else path
     if name.endswith((".nq", ".nquads")):
         return FORMAT_NQUADS
@@ -33,8 +31,8 @@ def parse_files(paths, fmt: str | None = None, mode: str = "lenient",
     """Parse several files one after another, in the order given.
 
     ``diagnostics``, when given, collects ``(path, diagnostic)`` pairs;
-    without it a line set aside raises, as in ``parse_triples``.  A
-    ``.gz`` file that does not decompress raises one OSError naming it.
+    without it a line set aside raises, as in ``parse_triples``.  Errors
+    name the file, and a ``.gz`` that does not decompress raises OSError.
     """
     statements = []
     for path in paths:
@@ -45,9 +43,11 @@ def parse_files(paths, fmt: str | None = None, mode: str = "lenient",
                 buffered = io.BufferedReader(handle) if not isinstance(
                     handle, io.BufferedReader) else handle
                 statements.extend(parse_triples(
-                    buffered, format_for_path(path, fmt), mode, found))
+                    buffered, fmt or format_for_path(path), mode, found))
         except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
             raise OSError(f"{path}: not a readable gzip file: {exc}") from exc
+        except MalformedLineError as exc:
+            raise type(exc)(exc.line, exc.reason, path) from None
         if found:
             diagnostics.extend((path, d) for d in found)
     return statements

@@ -56,14 +56,17 @@ def compute_prior(sbg: SourceBeliefGraph,
     sweep cap still returns the last vector, flagged as not converged.
     A graph with no vertices has the empty prior.
     """
-    if not sbg.vertices:
+    if not sbg.multiplicity:
         return PriorBeliefs({}, {}, 0, 0.0, True)
     order = sorted(sbg.vertices)
     index = {s: i for i, s in enumerate(order)}
+    out_degree = dict.fromkeys(order, 0)
+    for (a, _), count in sbg.multiplicity.items():
+        out_degree[a] += count
     # incoming[j] holds (i, weight) with weight = multiplicity / out-degree
     incoming = [[] for _ in order]
     for (a, b), count in sbg.multiplicity.items():
-        incoming[index[b]].append((index[a], count / sbg.out_degree[a]))
+        incoming[index[b]].append((index[a], count / out_degree[a]))
     for rows in incoming:
         rows.sort()
 

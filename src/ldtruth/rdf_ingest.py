@@ -37,8 +37,9 @@ class MalformedLineError(ValueError):
     """Raised for an unparseable line in strict mode, or in any mode
     when there is no diagnostics list to record it in."""
 
-    def __init__(self, line: int, reason: str):
-        super().__init__(f"line {line}: {reason}")
+    def __init__(self, line: int, reason: str, path: str | None = None):
+        where = f"{path}:{line}" if path else f"line {line}:"
+        super().__init__(f"{where} {reason}")
         self.line = line
         self.reason = reason
 
@@ -341,20 +342,25 @@ def extract_source(iri: str, policy: str = POLICY_HOST) -> str | None:
 
 
 def load_alignment(path: str) -> dict:
-    """Two-column tab-separated table: predicate IRI to canonical id."""
+    """Two-column tab-separated table: predicate IRI to canonical id.
+    Every error names the file, and a bad row its line too."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            rows = list(enumerate(handle, start=1))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     table = {}
-    with open(path, encoding="utf-8") as handle:
-        for raw in handle:
-            text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"bad alignment row: {text!r}")
-            predicate, canonical = parts
-            if table.setdefault(predicate, canonical) != canonical:
-                raise ValueError(f"alignment maps {predicate!r} to both "
-                                 f"{table[predicate]!r} and {canonical!r}")
+    for lineno, raw in rows:
+        text = raw.strip()
+        if not text or text.startswith("#"):
+            continue
+        parts = text.split("\t")
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{lineno} bad alignment row: {text!r}")
+        predicate, canonical = parts
+        if table.setdefault(predicate, canonical) != canonical:
+            raise ValueError(f"{path}:{lineno} alignment maps {predicate!r} "
+                             f"to both {table[predicate]!r} and {canonical!r}")
     return table
 
 

@@ -47,28 +47,40 @@ def joint_sum_marginals(unary, coupling):
             for i in range(n)]
 
 
+def _out_degrees(sbg):
+    """Each source's summed outgoing multiplicity, 0 for a pure sink,
+    counted here rather than read from the graph under test."""
+    out = {}
+    for (l, k), count in sbg.multiplicity.items():
+        out[l] = out.get(l, 0) + count
+        out.setdefault(k, 0)
+    return out
+
+
 def prior_rhs(sbg, br, damping=0.85):
     """Right-hand side of the endorsement recurrence, recomputed from scratch."""
+    out_degree = _out_degrees(sbg)
     senders = {}
     for (l, k), count in sbg.multiplicity.items():
         senders.setdefault(k, []).append((l, count))
     rhs = {}
-    for j in sbg.vertices:
+    for j in out_degree:
         incoming = 0.0
         for l, count in senders.get(j, ()):
-            incoming += br[l] * count / sbg.out_degree[l]
+            incoming += br[l] * count / out_degree[l]
         rhs[j] = (1.0 - damping) + damping * incoming
     return rhs
 
 
 def prior_linear_solve(sbg, damping=0.85):
     """Exact fixed point of the endorsement recurrence via a linear system."""
-    order = sorted(sbg.vertices)
+    out_degree = _out_degrees(sbg)
+    order = sorted(out_degree)
     index = {v: i for i, v in enumerate(order)}
     n = len(order)
     m = np.zeros((n, n))
     for (l, j), mult in sbg.multiplicity.items():
-        m[index[j], index[l]] += mult / sbg.out_degree[l]
+        m[index[j], index[l]] += mult / out_degree[l]
     solution = np.linalg.solve(np.eye(n) - damping * m,
                                np.full(n, 1.0 - damping))
     return {v: float(solution[index[v]]) for v in order}

@@ -292,7 +292,20 @@ class TestParseDiagnostics:
         code = main(["resolve", "--input", str(path), "--strict",
                      "--out", str(tmp_path / "o")])
         assert code == 1
-        assert f"ERROR: line 2: bad \\{key} escape" in capsys.readouterr().err
+        assert f"ERROR: {path}:2 bad \\{key} escape" in capsys.readouterr().err
+
+    def test_strict_abort_names_the_file(self, tmp_path, capsys):
+        good = tmp_path / "good.nt"
+        good.write_text('<http://a.example/s> <http://a.example/p> "ok" .\n')
+        bad = self.mixed_file(tmp_path)
+        argv = ["resolve", "--input", str(good), str(bad),
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
+        warning = capsys.readouterr().err.splitlines()[0]
+        assert warning == f"WARN {bad}:2 unexpected character 't'"
+        assert main([*argv, "--strict"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"ERROR: {bad}:2 unexpected character 't'"]
 
 
 class TestUnreadableGzip:
@@ -556,6 +569,14 @@ class TestPriorCommand:
         assert scores == sorted(scores, reverse=True)
         assert sbg_path.read_text().startswith("from\tto\tmultiplicity\n")
 
+    def test_graph_dump_makes_its_directory(self, corpus_dir, tmp_path):
+        sbg_path = tmp_path / "new_dir" / "sbg.tsv"
+        code = main(["prior", "--input", str(corpus_dir / "corpus.nt"),
+                     "--out", str(tmp_path / "prior"),
+                     "--sbg-out", str(sbg_path)])
+        assert code == 0
+        assert sbg_path.read_text().startswith("from\tto\tmultiplicity\n")
+
     def test_no_identity_links_is_fatal(self, tmp_path, capsys):
         path = tmp_path / "plain.nt"
         path.write_text('<http://a.example/s> <http://a.example/p> "x" .\n')
@@ -612,7 +633,25 @@ class TestAlignmentOption:
                      "--alignment", str(table), "--out", str(tmp_path / "o")])
         assert code == 1
         assert capsys.readouterr().err.splitlines() == [
-            "ERROR: alignment maps 'http://a.example/p' to both 'P' and 'Q'"]
+            f"ERROR: {table}:2 alignment maps 'http://a.example/p' to both "
+            "'P' and 'Q'"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("content, message", [
+        (b"\xff\tP\n", ": 'utf-8' codec can't decode byte 0xff"),
+        (b"# comment\nonly-one-column\n",
+         ":2 bad alignment row: 'only-one-column'"),
+    ], ids=["undecodable", "bad_row"])
+    def test_table_errors_name_the_file(self, corpus_dir, tmp_path, capsys,
+                                        content, message):
+        table = tmp_path / "alignment.tsv"
+        table.write_bytes(content)
+        code = main(["resolve", "--input", str(corpus_dir / "corpus.nt"),
+                     "--alignment", str(table), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"ERROR: {table}{message}")
         assert not (tmp_path / "o").exists()
 
     def test_prior_has_no_alignment(self, corpus_dir, tmp_path):
@@ -859,6 +898,17 @@ class TestConfigFileErrors:
         err = capsys.readouterr().err
         assert err.startswith("ERROR: ")
         assert not (tmp_path / "o").exists()
+
+    def test_undecodable_file_names_it(self, corpus_dir, tmp_path, capsys):
+        cfgfile = tmp_path / "bad.ini"
+        cfgfile.write_bytes(b"\xff[engine]\n")
+        code = main(["resolve", "--input", str(corpus_dir / "corpus.nt"),
+                     "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(
+            f"ERROR: {cfgfile}: 'utf-8' codec can't decode byte 0xff")
 
 
 # option string -> (type, default, choices) of each subcommand, as

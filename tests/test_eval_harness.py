@@ -63,6 +63,11 @@ class TestSynthConfig:
         {"support_skew": -1.0}, {"decoy_concentration": -0.5},
         {"near_truth_rate": 1.5},
         {"support_skew": math.nan}, {"decoy_concentration": math.nan},
+        # more claims per slot than distinct sources to make them
+        {"n_sources": 2, "values_per_conflict": 2, "claims_min": 3,
+         "claims_max": 3},
+        # a near-truth decoy is drawn only beside at least two others
+        {"near_truth_rate": 0.3, "values_per_conflict": 2},
     ])
     def test_rejects_impossible_shapes(self, kwargs):
         with pytest.raises(SynthConfigError):

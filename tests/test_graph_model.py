@@ -95,10 +95,14 @@ class TestProjection:
             ("http://b.org/9", "http://a.org/9", None),
         ])
         sbg = project_to_sbg(graph)
-        assert sbg.multiplicity[("a.org", "b.org")] == 2
-        assert sbg.multiplicity[("b.org", "a.org")] == 1
-        assert sbg.out_degree["a.org"] == 3
+        assert sbg.multiplicity == {("a.org", "b.org"): 2,
+                                    ("a.org", "c.org"): 1,
+                                    ("b.org", "a.org"): 1}
+        # an out-degree is a sum over the multiplicities, not stored apart
+        assert sum(count for (a, _), count in sbg.multiplicity.items()
+                   if a == "a.org") == 3
         assert sum(sbg.multiplicity.values()) == 4
+        assert vars(sbg).keys() == {"multiplicity", "drop_counts"}
 
     def test_self_loops_dropped(self):
         graph = SameAsGraph([
