@@ -4,7 +4,9 @@ Subcommands: resolve conflicting claims from triple files, score the
 source prior on its own, generate synthetic corpora, run method
 comparisons, and run a single baseline.  Settings resolve in strict
 precedence: command line flag, then config file entry, then built-in
-default.  Output files are written atomically via rename.
+default.  Each command returns its exit status and its output files;
+``main`` writes every output, atomically via rename, and is the only code
+that writes one.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from operator import add
 
 from .baselines import (METHOD_ENGINE, METHOD_TRUTHFINDER, METHOD_VOTE,
                         run_method)
-from .graph_model import build_sameas_graph, project_to_sbg, sbg_to_tsv
+from .graph_model import build_sameas_graph, project_to_sbg
 from .pipeline import assemble, parse_files
 from .prior_belief import DEFAULT_PRIOR, PriorConfig, compute_prior
 from .rdf_ingest import POLICIES, load_alignment
@@ -36,6 +38,11 @@ def _atomic_write(path: str, text: str):
     with open(tmp, "w", encoding="utf-8") as handle:
         handle.write(text)
     os.replace(tmp, path)
+
+
+def _table(header, rows, sep: str = "\t") -> str:
+    """Header, then a line per row; str(float) is its round-trip repr."""
+    return "".join(sep.join(map(str, row)) + "\n" for row in (header, *rows))
 
 
 # (INI section, INI key, flag or None, type); a flag's dest is its INI key.
@@ -127,8 +134,9 @@ def _config(args, filecfg: dict, section: str):
             try:
                 value = cast(entries[key])
             except ValueError:
-                raise ValueError(f"[{section}] {key}: not a valid "
-                                 f"{cast.__name__}: {entries[key]!r}") from None
+                raise ValueError(f"{args.config}: [{section}] {key}: not a "
+                                 f"valid {cast.__name__}: {entries[key]!r}"
+                                 ) from None
         if value is not None:
             given[key] = value
     return _CONFIGS[section](**given)
@@ -161,21 +169,16 @@ def _decisions_jsonl(decisions, store, method: str, iterations=None,
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _trace_csv(trace) -> str:
-    lines = ["iteration,mean_delta_tau,max_delta_tau"]
-    for iteration, mean, peak in trace:
-        lines.append(f"{iteration},{mean!r},{peak!r}")
-    return "\n".join(lines) + "\n"
-
-
 def _ingest(args, filecfg):
     run = _config(args, filecfg, "run")
     policy = run.get("policy", "host")
-    if policy not in POLICIES:
-        raise ValueError(f"unknown policy {policy!r}, expected one of "
-                         f"{', '.join(sorted(POLICIES))}")
+    if policy not in POLICIES:  # a file value: --policy has choices
+        raise ValueError(f"{args.config}: [run] policy: {policy!r} is not "
+                         f"one of {', '.join(sorted(POLICIES))}")
     if run.get("threads", 1) < 1:
-        raise ValueError("--threads must be at least 1")
+        where = "--threads" if args.threads is not None \
+            else f"{args.config}: [run] threads"
+        raise ValueError(f"{where} must be at least 1")
     mode = "strict" if args.strict else "lenient"
     diagnostics = []
     statements = parse_files(args.input, fmt=args.format, mode=mode,
@@ -206,28 +209,14 @@ def _warn_dropped(counts: dict, what: str):
                   file=sys.stderr)
 
 
-def cmd_resolve(args, filecfg: dict) -> int:
+def cmd_resolve(args, filecfg: dict) -> tuple:
     built, n_statements = _assemble(args, filecfg,
                                     _config(args, filecfg, "prior"))
     store, priors = built.store, built.priors
     if priors.nbr and store.incidence.keys().isdisjoint(priors.nbr):
         print("WARN no claim source has an endorsement prior", file=sys.stderr)
     result = resolve_all(store, priors, _config(args, filecfg, "engine"))
-
-    _atomic_write(os.path.join(args.out, "decisions.jsonl"),
-                  _decisions_jsonl(result.decisions, store, METHOD_ENGINE,
-                                   result.iterations, result.converged))
-    _atomic_write(os.path.join(args.out, "trace.csv"),
-                  _trace_csv(result.trace))
-    trust_lines = ["source\tt\tt_smoothed\tnbr"]
-    for source in sorted(result.trust.t):
-        trust_lines.append(
-            f"{source}\t{result.trust.t[source]!r}"
-            f"\t{result.trust.t_smoothed[source]!r}"
-            f"\t{priors.nbr.get(source, 0.5)!r}")
-    _atomic_write(os.path.join(args.out, "source_trust.tsv"),
-                  "\n".join(trust_lines) + "\n")
-
+    t, smoothed, nbr = result.trust.t, result.trust.t_smoothed, priors.nbr
     print(f"statements={n_statements} claims={len(store.claims)} "
           f"conflict_sets={len(store.conflict_sets)} "
           f"iterations={result.iterations} converged={result.converged} "
@@ -235,59 +224,65 @@ def cmd_resolve(args, filecfg: dict) -> int:
           f"prior_sweeps={priors.sweeps_used} "
           f"prior_converged={priors.converged}",
           file=sys.stderr)
-    if not (result.converged and result.bp_converged and priors.converged):
-        return EXIT_NONCONVERGED
-    return EXIT_OK
+    converged = result.converged and result.bp_converged and priors.converged
+    return (EXIT_OK if converged else EXIT_NONCONVERGED), {
+        "decisions.jsonl": _decisions_jsonl(
+            result.decisions, store, METHOD_ENGINE, result.iterations,
+            result.converged),
+        "trace.csv": _table(("iteration", "mean_delta_tau", "max_delta_tau"),
+                            result.trace, sep=","),
+        "source_trust.tsv": _table(("source", "t", "t_smoothed", "nbr"), (
+            (s, t[s], smoothed[s], nbr.get(s, 0.5)) for s in sorted(t)))}
 
 
-def cmd_prior(args, filecfg: dict) -> int:
+def cmd_prior(args, filecfg: dict) -> tuple:
     statements, policy = _ingest(args, filecfg)
     sbg = project_to_sbg(build_sameas_graph(statements), policy)
     priors = compute_prior(sbg, _config(args, filecfg, "prior"))
     _warn_dropped(sbg.drop_counts, "identity links")
     if not sbg.multiplicity:
-        print("ERROR: no usable identity links, source graph is empty",
-              file=sys.stderr)
-        return EXIT_FATAL
-    lines = ["source\tbr\tnbr"]
-    ranked = sorted(priors.br, key=lambda s: (-priors.br[s], s))
-    for source in ranked:
-        lines.append(f"{source}\t{priors.br[source]!r}\t{priors.nbr[source]!r}")
-    _atomic_write(os.path.join(args.out, "prior.tsv"), "\n".join(lines) + "\n")
+        raise ValueError("no usable identity links, source graph is empty")
+    br, nbr = priors.br, priors.nbr
+    files = {"prior.tsv": _table(("source", "br", "nbr"), (
+        (s, br[s], nbr[s]) for s in sorted(br, key=lambda x: (-br[x], x))))}
     if args.sbg_out:
-        _atomic_write(args.sbg_out, sbg_to_tsv(sbg))
-    print(f"sources={len(priors.br)} sweeps={priors.sweeps_used} "
+        files[os.path.abspath(args.sbg_out)] = _table(
+            ("from", "to", "multiplicity"),
+            ((a, b, n) for (a, b), n in sorted(sbg.multiplicity.items())))
+    print(f"sources={len(br)} sweeps={priors.sweeps_used} "
           f"converged={priors.converged}", file=sys.stderr)
-    return EXIT_OK if priors.converged else EXIT_NONCONVERGED
+    return (EXIT_OK if priors.converged else EXIT_NONCONVERGED), files
 
 
-def cmd_synth(args, filecfg: dict) -> int:
+def cmd_synth(args, filecfg: dict) -> tuple:
     from .eval_harness import generate
     cfg = _config(args, filecfg, "synth")
     result = generate(cfg)
-    _atomic_write(os.path.join(args.out, "corpus.nt"), result.triples)
-    _atomic_write(os.path.join(args.out, "gold.tsv"), result.gold.to_tsv())
     manifest = {"seed": cfg.seed, "n_sources": cfg.n_sources,
                 "n_entities": cfg.n_entities,
                 "n_conflict_predicates": cfg.n_conflict_predicates,
                 "values_per_conflict": cfg.values_per_conflict,
                 "reliability_range": [cfg.reliability_low, cfg.reliability_high],
+                "claims_range": cfg.claims_range,
                 "gold_slots": len(result.gold.truths),
                 "unanimous_slots": result.unanimous_slots}
-    _atomic_write(os.path.join(args.out, "manifest.json"),
-                  json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(f"gold_slots={len(result.gold.truths)} "
           f"unanimous={result.unanimous_slots}", file=sys.stderr)
-    return EXIT_OK
+    return EXIT_OK, {
+        "corpus.nt": result.triples, "gold.tsv": result.gold.to_tsv(),
+        "manifest.json": json.dumps(manifest, indent=2, sort_keys=True) + "\n"}
 
 
-def cmd_eval(args, filecfg: dict) -> int:
+def cmd_eval(args, filecfg: dict) -> tuple:
     from .eval_harness import run_benchmark
     cfg = _config(args, filecfg, "synth")
     if args.runs < 1:
         raise ValueError("--runs must be at least 1")
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds \
-        else list(range(cfg.seed, cfg.seed + args.runs))
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")] if args.seeds \
+            else list(range(cfg.seed, cfg.seed + args.runs))
+    except ValueError:
+        raise ValueError(f"--seeds: not integers: {args.seeds!r}") from None
     methods = args.methods.split(",")
     rows = run_benchmark(cfg, seeds, methods,
                          _config(args, filecfg, "engine"),
@@ -304,8 +299,6 @@ def cmd_eval(args, filecfg: dict) -> int:
         accs = [row["report"][method]["accuracy"] for row in rows]
         # a left fold, the same bits on every Python (see select_truth)
         report[f"mean_{method}"] = reduce(add, accs) / len(accs)
-    _atomic_write(os.path.join(args.out, "report.json"),
-                  json.dumps(report, indent=2, sort_keys=True) + "\n")
 
     header = "seed  " + "".join(f"{m:>14}" for m in methods)
     print(header)
@@ -315,19 +308,19 @@ def cmd_eval(args, filecfg: dict) -> int:
         print(f"{row['seed']:<6}{cells}")
     means = "".join(f"{report[f'mean_{m}']:>14.4f}" for m in methods)
     print(f"{'mean':<6}{means}")
-    return EXIT_OK
+    return EXIT_OK, {
+        "report.json": json.dumps(report, indent=2, sort_keys=True) + "\n"}
 
 
-def cmd_baseline(args, filecfg: dict) -> int:
+def cmd_baseline(args, filecfg: dict) -> tuple:
     built = _assemble(args, filecfg)[0]
     store = built.store
     decisions, iterations, converged, _ = run_method(args.method, store,
                                                      built.priors)
-    _atomic_write(os.path.join(args.out, "decisions.jsonl"),
-                  _decisions_jsonl(decisions, store, args.method,
-                                   iterations, converged))
     print(f"conflict_sets={len(store.conflict_sets)}", file=sys.stderr)
-    return EXIT_NONCONVERGED if converged is False else EXIT_OK
+    return (EXIT_NONCONVERGED if converged is False else EXIT_OK), {
+        "decisions.jsonl": _decisions_jsonl(decisions, store, args.method,
+                                            iterations, converged)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -384,13 +377,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # after argparse's usage or --help text
+        return EXIT_FATAL if exc.code else EXIT_OK
     # bulk construction makes millions of long-lived objects and next to
     # no reference cycles, so the cyclic collector's passes are pure cost
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args, _load_config(args.config))
+        code, files = args.func(args, _load_config(args.config))
+        # a key is a path under --out; an absolute key stands on its own
+        for name, text in files.items():
+            _atomic_write(os.path.join(args.out, name), text)
+        return code
     except (ValueError, OSError) as exc:
         print(f"ERROR: {exc}", file=sys.stderr)
         return EXIT_FATAL

@@ -87,6 +87,11 @@ class SynthConfig:
             raise SynthConfigError(
                 "near_truth_rate needs values_per_conflict of at least 3")
 
+    @property
+    def claims_range(self) -> tuple:
+        """The claims per conflict drawn: distinct sources cap the most."""
+        return self.claims_min, min(self.claims_max, self.n_sources)
+
 
 @dataclass
 class GoldStandard:
@@ -270,7 +275,7 @@ def generate(cfg: SynthConfig) -> SynthResult:
     mentioned = {}
     unanimous = 0
 
-    cmin, cmax = cfg.claims_min, min(cfg.claims_max, n)
+    cmin, cmax = cfg.claims_range
 
     for k in range(cfg.n_conflict_predicates):
         entity_idx = k % cfg.n_entities
@@ -402,9 +407,11 @@ def run_benchmark(base_cfg: SynthConfig, seeds, methods=None,
                   prior_cfg: PriorConfig = DEFAULT_PRIOR) -> list:
     """Generate, assemble and score one corpus per seed."""
     methods = list(methods or (METHOD_ENGINE, METHOD_VOTE))
-    for method in methods:
+    for i, method in enumerate(methods):
         if method not in METHODS:
             raise ValueError(f"unknown method: {method!r}")
+        if method in methods[:i]:
+            raise ValueError(f"repeated method: {method!r}")
     rows = []
     for seed in seeds:
         synth = generate(replace(base_cfg, seed=seed))

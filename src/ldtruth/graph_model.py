@@ -113,11 +113,3 @@ def project_to_sbg(graph: SameAsGraph, policy: str = "host") -> SourceBeliefGrap
         else:
             sbg.drop_counts[reason or "no_source"] += 1
     return sbg
-
-
-def sbg_to_tsv(sbg: SourceBeliefGraph) -> str:
-    """Stable ``from<TAB>to<TAB>multiplicity`` dump, sorted by endpoint."""
-    lines = ["from\tto\tmultiplicity"]
-    for (a, b) in sorted(sbg.multiplicity):
-        lines.append(f"{a}\t{b}\t{sbg.multiplicity[(a, b)]}")
-    return "\n".join(lines) + "\n"

@@ -39,6 +39,26 @@ class TestSynthCommand:
         assert manifest["n_sources"] == 10
         assert manifest["gold_slots"] > 0
 
+    @pytest.mark.parametrize("flags, drawn", [
+        (SYNTH_FLAGS, [2, 4]),
+        (["--sources", "3", "--values", "3", "--claims-min", "2",
+          "--claims-max", "10", "--entities", "5", "--conflicts", "20"],
+         [2, 3]),
+    ], ids=["default", "capped_by_sources"])
+    def test_manifest_shows_the_claims_drawn(self, tmp_path, flags, drawn):
+        out = tmp_path / "s"
+        assert main(["synth", *flags, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["claims_range"] == drawn
+        # the most claims any slot got, counted in the corpus itself
+        slots = {}
+        for line in (out / "corpus.nt").read_text().splitlines():
+            if "owl#sameAs" not in line:
+                subject, predicate = line.split(" ")[:2]
+                slots[subject, predicate] = slots.get((subject, predicate),
+                                                      0) + 1
+        assert max(slots.values()) <= drawn[1]
+
     def test_rerun_is_byte_identical(self, corpus_dir, tmp_path):
         again = tmp_path / "again"
         assert main(["synth", *SYNTH_FLAGS, "--out", str(again)]) == 0
@@ -577,6 +597,32 @@ class TestPriorCommand:
         assert code == 0
         assert sbg_path.read_text().startswith("from\tto\tmultiplicity\n")
 
+    def test_graph_dump_is_sorted(self, tmp_path):
+        same = "<http://www.w3.org/2002/07/owl#sameAs>"
+        path = tmp_path / "links.nt"
+        path.write_text(
+            f"<http://b.org/1> {same} <http://a.org/1> .\n"
+            f"<http://a.org/2> {same} <http://b.org/2> .\n"
+            f"<http://a.org/3> {same} <http://b.org/3> .\n")
+        sbg_path = tmp_path / "sbg.tsv"
+        assert main(["prior", "--input", str(path), "--out",
+                     str(tmp_path / "p"), "--sbg-out", str(sbg_path)]) == 0
+        assert sbg_path.read_text() == ("from\tto\tmultiplicity\n"
+                                        "a.org\tb.org\t2\n"
+                                        "b.org\ta.org\t1\n")
+
+    def test_relative_graph_dump_is_not_under_out(self, corpus_dir, tmp_path,
+                                                  monkeypatch):
+        # --sbg-out names a path of its own, relative to the working
+        # directory like --out, never a file inside --out
+        monkeypatch.chdir(tmp_path)
+        code = main(["prior", "--input", str(corpus_dir / "corpus.nt"),
+                     "--out", "p", "--sbg-out", "graphs/sbg.tsv"])
+        assert code == 0
+        assert sorted(os.listdir(tmp_path / "p")) == ["prior.tsv"]
+        assert (tmp_path / "graphs" / "sbg.tsv").read_text().startswith(
+            "from\tto\tmultiplicity\n")
+
     def test_no_identity_links_is_fatal(self, tmp_path, capsys):
         path = tmp_path / "plain.nt"
         path.write_text('<http://a.example/s> <http://a.example/p> "x" .\n')
@@ -655,10 +701,9 @@ class TestAlignmentOption:
         assert not (tmp_path / "o").exists()
 
     def test_prior_has_no_alignment(self, corpus_dir, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["prior", "--input", str(corpus_dir / "corpus.nt"),
-                  "--alignment", str(tmp_path / "absent.tsv"),
-                  "--out", str(tmp_path / "o")])
+        assert main(["prior", "--input", str(corpus_dir / "corpus.nt"),
+                     "--alignment", str(tmp_path / "absent.tsv"),
+                     "--out", str(tmp_path / "o")]) == 1
 
 
 class TestGoldenOutputs:
@@ -805,6 +850,24 @@ class TestEvalCommand:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--seeds", "1,,2"],
+         "ERROR: --seeds: not integers: '1,,2'"),
+        (["--seeds", "0", "--methods", "ldtruth,vote,ldtruth"],
+         "ERROR: repeated method: 'ldtruth'"),
+    ], ids=["empty_seed", "repeated_method"])
+    def test_bad_list_names_it_before_any_corpus(self, tmp_path, capsys,
+                                                 monkeypatch, flags, message):
+        def generate(cfg):
+            raise AssertionError("generated a corpus for a bad flag")
+
+        monkeypatch.setattr(eval_harness, "generate", generate)
+        out = tmp_path / "eval"
+        assert main(["eval", *SYNTH_FLAGS, *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert not out.exists()
+
+
 class _Stop(Exception):
     """Ends a command once a spied call has seen its arguments."""
 
@@ -899,6 +962,34 @@ class TestConfigFileErrors:
         assert err.startswith("ERROR: ")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("[engine]\nouter_max = many\n",
+         "[engine] outer_max: not a valid int: 'many'"),
+        ("[engine]\ncoupling = x\n",
+         "[engine] coupling: not a valid float: 'x'"),
+        ("[run]\npolicy = bogus\n",
+         "[run] policy: 'bogus' is not one of graph, host, pld"),
+        ("[run]\nthreads = 0\n", "[run] threads must be at least 1"),
+    ], ids=["bad_number", "bad_float", "bad_policy", "threads"])
+    def test_bad_value_names_the_file(self, corpus_dir, tmp_path, capsys,
+                                      text, message):
+        cfgfile = tmp_path / "bad.ini"
+        cfgfile.write_text(text)
+        code = main(["resolve", "--input", str(corpus_dir / "corpus.nt"),
+                     "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"ERROR: {cfgfile}: {message}"]
+        assert not (tmp_path / "o").exists()
+
+    def test_bad_flag_value_keeps_its_message(self, corpus_dir, tmp_path,
+                                              capsys):
+        code = main(["resolve", "--input", str(corpus_dir / "corpus.nt"),
+                     "--threads", "0", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "ERROR: --threads must be at least 1"]
+
     def test_undecodable_file_names_it(self, corpus_dir, tmp_path, capsys):
         cfgfile = tmp_path / "bad.ini"
         cfgfile.write_bytes(b"\xff[engine]\n")
@@ -909,6 +1000,44 @@ class TestConfigFileErrors:
         assert len(err) == 1
         assert err[0].startswith(
             f"ERROR: {cfgfile}: 'utf-8' codec can't decode byte 0xff")
+
+
+class TestUsageErrors:
+    """A usage error is fatal (1), never 2, which means results were
+    written without convergence."""
+
+    @pytest.mark.parametrize("argv", [
+        ["resolve", "--input", "c.nt", "--coupling", "abc"],
+        ["resolve"],
+        ["resolve", "--input", "c.nt", "--policy", "bogus"],
+        ["bogus"],
+    ], ids=["bad_number", "missing_input", "bad_choice", "unknown_command"])
+    def test_exit_1_with_usage(self, tmp_path, capsys, argv):
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ldtruth")
+        assert "error: " in err
+        assert not (tmp_path / "o").exists()
+
+    def test_help_exits_0(self, capsys):
+        assert main(["resolve", "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: ldtruth resolve")
+
+
+class TestWritePath:
+    """Commands compute their files; main writes them, in order."""
+
+    def test_failed_write_follows_the_summary(self, corpus_dir, tmp_path,
+                                              capsys):
+        blocked = tmp_path / "file"
+        blocked.write_text("")
+        code = main(["resolve", "--input", str(corpus_dir / "corpus.nt"),
+                     "--out", str(blocked / "o")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert err[0].startswith("statements=")
+        assert err[1].startswith("ERROR: ")
 
 
 # option string -> (type, default, choices) of each subcommand, as

@@ -5,11 +5,9 @@ import random
 from oracles import bfs_components
 from ldtruth.graph_model import (
     SameAsGraph,
-    SourceBeliefGraph,
     build_sameas_graph,
     project_to_sbg,
     sameas_closure,
-    sbg_to_tsv,
 )
 from ldtruth.rdf_ingest import (FORMAT_NQUADS, POLICY_NAMED_GRAPH,
                                  POLICY_PLD, parse_triples)
@@ -166,13 +164,3 @@ class TestProjection:
         ])
         sbg = project_to_sbg(graph)
         assert sbg.multiplicity == {("a.org", "b.org"): 2}
-
-    def test_tsv_dump_is_sorted(self):
-        sbg = SourceBeliefGraph()
-        sbg.add_edge("b.org", "a.org")
-        sbg.add_edge("a.org", "b.org")
-        sbg.add_edge("a.org", "b.org")
-        text = sbg_to_tsv(sbg)
-        assert text == ("from\tto\tmultiplicity\n"
-                        "a.org\tb.org\t2\n"
-                        "b.org\ta.org\t1\n")
