@@ -4,7 +4,9 @@ Subcommands: resolve conflicting claims from triple files, score the
 source prior on its own, generate synthetic corpora, run method
 comparisons, and run a single baseline.  Settings resolve in strict
 precedence: command line flag, then config file entry, then built-in
-default.  Each command returns its exit status and its output files;
+default.  ``main`` reads the settings: it builds and checks the config of
+every settings section a command lists before any input is read.  The
+command computes, and returns its exit status and its output files;
 ``main`` writes every output, atomically via rename, and is the only code
 that writes one.
 """
@@ -24,7 +26,7 @@ from .baselines import (METHOD_ENGINE, METHOD_TRUTHFINDER, METHOD_VOTE,
 from .graph_model import build_sameas_graph, project_to_sbg
 from .pipeline import assemble, parse_files
 from .prior_belief import DEFAULT_PRIOR, PriorConfig, compute_prior
-from .rdf_ingest import POLICIES, load_alignment
+from .rdf_ingest import FORMATS, POLICIES, load_alignment
 from .truth_engine import EngineConfig, resolve_all
 
 EXIT_OK = 0
@@ -105,12 +107,14 @@ def _load_config(path: str | None) -> dict:
     # [DEFAULT] header is checked like any other section
     parser = configparser.ConfigParser(default_section="")
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             parser.read_file(handle)
         filecfg = {section: dict(parser.items(section))
                    for section in parser.sections()}
     except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        # one line, where configparser spreads a parsing error over several
+        text = " ".join(line.strip() for line in str(exc).splitlines())
+        raise ValueError(f"{path}: {text}") from exc
     keys = {row[:2] for row in SETTINGS}
     for section, entries in filecfg.items():
         if section not in _CONFIGS:
@@ -169,8 +173,7 @@ def _decisions_jsonl(decisions, store, method: str, iterations=None,
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _ingest(args, filecfg):
-    run = _config(args, filecfg, "run")
+def _ingest(args, run: dict):
     policy = run.get("policy", "host")
     if policy not in POLICIES:  # a file value: --policy has choices
         raise ValueError(f"{args.config}: [run] policy: {policy!r} is not "
@@ -188,11 +191,11 @@ def _ingest(args, filecfg):
     return statements, policy
 
 
-def _assemble(args, filecfg, prior_cfg: PriorConfig = DEFAULT_PRIOR):
+def _assemble(args, run: dict, prior_cfg: PriorConfig = DEFAULT_PRIOR):
     """Parse and assemble the input; returns (assembled, statement count).
     The statements are freed on return: nothing downstream needs them."""
-    statements, policy = _ingest(args, filecfg)
     alignment = load_alignment(args.alignment) if args.alignment else None
+    statements, policy = _ingest(args, run)
     built = assemble(statements, policy=policy, alignment=alignment,
                      prior_cfg=prior_cfg)
     _warn_dropped(built.store.drop_counts, "statements")
@@ -209,13 +212,12 @@ def _warn_dropped(counts: dict, what: str):
                   file=sys.stderr)
 
 
-def cmd_resolve(args, filecfg: dict) -> tuple:
-    built, n_statements = _assemble(args, filecfg,
-                                    _config(args, filecfg, "prior"))
+def cmd_resolve(args, run, prior, engine) -> tuple:
+    built, n_statements = _assemble(args, run, prior)
     store, priors = built.store, built.priors
     if priors.nbr and store.incidence.keys().isdisjoint(priors.nbr):
         print("WARN no claim source has an endorsement prior", file=sys.stderr)
-    result = resolve_all(store, priors, _config(args, filecfg, "engine"))
+    result = resolve_all(store, priors, engine)
     t, smoothed, nbr = result.trust.t, result.trust.t_smoothed, priors.nbr
     print(f"statements={n_statements} claims={len(store.claims)} "
           f"conflict_sets={len(store.conflict_sets)} "
@@ -235,10 +237,10 @@ def cmd_resolve(args, filecfg: dict) -> tuple:
             (s, t[s], smoothed[s], nbr.get(s, 0.5)) for s in sorted(t)))}
 
 
-def cmd_prior(args, filecfg: dict) -> tuple:
-    statements, policy = _ingest(args, filecfg)
+def cmd_prior(args, run, prior) -> tuple:
+    statements, policy = _ingest(args, run)
     sbg = project_to_sbg(build_sameas_graph(statements), policy)
-    priors = compute_prior(sbg, _config(args, filecfg, "prior"))
+    priors = compute_prior(sbg, prior)
     _warn_dropped(sbg.drop_counts, "identity links")
     if not sbg.multiplicity:
         raise ValueError("no usable identity links, source graph is empty")
@@ -254,16 +256,16 @@ def cmd_prior(args, filecfg: dict) -> tuple:
     return (EXIT_OK if priors.converged else EXIT_NONCONVERGED), files
 
 
-def cmd_synth(args, filecfg: dict) -> tuple:
+def cmd_synth(args, synth) -> tuple:
     from .eval_harness import generate
-    cfg = _config(args, filecfg, "synth")
-    result = generate(cfg)
-    manifest = {"seed": cfg.seed, "n_sources": cfg.n_sources,
-                "n_entities": cfg.n_entities,
-                "n_conflict_predicates": cfg.n_conflict_predicates,
-                "values_per_conflict": cfg.values_per_conflict,
-                "reliability_range": [cfg.reliability_low, cfg.reliability_high],
-                "claims_range": cfg.claims_range,
+    result = generate(synth)
+    manifest = {"seed": synth.seed, "n_sources": synth.n_sources,
+                "n_entities": synth.n_entities,
+                "n_conflict_predicates": synth.n_conflict_predicates,
+                "values_per_conflict": synth.values_per_conflict,
+                "reliability_range": [synth.reliability_low,
+                                      synth.reliability_high],
+                "claims_range": synth.claims_range,
                 "gold_slots": len(result.gold.truths),
                 "unanimous_slots": result.unanimous_slots}
     print(f"gold_slots={len(result.gold.truths)} "
@@ -273,20 +275,17 @@ def cmd_synth(args, filecfg: dict) -> tuple:
         "manifest.json": json.dumps(manifest, indent=2, sort_keys=True) + "\n"}
 
 
-def cmd_eval(args, filecfg: dict) -> tuple:
+def cmd_eval(args, synth, prior, engine) -> tuple:
     from .eval_harness import run_benchmark
-    cfg = _config(args, filecfg, "synth")
     if args.runs < 1:
         raise ValueError("--runs must be at least 1")
     try:
         seeds = [int(s) for s in args.seeds.split(",")] if args.seeds \
-            else list(range(cfg.seed, cfg.seed + args.runs))
+            else list(range(synth.seed, synth.seed + args.runs))
     except ValueError:
         raise ValueError(f"--seeds: not integers: {args.seeds!r}") from None
     methods = args.methods.split(",")
-    rows = run_benchmark(cfg, seeds, methods,
-                         _config(args, filecfg, "engine"),
-                         prior_cfg=_config(args, filecfg, "prior"))
+    rows = run_benchmark(synth, seeds, methods, engine, prior_cfg=prior)
     report = {"seeds": seeds, "methods": methods, "rows": []}
     for row in rows:
         flat = {"seed": row["seed"], "conflict_sets": row["conflict_sets"]}
@@ -312,8 +311,8 @@ def cmd_eval(args, filecfg: dict) -> tuple:
         "report.json": json.dumps(report, indent=2, sort_keys=True) + "\n"}
 
 
-def cmd_baseline(args, filecfg: dict) -> tuple:
-    built = _assemble(args, filecfg)[0]
+def cmd_baseline(args, run) -> tuple:
+    built = _assemble(args, run)[0]
     store = built.store
     decisions, iterations, converged, _ = run_method(args.method, store,
                                                      built.priors)
@@ -328,8 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ldtruth",
         description="Resolve conflicting Linked Data claims")
     sub = parser.add_subparsers(dest="command", required=True)
-    # name, handler, help, default --out, settings sections; the commands
-    # with a "run" section are those that read triple files
+    # name, handler, help, default --out, settings sections; a handler
+    # takes the flags and, by section name, each section's config; the
+    # commands with a "run" section are those that read triple files
     commands = (
         ("resolve", cmd_resolve, "run full conflict resolution", "out",
          ("run", "prior", "engine")),
@@ -345,11 +345,11 @@ def build_parser() -> argparse.ArgumentParser:
     subs = {}
     for name, func, text, out, sections in commands:
         p = subs[name] = sub.add_parser(name, help=text)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, sections=sections)
         if "run" in sections:
             p.add_argument("--input", nargs="+", required=True,
                            help="triple files (.nt/.nq, optionally .gz)")
-            p.add_argument("--format", choices=["ntriples", "nquads"])
+            p.add_argument("--format", choices=FORMATS)
             p.add_argument("--strict", action="store_true",
                            help="abort on the first malformed line")
         for section, key, flag, cast in SETTINGS:
@@ -386,7 +386,9 @@ def main(argv=None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        code, files = args.func(args, _load_config(args.config))
+        filecfg = _load_config(args.config)
+        configs = {s: _config(args, filecfg, s) for s in args.sections}
+        code, files = args.func(args, **configs)
         # a key is a path under --out; an absolute key stands on its own
         for name, text in files.items():
             _atomic_write(os.path.join(args.out, name), text)

@@ -22,7 +22,7 @@ from .pipeline import assemble
 from .prior_belief import DEFAULT_PRIOR, PriorConfig
 from .rdf_ingest import FORMAT_NTRIPLES, OWL_SAMEAS, parse_triples
 from .truth_engine import DEFAULT_ENGINE, EngineConfig
-from .values import NormalizedValue
+from .values import MONTH_NAMES, NormalizedValue
 
 _KINDS = ("number", "date", "text")
 _XSD_DECIMAL = "http://www.w3.org/2001/XMLSchema#decimal"
@@ -232,10 +232,7 @@ def _literal_for(rng, value: NormalizedValue) -> str:
             return f'"{value.render()}"'
         if form == 1:
             return f'"{month}/{day}/{year}"'
-        month_name = ("January", "February", "March", "April", "May", "June",
-                      "July", "August", "September", "October", "November",
-                      "December")[month - 1]
-        return f'"{day} {month_name} {year}"'
+        return f'"{day} {MONTH_NAMES[month - 1].capitalize()} {year}"'
     return f'"{value.render()}"'
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gzip
 import io
 import zlib
+from contextlib import ExitStack
 from typing import NamedTuple
 
 from .graph_model import build_sameas_graph, project_to_sbg, sameas_closure
@@ -28,28 +29,28 @@ def format_for_path(path: str) -> str:
 
 def parse_files(paths, fmt: str | None = None, mode: str = "lenient",
                 diagnostics: list | None = None) -> list:
-    """Parse several files one after another, in the order given.
+    """Parse several files in the order given, after opening every one.
 
     ``diagnostics``, when given, collects ``(path, diagnostic)`` pairs;
     without it a line set aside raises, as in ``parse_triples``.  Errors
     name the file, and a ``.gz`` that does not decompress raises OSError.
     """
     statements = []
-    for path in paths:
-        found = [] if diagnostics is not None else None
-        opener = gzip.open if path.endswith(".gz") else open
+    with ExitStack() as stack:
+        handles = [stack.enter_context(
+            io.BufferedReader(gzip.open(path)) if path.endswith(".gz")
+            else open(path, "rb")) for path in paths]
         try:
-            with opener(path, "rb") as handle:
-                buffered = io.BufferedReader(handle) if not isinstance(
-                    handle, io.BufferedReader) else handle
+            for path, handle in zip(paths, handles):
+                found = [] if diagnostics is not None else None
                 statements.extend(parse_triples(
-                    buffered, fmt or format_for_path(path), mode, found))
+                    handle, fmt or format_for_path(path), mode, found))
+                if found:
+                    diagnostics.extend((path, d) for d in found)
         except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
             raise OSError(f"{path}: not a readable gzip file: {exc}") from exc
         except MalformedLineError as exc:
             raise type(exc)(exc.line, exc.reason, path) from None
-        if found:
-            diagnostics.extend((path, d) for d in found)
     return statements
 
 

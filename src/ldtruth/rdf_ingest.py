@@ -31,6 +31,7 @@ POLICIES = (POLICY_HOST, POLICY_PLD, POLICY_NAMED_GRAPH)
 
 FORMAT_NTRIPLES = "ntriples"
 FORMAT_NQUADS = "nquads"
+FORMATS = (FORMAT_NTRIPLES, FORMAT_NQUADS)
 
 
 class MalformedLineError(ValueError):
@@ -116,9 +117,8 @@ _WS_RE = re.compile(r"[ \t]+")
 # after the dot.  Groups: subject, predicate, the object IRI or the
 # literal's lexical form, datatype and language tag, then the graph.
 _PLAIN_LINE_RE = re.compile(
-    (r'<(%(iri)s)> <(%(iri)s)> (?:<(%(iri)s)>|"([^"\\]*)"'
-     r'(?:\^\^<(%(iri)s)>|@([a-zA-Z]+(?:-[a-zA-Z0-9]+)*))?)'
-     r'(?: <(%(iri)s)>)? \.') % {"iri": _IRI_BODY})
+    rf'<({_IRI_BODY})> <({_IRI_BODY})> (?:<({_IRI_BODY})>|"([^"\\]*)"'
+    rf'(?:\^\^<({_IRI_BODY})>|{_LANG_RE.pattern})?)(?: <({_IRI_BODY})>)? \.')
 
 _ESCAPES = {
     "t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
@@ -269,7 +269,7 @@ def parse_triples(source, fmt: str = FORMAT_NTRIPLES, mode: str = "lenient",
     line raises, in either mode.  Line numbers, on diagnostics and
     errors, are 1-based positions in the input; a statement carries none.
     """
-    if fmt not in (FORMAT_NTRIPLES, FORMAT_NQUADS):
+    if fmt not in FORMATS:
         raise ValueError(f"unknown format: {fmt!r}")
     if mode not in ("lenient", "strict"):
         raise ValueError(f"unknown mode: {mode!r}")
@@ -345,7 +345,7 @@ def load_alignment(path: str) -> dict:
     """Two-column tab-separated table: predicate IRI to canonical id.
     Every error names the file, and a bad row its line too."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             rows = list(enumerate(handle, start=1))
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from exc

@@ -42,15 +42,10 @@ DATE_DATATYPES = frozenset(
     _XSD + name for name in ("date", "dateTime", "gYear", "gYearMonth")
 )
 
-_MONTHS = {}
-for _i, _name in enumerate(
-    ("january", "february", "march", "april", "may", "june", "july",
-     "august", "september", "october", "november", "december"),
-    start=1,
-):
-    _MONTHS[_name] = _i
-    _MONTHS[_name[:3]] = _i
-_MONTHS["sept"] = 9
+MONTH_NAMES = ("january", "february", "march", "april", "may", "june", "july",
+               "august", "september", "october", "november", "december")
+_MONTHS = {key: i for i, name in enumerate(MONTH_NAMES, start=1)
+           for key in (name, name[:3])} | {"sept": 9}
 
 _DAYS_IN_MONTH = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 
@@ -61,13 +56,16 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 # this many places from the point, in scientific notation beyond
 _FIXED_DIGITS = 40
 
-# Year is pinned to four digits everywhere so short numerics never get
-# mistaken for dates.
-_ISO_YMD = re.compile(r"^(\d{4})-(\d{1,2}|#)-(\d{1,2}|#)$")
-_ISO_YM = re.compile(r"^(\d{4})-(\d{1,2})$")
-_SLASH_MDY = re.compile(r"^(\d{1,2})/(\d{1,2})/(\d{4})$")
-_DAY_NAME_YEAR = re.compile(r"^(\d{1,2})\s+([A-Za-z]+)\s+(\d{4})$")
-_NAME_YEAR = re.compile(r"^([A-Za-z]+)\s+(\d{4})$")
+# (pattern, year group, month group, day group), tried in order; no day
+# group leaves the day open.  Year is pinned to four digits everywhere so
+# short numerics never get mistaken for dates.
+_DATE_SHAPES = (
+    (re.compile(r"^(\d{4})-(\d{1,2}|#)-(\d{1,2}|#)$"), 1, 2, 3),
+    (re.compile(r"^(\d{4})-(\d{1,2})$"), 1, 2, None),
+    (re.compile(r"^(\d{1,2})/(\d{1,2})/(\d{4})$"), 3, 1, 2),
+    (re.compile(r"^(\d{1,2})\s+([A-Za-z]+)\s+(\d{4})$"), 3, 2, 1),
+    (re.compile(r"^([A-Za-z]+)\s+(\d{4})$"), 2, 1, None),
+)
 # a date datatype only cuts a dateTime's time and a trailing timezone
 # such as Z or +05:00 before the shapes above; gYear also takes a bare year
 _TIMEZONE = re.compile(r"(Z|[+-]\d\d:\d\d)$")
@@ -153,31 +151,20 @@ def _canonical_decimal(dec: Decimal) -> str:
 
 
 def _parse_date_lexical(text: str) -> tuple[int, int | None, int | None] | None:
-    match = _ISO_YMD.match(text)
-    if match:
-        year = int(match.group(1))
-        month = None if match.group(2) == "#" else int(match.group(2))
-        day = None if match.group(3) == "#" else int(match.group(3))
-        return _checked(year, month, day)
-    match = _ISO_YM.match(text)
-    if match:
-        return _checked(int(match.group(1)), int(match.group(2)), None)
-    match = _SLASH_MDY.match(text)
-    if match:
-        return _checked(int(match.group(3)), int(match.group(1)), int(match.group(2)))
-    match = _DAY_NAME_YEAR.match(text)
-    if match:
-        month = _MONTHS.get(match.group(2).lower())
-        if month is None:
-            return None
-        return _checked(int(match.group(3)), month, int(match.group(1)))
-    match = _NAME_YEAR.match(text)
-    if match:
-        month = _MONTHS.get(match.group(1).lower())
-        if month is None:
-            return None
-        return _checked(int(match.group(2)), month, None)
+    for pattern, *groups in _DATE_SHAPES:
+        match = pattern.match(text)
+        if match:
+            return _checked(*(None if g is None else _component(match[g])
+                              for g in groups))
     return None
+
+
+def _component(text: str) -> int | None:
+    """A digit group's number, ``None`` for ``#``, or a month name's
+    number (0, which no calendar rule accepts, for an unknown name)."""
+    if text == "#":
+        return None
+    return int(text) if text.isdecimal() else _MONTHS.get(text.lower(), 0)
 
 
 def _checked(year, month, day):

@@ -15,7 +15,7 @@ import sys
 import pytest
 
 import ldtruth
-from ldtruth import cli, eval_harness
+from ldtruth import cli, eval_harness, pipeline
 from ldtruth.cli import build_parser, main
 
 SYNTH_FLAGS = ["--sources", "10", "--entities", "30", "--conflicts", "40",
@@ -960,7 +960,23 @@ class TestConfigFileErrors:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("ERROR: ")
+        assert len(err.splitlines()) == 1
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text, where", [
+        ("outer_max = 1\n", "line: 1"),
+        ("[engine]\nouter_max = 1\nouter_max\n", "[line  3]"),
+    ], ids=["no_section_header", "not_key_value"])
+    def test_syntax_error_is_one_line_naming_the_line(self, tmp_path, capsys,
+                                                       text, where):
+        cfgfile = tmp_path / "bad.ini"
+        cfgfile.write_text(text)
+        code = main(["resolve", "--input", str(tmp_path / "missing.nt"),
+                     "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+        assert code == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"ERROR: {cfgfile}: ")
+        assert where in line
 
     @pytest.mark.parametrize("text, message", [
         ("[engine]\nouter_max = many\n",
@@ -970,11 +986,15 @@ class TestConfigFileErrors:
         ("[run]\npolicy = bogus\n",
          "[run] policy: 'bogus' is not one of graph, host, pld"),
         ("[run]\nthreads = 0\n", "[run] threads must be at least 1"),
-    ], ids=["bad_number", "bad_float", "bad_policy", "threads"])
+        # a byte order mark is not part of the first section header
+        ("\ufeff[engine]\ncoupling = x\n",
+         "[engine] coupling: not a valid float: 'x'"),
+    ], ids=["bad_number", "bad_float", "bad_policy", "threads",
+            "byte_order_mark"])
     def test_bad_value_names_the_file(self, corpus_dir, tmp_path, capsys,
                                       text, message):
         cfgfile = tmp_path / "bad.ini"
-        cfgfile.write_text(text)
+        cfgfile.write_text(text, encoding="utf-8")
         code = main(["resolve", "--input", str(corpus_dir / "corpus.nt"),
                      "--config", str(cfgfile), "--out", str(tmp_path / "o")])
         assert code == 1
@@ -1000,6 +1020,57 @@ class TestConfigFileErrors:
         assert len(err) == 1
         assert err[0].startswith(
             f"ERROR: {cfgfile}: 'utf-8' codec can't decode byte 0xff")
+
+
+class TestChecksBeforeParsing:
+    """Every setting, the config file, the alignment table and the
+    openability of every input are checked before any line is parsed."""
+
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        calls = []
+
+        def parse_triples(*args):
+            calls.append(args)
+            return []
+
+        monkeypatch.setattr(pipeline, "parse_triples", parse_triples)
+        return calls
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        present = tmp_path / "present.nt"
+        present.write_text('<http://a.org/s> <http://a.org/p> "x" .\n')
+        return [str(present), str(tmp_path / "missing.nt")]
+
+    @pytest.mark.parametrize("argv, ini, message", [
+        (["resolve", "--coupling", "1000"], None,
+         "coupling * max(1, |dissimilar_false_factor|) must be at most 709"),
+        (["resolve"], "[engine]\ncoupling = 1000\n",
+         "coupling * max(1, |dissimilar_false_factor|) must be at most 709"),
+        (["prior", "--damping", "1.5"], None, "damping must be in [0, 1)"),
+        (["resolve", "--alignment", "missing.tsv"], None,
+         "[Errno 2] No such file or directory: 'missing.tsv'"),
+    ], ids=["engine_flag", "engine_file", "prior_flag", "alignment"])
+    def test_bad_setting_is_reported_before_a_missing_input(
+            self, tmp_path, capsys, monkeypatch, parsed, inputs, argv, ini,
+            message):
+        monkeypatch.chdir(tmp_path)
+        if ini:
+            (tmp_path / "run.ini").write_text(ini)
+            argv = [*argv, "--config", "run.ini"]
+        assert main([*argv, "--input", *inputs, "--out", "o"]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"ERROR: {message}"]
+        assert parsed == []
+        assert not (tmp_path / "o").exists()
+
+    def test_missing_later_input_fails_before_parsing(self, tmp_path, capsys,
+                                                      parsed, inputs):
+        assert main(["resolve", "--input", *inputs,
+                     "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"ERROR: [Errno 2] No such file or directory: '{inputs[1]}'"]
+        assert parsed == []
 
 
 class TestUsageErrors:

@@ -660,6 +660,11 @@ class TestAlignmentTable:
         table = load_alignment(str(path))
         assert table == {"http://w.org/alt-height": "http://v.org/height"}
 
+    def test_byte_order_mark_is_not_part_of_the_first_row(self, tmp_path):
+        path = tmp_path / "alignment.tsv"
+        path.write_text("http://a.org/p\tP\n", encoding="utf-8-sig")
+        assert load_alignment(str(path)) == {"http://a.org/p": "P"}
+
     def test_bad_row(self, tmp_path):
         path = tmp_path / "alignment.tsv"
         path.write_text("only-one-column\n", encoding="utf-8")

@@ -2,12 +2,15 @@
 
 import calendar
 import random
+import re
+import types
 from decimal import Decimal
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ldtruth.eval_harness import _literal_for
 from ldtruth.values import (
     KIND_DATE,
     KIND_NUMBER,
@@ -105,6 +108,16 @@ class TestDates:
         assert normalize_object("1886-10").payload == (1886, 10, None)
         assert normalize_object("October 1886").payload == (1886, 10, None)
         assert normalize_object("1886-10").render() == "1886-10-#"
+
+    @pytest.mark.parametrize("month", range(1, 13))
+    def test_every_month_name_as_the_generator_writes_it(self, month):
+        # randrange(3) == 2 picks the generator's spelled-out form
+        spelled = types.SimpleNamespace(randrange=lambda n: 2)
+        literal = _literal_for(spelled, NormalizedValue.from_date(
+            1886, month, 28))
+        assert re.fullmatch(r'"28 [A-Z][a-z]+ 1886"', literal)
+        value = normalize_object(literal.strip('"'))
+        assert value.payload == (1886, month, 28)
 
     def test_sept_abbreviation(self):
         assert normalize_object("Sept 1944").payload == (1944, 9, None)
