@@ -104,8 +104,9 @@ def _load_config(path: str | None) -> dict:
         return {}
     import configparser
     # an empty default section name turns off the [DEFAULT] fallback, so a
-    # [DEFAULT] header is checked like any other section
-    parser = configparser.ConfigParser(default_section="")
+    # [DEFAULT] header is checked like any other section; with no
+    # interpolation every value is read as written, % signs included
+    parser = configparser.ConfigParser(default_section="", interpolation=None)
     try:
         with open(path, encoding="utf-8-sig") as handle:
             parser.read_file(handle)

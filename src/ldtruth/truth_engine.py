@@ -3,15 +3,17 @@
 The loop alternates two views of the same evidence.  Holding source
 trust fixed, every conflict set becomes a small binary field whose unary
 potentials come from the mean smoothed trust of each candidate's
-supporters and whose couplings come from value similarity; propagation
-turns that into a truth probability per candidate.  Holding those
+supporters and whose couplings come from value similarity; its
+marginals are the truth probability of each candidate.  Holding those
 probabilities fixed, each source is scored by the mean probability of
 the candidates it backed, then blended half and half with its
 structural prior.  Iteration stops when no candidate's probability
 moves by more than the outer threshold.
 
 Each set's field is built once and only its unary potentials change per
-sweep, with propagation warm-started from the set's previous messages.
+sweep.  A set of at most ``mrf.EXACT_NODES`` candidates is summed
+exactly; above that, propagation is warm-started from the set's previous
+messages.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ import pytest
 import ldtruth
 from ldtruth import cli, eval_harness, pipeline
 from ldtruth.cli import build_parser, main
+from ldtruth.mrf import EXACT_NODES
 
 SYNTH_FLAGS = ["--sources", "10", "--entities", "30", "--conflicts", "40",
                "--seed", "6"]
@@ -201,9 +202,9 @@ class TestResolveCommand:
         return str(path)
 
     def test_bp_round_cap_reports_nonconvergence(self, tmp_path, capsys):
-        # three close numbers for one slot: a triangle field, which runs
-        # propagation and needs more than one round
-        corpus = self._linked_numbers(tmp_path / "triangle.nt", 3)
+        # nine close numbers for one slot: a complete field above
+        # EXACT_NODES, which runs propagation and needs more than one round
+        corpus = self._linked_numbers(tmp_path / "nine.nt", EXACT_NODES + 1)
         cfgfile = tmp_path / "bp.ini"
         cfgfile.write_text("[engine]\nbp_max = 1\n")
         code = main(["resolve", "--input", corpus, "--config",
@@ -221,16 +222,18 @@ class TestResolveCommand:
 
     def test_cycle_free_set_is_exact_under_any_round_cap(self, tmp_path,
                                                          capsys):
-        # two linked candidates are summed exactly, so bp_max = 1 never binds
-        corpus = self._linked_numbers(tmp_path / "pair.nt", 2)
+        # a pair and a triangle alike are summed exactly, so bp_max = 1
+        # never binds
         cfgfile = tmp_path / "bp.ini"
         cfgfile.write_text("[engine]\nbp_max = 1\n")
-        code = main(["resolve", "--input", corpus, "--config",
-                     str(cfgfile), "--out", str(tmp_path / "capped")])
-        summary = capsys.readouterr().err.splitlines()[-1]
-        assert code == 0
-        assert "conflict_sets=1 " in summary
-        assert "bp_converged=True bp_rounds=0" in summary
+        for count in (2, 3):
+            corpus = self._linked_numbers(tmp_path / f"{count}.nt", count)
+            code = main(["resolve", "--input", corpus, "--config",
+                         str(cfgfile), "--out", str(tmp_path / f"o{count}")])
+            summary = capsys.readouterr().err.splitlines()[-1]
+            assert code == 0
+            assert "conflict_sets=1 " in summary
+            assert "bp_converged=True bp_rounds=0" in summary
 
     def test_prior_sweep_cap_shows_in_summary(self, corpus_dir, tmp_path,
                                               capsys):
@@ -714,11 +717,11 @@ class TestGoldenOutputs:
         ("corpus", "corpus.nt"):
             "6ffc90e6e6de8f5408e95f65faa6cc3f9f3b0ef25718845ddf1d1bbc356eb554",
         ("resolve", "decisions.jsonl"):
-            "b4aaea1ffe937299e8569cfcc0bb873175070ddc9ae46d5f47cf94090cccdbda",
+            "e22bceb8fe8ef224318f1a88ded20d4357e22e1c940fd2789ca53cabc460f4f0",
         ("resolve", "trace.csv"):
-            "b2a3038be241c5df43fd3e3910ffe3d7804f1c76bde2ab6ae4b2340e225ffe84",
+            "3e571c236bbf23ad6475cdb77e9903e6e2e385756162456f06683dcf2b0857ec",
         ("resolve", "source_trust.tsv"):
-            "9adff9c1a9e2784b7f3e71375f8ce28359341c752f5eaeb4029b52f25e41755b",
+            "3416937d476e9e2dced864d38b4e1263bf82d01bde5c1172889da48d40333c48",
         ("vote", "decisions.jsonl"):
             "547121ca5d708d562aa3aca5401d97408a654ff0a4f58fe7c1539030be58e32d",
         ("truthfinder", "decisions.jsonl"):
@@ -751,17 +754,17 @@ class TestGoldenOutputs:
     # .co.uk names and each line in its subject's host's graph
     QUAD_DIGESTS = {
         ("pld", "decisions.jsonl"):
-            "24bd7d7faebd0dabccdd93ad6e20a4e628083d45b0bab1eb9586350ee9abcfbd",
+            "b7d07a853e04e1d24ba32048193b50ab45928aedb0099060cd6b37de07c11c5d",
         ("pld", "trace.csv"):
-            "b2a3038be241c5df43fd3e3910ffe3d7804f1c76bde2ab6ae4b2340e225ffe84",
+            "3e571c236bbf23ad6475cdb77e9903e6e2e385756162456f06683dcf2b0857ec",
         ("pld", "source_trust.tsv"):
-            "aae0008e12b1bc50e47417ca0053b0ff804f2dcfb65b4139fcdb08423aafd594",
+            "69c33065bc7ce4681e37bf8a6f944b1686f85c4da02252a96496e028f2591c48",
         ("graph", "decisions.jsonl"):
-            "a670d63e9ae28185e1523b78a4d45bb0811ebbab6262c4d01783363867445f77",
+            "58738166563ee85ea54349551a8dc34d949a977b1e55e0429e38121c23b3ef64",
         ("graph", "trace.csv"):
-            "b2a3038be241c5df43fd3e3910ffe3d7804f1c76bde2ab6ae4b2340e225ffe84",
+            "3e571c236bbf23ad6475cdb77e9903e6e2e385756162456f06683dcf2b0857ec",
         ("graph", "source_trust.tsv"):
-            "9544d07ff9b957851413f15c77528da2fea119421df4ccfa32e42e032aa1447a",
+            "ed18a530b0ef45ec14faf387fa9e74507f608661329c66ac76ce7744e5283190",
     }
 
     def test_nquads_digests(self, corpus_dir, tmp_path):
@@ -989,8 +992,12 @@ class TestConfigFileErrors:
         # a byte order mark is not part of the first section header
         ("\ufeff[engine]\ncoupling = x\n",
          "[engine] coupling: not a valid float: 'x'"),
+        # values are read as written: no % interpolation
+        ("[engine]\nt0 = 30%\n", "[engine] t0: not a valid float: '30%'"),
+        ("[engine]\ncoupling = 0.5\nt0 = %(coupling)s\n",
+         "[engine] t0: not a valid float: '%(coupling)s'"),
     ], ids=["bad_number", "bad_float", "bad_policy", "threads",
-            "byte_order_mark"])
+            "byte_order_mark", "percent_sign", "interpolation"])
     def test_bad_value_names_the_file(self, corpus_dir, tmp_path, capsys,
                                       text, message):
         cfgfile = tmp_path / "bad.ini"

@@ -3,14 +3,14 @@ enumeration."""
 
 import math
 import random
-from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ldtruth import mrf
-from ldtruth.mrf import EXACT_NODES, KERNEL_NODES, MarkovField, loopy_bp
+from ldtruth.mrf import EXACT_NODES, MarkovField, loopy_bp
+from ldtruth.truth_engine import EngineConfig, pairwise_tables
+from ldtruth.values import NormalizedValue
 
 from oracles import (enum_marginals, joint_sum_marginals, random_loopy_field,
                      random_tree_field)
@@ -76,27 +76,22 @@ positive = st.floats(min_value=1e-3, max_value=1e3)
 
 
 @st.composite
-def small_forests(draw):
+def small_fields(draw):
     """Any field the exact path takes: 1..EXACT_NODES nodes, arbitrary
-    positive potentials, any node pairs as edges that close no cycle."""
+    positive potentials, any set of node pairs as edges, cycles included."""
     size = draw(st.integers(min_value=1, max_value=EXACT_NODES))
     unary = [(draw(positive), draw(positive)) for _ in range(size)]
-    pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
-    tree = list(range(size))
-    edges = []
-    for i, j in draw(st.permutations(pairs)) if pairs else []:
-        if tree[i] != tree[j] and draw(st.booleans()):
-            old = tree[j]
-            tree = [tree[i] if t == old else t for t in tree]
-            edges.append((i, j, ((draw(positive), draw(positive)),
-                                 (draw(positive), draw(positive)))))
-    return unary, sorted(edges)
+    edges = [(i, j, ((draw(positive), draw(positive)),
+                     (draw(positive), draw(positive))))
+             for i in range(size) for j in range(i + 1, size)
+             if draw(st.booleans())]
+    return unary, edges
 
 
 class TestExactFields:
 
     @settings(max_examples=200, deadline=None)
-    @given(small_forests())
+    @given(small_fields())
     def test_matches_enumeration_in_zero_rounds(self, spec):
         unary, edges = spec
         result = loopy_bp(MarkovField(unary=unary, edges=edges))
@@ -116,24 +111,29 @@ class TestExactFields:
 
     def test_strong_couplings_do_not_overflow(self):
         # the plain product of eight tables of about 1e200 is far past
-        # the largest float
+        # the largest float; so is that of the 28 tables of a complete
+        # field of near-equal numbers at the largest coupling allowed
         psi = ((3e199, 1e199), (1e199, 1e200))
+        path = [(i, i + 1, psi) for i in range(EXACT_NODES - 1)]
+        complete = pairwise_tables(
+            [NormalizedValue.from_number(1_000_000 + i)
+             for i in range(EXACT_NODES)], EngineConfig(coupling=709.0))
+        assert len(complete) == EXACT_NODES * (EXACT_NODES - 1) // 2
+        # frustrated tables: no state escapes several entries of 1e-300,
+        # so every plain product of tables scaled to at most 1 underflows
+        # to 0.  A star whose leaves pull the centre both ways, and a
+        # complete field whose every edge prefers disagreement.
+        lo = 1e-300
+        star = [(0, j, ((1.0, 1.0), (lo, lo)) if j % 2 else
+                 ((lo, lo), (1.0, 1.0))) for j in range(1, EXACT_NODES)]
+        apart = [(i, j, ((lo, 1.0), (1.0, lo))) for i, j, _ in complete]
         unary = [(0.6, 0.4)] * EXACT_NODES
-        edges = [(i, i + 1, psi) for i in range(EXACT_NODES - 1)]
-        result = loopy_bp(MarkovField(unary=unary, edges=edges))
-        assert result.rounds == 0
-        for got, want in zip(result.marginals, enum_marginals(unary, edges)):
-            assert abs(got - want) <= 1e-12
-
-    def test_cycles_keep_propagation(self):
-        # a triangle is small enough to enumerate, but runs propagation so
-        # its marginals stay the loopy fixed point
-        psi = ((0.8, 0.5), (0.5, 2.0))
-        field = MarkovField(unary=[(0.4, 0.6)] * 3,
-                            edges=[(0, 1, psi), (0, 2, psi), (1, 2, psi)])
-        result = loopy_bp(field)
-        assert result.converged and result.rounds > 0
-        assert result.messages is not None
+        for edges in (path, complete, star, apart):
+            result = loopy_bp(MarkovField(unary=unary, edges=edges))
+            assert result.rounds == 0
+            for got, want in zip(result.marginals,
+                                 enum_marginals(unary, edges)):
+                assert abs(got - want) <= 1e-12
 
 
 class TestGeneratedSum:
@@ -144,9 +144,10 @@ class TestGeneratedSum:
         for kind in (int, float):
             unary = [(kind(rng.uniform(1, 9)), kind(rng.uniform(1, 9)))
                      for _ in range(size)]
-            for shape in ("edgeless", "tree"):
-                edges = (random_tree_field(rng, size)[1]
-                         if shape == "tree" and size else [])
+            for shape in ("edgeless", "tree", "cyclic"):
+                edges = ([] if shape == "edgeless" or not size else
+                         random_tree_field(rng, size)[1] if shape == "tree"
+                         else random_loopy_field(rng, size)[1])
                 field = MarkovField(unary=unary, edges=edges)
                 assert field.exact
                 assert (loopy_bp(field).marginals
@@ -158,87 +159,6 @@ class TestGeneratedSum:
                             edges=[(0, 2, ((1.0, 2.0), (2.0, 1.0)))])
         assert one.kernel is other.kernel
         assert one.kernel is not MarkovField([(1.0, 1.0)] * 2, []).kernel
-
-
-def interpreted(unary, edges):
-    """The same field run by the interpreted flood, the bit-exact
-    reference for the generated one."""
-    with mock.patch.object(mrf, "KERNEL_NODES", 0):
-        field = MarkovField(unary=unary, edges=edges)
-    assert field.kernel is None
-    return field
-
-
-def outcome(result):
-    return result.marginals, result.converged, result.rounds, result.messages
-
-
-@st.composite
-def small_cyclic_fields(draw):
-    """Cyclic fields the generated flood takes: a cycle through 3 to
-    KERNEL_NODES nodes plus any chords, arbitrary positive potentials."""
-    size = draw(st.integers(min_value=3, max_value=KERNEL_NODES))
-    ring = draw(st.permutations(range(size)))[:draw(
-        st.integers(min_value=3, max_value=size))]
-    pairs = {tuple(sorted((a, b))) for a, b in zip(ring, ring[1:] + ring[:1])}
-    pairs |= {(i, j) for i in range(size) for j in range(i + 1, size)
-              if draw(st.booleans())}
-    unary = [(draw(positive), draw(positive)) for _ in range(size)]
-    edges = [(i, j, ((draw(positive), draw(positive)),
-                     (draw(positive), draw(positive))))
-             for i, j in sorted(pairs)]
-    return unary, edges
-
-
-class TestGeneratedFlood:
-
-    @settings(max_examples=150, deadline=None)
-    @given(small_cyclic_fields(), st.sampled_from([0.0, 0.3]),
-           st.sampled_from([(1e-6, 100), (0.0, 1), (0.0, 100)]),
-           st.floats(min_value=0.5, max_value=2.0))
-    def test_rounds_match_the_interpreted_loop(self, spec, damping, stop,
-                                               scale):
-        unary, edges = spec
-        tol, max_rounds = stop
-        field, reference = MarkovField(unary, edges), interpreted(unary, edges)
-        assert field.kernel is not None
-        cold = loopy_bp(field, damping, tol, max_rounds)
-        assert outcome(cold) == outcome(
-            loopy_bp(reference, damping, tol, max_rounds))
-        # warm restart after the unary changes, as every outer sweep does
-        field.unary = reference.unary = [(p0 * scale, p1) for p0, p1 in unary]
-        assert outcome(loopy_bp(field, damping, tol, max_rounds,
-                                cold.messages)) == outcome(
-            loopy_bp(reference, damping, tol, max_rounds, cold.messages))
-
-    def test_same_topology_shares_one_function(self):
-        rng = random.Random(5)
-        unary, edges = random_loopy_field(rng, 4)
-        first = MarkovField(unary, edges)
-        second = MarkovField([(p1, p0) for p0, p1 in unary],
-                             [(i, j, ((2.0, 1.0), (0.5, 3.0)))
-                              for i, j, _ in edges])
-        assert first.kernel is second.kernel
-        one, two = loopy_bp(first), loopy_bp(second)
-        assert one.marginals != two.marginals
-        assert outcome(one) == outcome(loopy_bp(interpreted(unary, edges)))
-        assert outcome(two) == outcome(loopy_bp(interpreted(
-            second.unary, second.edges)))
-
-    def test_text_holds_no_input_value(self):
-        psi = ((0.123456789, 0.5), (0.5, 98.7654321))
-        for edges in ([(0, 1, psi), (0, 2, psi), (1, 2, psi)], [(0, 1, psi)]):
-            field = MarkovField([(0.3141592, 0.6)] * 3, edges)
-            consts = field.kernel.__code__.co_consts
-            assert all(c is None or type(c) in (int, bool) or c in (0.0, 0.5)
-                       for c in consts)
-
-    def test_larger_fields_run_the_interpreted_loop(self):
-        unary, edges = random_loopy_field(random.Random(6), KERNEL_NODES + 1)
-        field = MarkovField(unary, edges)
-        assert not field.exact and field.kernel is None
-        result = loopy_bp(field)
-        assert result.converged and result.rounds > 0
 
 
 class TestTreeExactness:
@@ -272,7 +192,8 @@ class TestLoopyApproximation:
     def test_close_to_enumeration_on_cyclic_fields(self):
         rng = random.Random(9035)
         for trial in range(25):
-            size = rng.randrange(3, 11)
+            # above the exact path, so propagation itself is checked
+            size = rng.randrange(EXACT_NODES + 1, EXACT_NODES + 5)
             unary, edges = random_loopy_field(rng, size)
             field = MarkovField(unary=unary, edges=edges)
             result = loopy_bp(field)
@@ -286,7 +207,7 @@ class TestWarmStart:
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1),
-           st.integers(min_value=3, max_value=10))
+           st.integers(min_value=EXACT_NODES + 1, max_value=EXACT_NODES + 4))
     def test_converged_messages_restart_converged(self, seed, size):
         unary, edges = random_loopy_field(random.Random(seed), size)
         field = MarkovField(unary=unary, edges=edges)
@@ -315,16 +236,16 @@ class TestWarmStart:
 
 class TestStopRule:
 
-    @pytest.mark.parametrize("size", [5, 6])
+    @pytest.mark.parametrize("size", [EXACT_NODES + 1, EXACT_NODES + 2])
     def test_nan_message_is_not_convergence(self, size):
         # a ring with near-hard couplings converges cold; one huge unary
         # then drives some messages to NaN (inf / inf), and never the
-        # first one.  Five nodes run a generated flood, six the loop.
+        # first one
         psi = ((1e10, 1.0), (1.0, 1e10))
         edges = sorted((min(i, (i + 1) % size), max(i, (i + 1) % size), psi)
                        for i in range(size))
         field = MarkovField([(1.0, 1.0)] * size, edges)
-        assert (field.kernel is None) == (size > KERNEL_NODES)
+        assert not field.exact
         cold = loopy_bp(field)
         assert cold.converged
         field.unary = [(1.0, 1.0), (1e300, 1e299)] + [(1.0, 1.0)] * (size - 2)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldtruth.eval_harness import SynthConfig, generate, no_dominant_config
+from ldtruth.mrf import EXACT_NODES
 from ldtruth.pipeline import assemble
 from ldtruth.prior_belief import PriorBeliefs
 from ldtruth.rdf_ingest import (FORMAT_NTRIPLES, ConflictSet, ObjectSupport,
@@ -391,26 +392,36 @@ class TestMatchesReference:
     changes no decision and no sweep count, and moves tau only by the
     propagation tolerance, which is tight here."""
 
-    @pytest.mark.parametrize("cfg", [
-        SynthConfig(n_sources=12, n_entities=40, n_conflict_predicates=60,
-                    seed=2),
-        replace(no_dominant_config(3), n_entities=60,
-                n_conflict_predicates=150),
-    ], ids=["default_shape", "no_dominant"])
-    def test_decisions_sweeps_and_tau(self, cfg):
+    @pytest.mark.parametrize("cfg, wide", [
+        (SynthConfig(n_sources=12, n_entities=40, n_conflict_predicates=60,
+                     seed=2), False),
+        (replace(no_dominant_config(3), n_entities=60,
+                 n_conflict_predicates=150), False),
+        # many unreliable supporters spread over ten values, so some sets
+        # have more than EXACT_NODES candidates and run propagation
+        (SynthConfig(n_sources=20, n_entities=15, n_conflict_predicates=20,
+                     values_per_conflict=10, claims_min=12, claims_max=18,
+                     reliability_low=0.1, reliability_high=0.4,
+                     decoy_concentration=0.0, support_skew=0.0, seed=2), True),
+    ], ids=["default_shape", "no_dominant", "wide_sets"])
+    def test_decisions_sweeps_and_tau(self, cfg, wide):
         built = assemble(list(parse_triples(generate(cfg).triples,
                                             FORMAT_NTRIPLES)), policy="host")
         engine = EngineConfig(bp_tol=1e-13, bp_max=5000)
         result = resolve_all(built.store, built.priors, engine)
         chosen, tau, t, sweeps, converged, cold_rounds = reference_resolve(
             built.store, built.priors, engine)
-        assert any(len(cs.objects) > 2
-                   for cs in built.store.conflict_sets.values())
+        sizes = [len(cs.objects) for cs in built.store.conflict_sets.values()]
+        assert max(sizes) > 2
+        assert (max(sizes) > EXACT_NODES) == wide
         assert {(d.entity, d.predicate): d.chosen
                 for d in result.decisions} == chosen
         assert (result.iterations, result.converged) == (sweeps, converged)
         assert result.bp_converged
-        assert 0 < result.bp_rounds < cold_rounds   # warm starts pay off
+        if wide:
+            assert 0 < result.bp_rounds < cold_rounds   # warm starts pay off
+        else:
+            assert result.bp_rounds == 0    # every set is summed exactly
         scores = {(d.entity, d.predicate): d.scores for d in result.decisions}
         for key, probs in tau.items():
             for got, want in zip(scores[key], probs):
