@@ -8,7 +8,8 @@ each of its 2^n joint states, which are summed exactly; a larger field
 into a message plan for synchronous flooding with damping, where every
 directed message is recomputed from the previous round, normalized, then
 blended with its old value.  With cycles this is the usual loopy
-approximation, and an earlier run's messages can warm-start it.
+approximation.  A larger field keeps the messages its last solve ended
+with, so the next solve starts from them; a fresh field starts uniform.
 
 The exact sum runs generated straight-line code, one function per node
 count, compiled the first time it is needed and kept for the life of the
@@ -35,7 +36,8 @@ class MarkovField:
     """``unary[i]`` is (phi(0), phi(1)); ``edges`` holds (i, j, psi) with
     i < j and ``psi[a][b]`` scoring state a at i against state b at j.
     Every potential is positive and finite.  ``unary`` may be replaced by
-    such pairs of the same length."""
+    such pairs of the same length.  Above ``EXACT_NODES`` nodes,
+    ``messages`` holds the messages the last solve ended with."""
 
     def __init__(self, unary: list, edges: list):
         self.unary = unary
@@ -79,6 +81,7 @@ class MarkovField:
         # sender's other incoming messages
         self.plan = [(i, out, *c, tuple(at for at, o, _ in node if o != out))
                      for i, node in enumerate(local) for _, out, c in node]
+        self.messages = [0.5] * (4 * len(edges))
 
 
 @cache
@@ -111,29 +114,35 @@ class BpResult(NamedTuple):
     marginals: list
     converged: bool
     rounds: int
-    messages: list | None = None  # final messages, flat; None if exact
 
 
 def loopy_bp(field: MarkovField, damping: float = 0.3, tol: float = 1e-6,
-             max_rounds: int = 100, messages: list | None = None) -> BpResult:
+             max_rounds: int = 100) -> BpResult:
     """Marginal probability of state 1 for every node.
 
     A field of at most ``EXACT_NODES`` nodes is summed over its joint
-    states exactly, in zero rounds.  Otherwise messages start from
-    ``messages``, the ``messages`` of an earlier result on the same field
-    (a warm start), or uniform when that is None.  A round recomputes all
-    of them from the previous round's values, and the run has converged
-    once every component moved by less than ``tol``; a NaN never has.
+    states exactly, in zero rounds.  Otherwise propagation starts from
+    ``field.messages`` and stores the messages it ends with there.  A
+    round recomputes all of them from the previous round's values, and
+    the run has converged once every component moved by less than
+    ``tol``; a NaN never has.
     """
     if not 0.0 <= damping < 1.0:
         raise ValueError("damping must be in [0, 1)")
     unary = field.unary
     if field.exact:
-        return BpResult(field.kernel(unary, field.coupling), True, 0)
+        try:
+            return BpResult(field.kernel(unary, field.coupling), True, 0)
+        except ZeroDivisionError:
+            # every state's product underflowed.  Scale each node's pair
+            # so that its larger member lies in [0.5, 1): by a power of
+            # two, which leaves the marginals as they are
+            unary = [(ldexp(p0, -e), ldexp(p1, -e))
+                     for p0, p1 in unary for e in [frexp(max(p0, p1))[1]]]
+            return BpResult(field.kernel(unary, field.coupling), True, 0)
 
     width = 4 * len(field.edges)
-    if messages is None:
-        messages = [0.5] * width
+    messages = field.messages
     keep = 1.0 - damping
     rounds = 0
     converged = not width
@@ -165,4 +174,5 @@ def loopy_bp(field: MarkovField, damping: float = 0.3, tol: float = 1e-6,
             b1 *= messages[at + 1]
         total = b0 + b1
         marginals.append(b1 / total if total > 0.0 else 0.5)
-    return BpResult(marginals, converged, rounds, messages)
+    field.messages = messages
+    return BpResult(marginals, converged, rounds)

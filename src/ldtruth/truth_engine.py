@@ -12,8 +12,7 @@ moves by more than the outer threshold.
 
 Each set's field is built once and only its unary potentials change per
 sweep.  A set of at most ``mrf.EXACT_NODES`` candidates is summed
-exactly; above that, propagation is warm-started from the set's previous
-messages.
+exactly; above that, propagation resumes from its field's messages.
 """
 
 from __future__ import annotations
@@ -194,7 +193,6 @@ def resolve_all(store: ClaimStore, priors: PriorBeliefs,
     sets = store.conflict_sets
     fields = [MarkovField([(0.5, 0.5)] * len(cs.objects), pairwise_tables(
         [obj.value for obj in cs.objects], cfg)) for cs in sets.values()]
-    messages = [None] * len(sets)
 
     t = {s: cfg.t0 for s in store.incidence}
     t_smoothed = smooth_trust(t, priors.nbr)
@@ -207,11 +205,9 @@ def resolve_all(store: ClaimStore, priors: PriorBeliefs,
     iteration = 0
     for iteration in range(1, cfg.outer_max + 1):
         deltas = []
-        for n, ((k, cs), fld) in enumerate(zip(sets.items(), fields)):
+        for (k, cs), fld in zip(sets.items(), fields):
             fld.unary = _unary_from_base(object_base_trust(cs, t_smoothed))
-            result = loopy_bp(fld, cfg.bp_damping, cfg.bp_tol, cfg.bp_max,
-                              messages[n])
-            messages[n] = result.messages
+            result = loopy_bp(fld, cfg.bp_damping, cfg.bp_tol, cfg.bp_max)
             bp_converged = bp_converged and result.converged
             bp_rounds += result.rounds
             deltas.extend(abs(new - old)

@@ -220,8 +220,7 @@ class TestResolveCommand:
         assert code == 0
         assert "converged=True bp_converged=True" in summary
 
-    def test_cycle_free_set_is_exact_under_any_round_cap(self, tmp_path,
-                                                         capsys):
+    def test_small_set_is_exact_under_any_round_cap(self, tmp_path, capsys):
         # a pair and a triangle alike are summed exactly, so bp_max = 1
         # never binds
         cfgfile = tmp_path / "bp.ini"

@@ -135,6 +135,15 @@ class TestExactFields:
                                  enum_marginals(unary, edges)):
                 assert abs(got - want) <= 1e-12
 
+    @pytest.mark.parametrize("pair, want", [((1e-300, 1e-300), 0.5),
+                                            ((1e-300, 3e-300), 0.75)])
+    def test_tiny_unaries_do_not_underflow(self, pair, want):
+        # every joint state's product of eight such potentials is 0
+        result = loopy_bp(MarkovField([pair] * EXACT_NODES, []))
+        assert result.rounds == 0
+        for got in result.marginals:
+            assert abs(got - want) <= 1e-12
+
 
 class TestGeneratedSum:
 
@@ -181,7 +190,9 @@ class TestTreeExactness:
         unary, edges = random_tree_field(rng, EXACT_NODES + 2)
         field = MarkovField(unary=unary, edges=edges)
         plain = loopy_bp(field, damping=0.0, tol=1e-12, max_rounds=500)
-        damped = loopy_bp(field, damping=0.3, tol=1e-11, max_rounds=2000)
+        # a fresh field, so the damped run starts cold too
+        damped = loopy_bp(MarkovField(unary=unary, edges=edges),
+                          damping=0.3, tol=1e-11, max_rounds=2000)
         assert damped.converged
         for a, b in zip(plain.marginals, damped.marginals):
             assert a == pytest.approx(b, abs=1e-6)
@@ -214,7 +225,7 @@ class TestWarmStart:
         tol = 1e-6
         cold = loopy_bp(field, tol=tol)
         assume(cold.converged)
-        warm = loopy_bp(field, tol=tol, messages=cold.messages)
+        warm = loopy_bp(field, tol=tol)     # resumes from cold's messages
         assert warm.converged
         assert warm.rounds <= 1
         for a, b in zip(cold.marginals, warm.marginals):
@@ -223,11 +234,11 @@ class TestWarmStart:
     def test_new_unary_converges_in_fewer_rounds(self):
         unary, edges = random_loopy_field(random.Random(8), 9)
         field = MarkovField(unary=unary, edges=edges)
-        first = loopy_bp(field, tol=1e-10, max_rounds=1000)
+        loopy_bp(field, tol=1e-10, max_rounds=1000)
         field.unary = [(p0 * 1.01, p1) for p0, p1 in unary]
-        cold = loopy_bp(field, tol=1e-10, max_rounds=1000)
-        warm = loopy_bp(field, tol=1e-10, max_rounds=1000,
-                        messages=first.messages)
+        cold = loopy_bp(MarkovField(unary=field.unary, edges=edges),
+                        tol=1e-10, max_rounds=1000)
+        warm = loopy_bp(field, tol=1e-10, max_rounds=1000)
         assert cold.converged and warm.converged
         assert warm.rounds < cold.rounds
         for a, b in zip(cold.marginals, warm.marginals):
@@ -249,11 +260,11 @@ class TestStopRule:
         cold = loopy_bp(field)
         assert cold.converged
         field.unary = [(1.0, 1.0), (1e300, 1e299)] + [(1.0, 1.0)] * (size - 2)
-        warm = loopy_bp(field, messages=cold.messages)
+        warm = loopy_bp(field)
         # the first message is a number, so a max over the changes,
         # which starts from it, would skip every NaN after it
-        assert any(map(math.isnan, warm.messages))
-        assert not math.isnan(warm.messages[0])
+        assert any(map(math.isnan, field.messages))
+        assert not math.isnan(field.messages[0])
         assert not warm.converged
         assert warm.rounds == 100
 
