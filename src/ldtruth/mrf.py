@@ -12,12 +12,11 @@ approximation.  A larger field keeps the messages its last solve ended
 with, so the next solve starts from them; a fresh field starts uniform.
 
 The exact sum runs generated straight-line code, one function per node
-count, compiled the first time it is needed and kept for the life of the
-process.  Its text holds only integers (node counts and state indices),
-never an input value.
+count, compiled once per process, whose text holds only integers.  It
+gives finite marginals for any positive finite potentials: the weights
+are kept as mantissas and exponents, and a sum that leaves the float
+range is redone with the unary pairs folded into them.
 """
-
-from __future__ import annotations
 
 from functools import cache
 from math import frexp, inf, ldexp
@@ -36,8 +35,9 @@ class MarkovField:
     """``unary[i]`` is (phi(0), phi(1)); ``edges`` holds (i, j, psi) with
     i < j and ``psi[a][b]`` scoring state a at i against state b at j.
     Every potential is positive and finite.  ``unary`` may be replaced by
-    such pairs of the same length.  Above ``EXACT_NODES`` nodes,
-    ``messages`` holds the messages the last solve ended with."""
+    such pairs of the same length.  ``weights`` holds an exact field's
+    per-state mantissas and exponents, and ``messages`` a larger field's
+    messages from its last solve."""
 
     def __init__(self, unary: list, edges: list):
         self.unary = unary
@@ -53,19 +53,8 @@ class MarkovField:
                 raise ValueError("edge potentials must be positive and finite")
         self.exact = n <= EXACT_NODES
         if self.exact:
-            # each state's weight as a product of mantissas, at least
-            # 2^-28, and a sum of exponents.  Shifting every sum by the
-            # largest is exact and leaves the marginals' bits as they are;
-            # no weight then exceeds 1, and that state's stays at least
-            # 2^-28 where frustrated tables make every product tiny
-            mant, expo = [1.0] * (1 << n), [0] * (1 << n)
-            for i, j, psi in edges:
-                table = [[frexp(w) for w in row] for row in psi]
-                cells = [table[a][b] for a, b in zip(_BITS[n][i], _BITS[n][j])]
-                mant = [m * c[0] for m, c in zip(mant, cells)]
-                expo = [e + c[1] for e, c in zip(expo, cells)]
-            top = max(expo)
-            self.coupling = [ldexp(m, e - top) for m, e in zip(mant, expo)]
+            self.weights = _fold(n, ([1.0] * (1 << n), [0] * (1 << n)), edges)
+            self.coupling = [ldexp(m, e) for m, e in zip(*self.weights)]
             self.kernel = _joint_sum(n)
             return
         # messages are flat (m0, m1) pairs, i -> j on edge e at offset 4e
@@ -84,12 +73,28 @@ class MarkovField:
         self.messages = [0.5] * (4 * len(edges))
 
 
+def _fold(n, weights, factors):
+    """``weights``, per-state mantissas and exponents, times each table
+    (i, j, psi) scoring state a at node i against b at node j, shifted so
+    the largest exponent is 0.  That leaves the marginals' bits alone; no
+    weight then exceeds 1, and after k tables one is at least 2^-k."""
+    mant, expo = weights
+    for i, j, psi in factors:
+        table = [[frexp(w) for w in row] for row in psi]
+        cells = [table[a][b] for a, b in zip(_BITS[n][i], _BITS[n][j])]
+        mant = [m * c[0] for m, c in zip(mant, cells)]
+        expo = [e + c[1] for e, c in zip(expo, cells)]
+    top = max(expo)
+    return mant, [e - top for e in expo]
+
+
 @cache
 def _joint_sum(n):
     """``joint(unary, coupling)``: P(state 1) of every node of an n-node
     field whose 2^n joint states have the given coupling weights.  A
     state's weight is ``1 * phi_0 * ... * phi_n-1 * coupling``, as ``prod``
-    multiplies, and every sum adds left to right from 0."""
+    multiplies, and every sum adds left to right from 0; a total that is
+    0 or not finite raises ArithmeticError."""
     states = range(1 << n)
     bits = _BITS[n]
     lines = ["def joint(unary, coupling):",
@@ -102,10 +107,11 @@ def _joint_sum(n):
             f" * {'uv'[bits[i][s]]}{i}" for i in range(n))
             + f" * w{s}")
     lines.append(" z = 0" + "".join(f" + j{s}" for s in states))
+    lines.append(" if not 0 < z < inf: raise ArithmeticError")
     lines.append(" return [" + ", ".join(
         "(0" + "".join(f" + j{s}" for s in states if bits[i][s])
         + ") / z" for i in range(n)) + "]")
-    space = {}
+    space = {"inf": inf}
     exec(compile("\n".join(lines), "<ldtruth.mrf.joint>", "exec"), space)
     return space["joint"]
 
@@ -133,13 +139,13 @@ def loopy_bp(field: MarkovField, damping: float = 0.3, tol: float = 1e-6,
     if field.exact:
         try:
             return BpResult(field.kernel(unary, field.coupling), True, 0)
-        except ZeroDivisionError:
-            # every state's product underflowed.  Scale each node's pair
-            # so that its larger member lies in [0.5, 1): by a power of
-            # two, which leaves the marginals as they are
-            unary = [(ldexp(p0, -e), ldexp(p1, -e))
-                     for p0, p1 in unary for e in [frexp(max(p0, p1))[1]]]
-            return BpResult(field.kernel(unary, field.coupling), True, 0)
+        except ArithmeticError:
+            # a product left the float range: fold each unary pair in as
+            # its node's table against itself, then sum with unit unaries
+            mant, expo = _fold(len(unary), field.weights,
+                               [(i, i, (p, p)) for i, p in enumerate(unary)])
+            return BpResult(field.kernel([(1.0, 1.0)] * len(unary), [
+                ldexp(m, e) for m, e in zip(mant, expo)]), True, 0)
 
     width = 4 * len(field.edges)
     messages = field.messages

@@ -1,12 +1,13 @@
 """Compact public-suffix snapshot for pay-level-domain extraction.
 
 This is a frozen subset of the well-known suffix list, not a live copy:
-common top-level domains, the frequent second-level registries, and a few
-hosting domains that act as registration points.  Unlisted suffixes fall
-back to the default rule, which treats the last label as the suffix.
+common top-level domains, the frequent second-level registries, a few
+hosting domains that act as registration points, and the list's wildcard
+(``*.ck``, ``*.er``, ``*.fk``) and exception (``www.ck``) rules.  Unlisted
+suffixes fall back to the default rule, which treats the last label as
+the suffix.  A host whose last label is all digits, as an IP literal's
+is, names no domain and is its own pay-level domain.
 """
-
-from __future__ import annotations
 
 _PLAIN_RULES = frozenset("""
 com org net edu gov mil int info biz name pro aero coop museum travel
@@ -39,31 +40,15 @@ _WILDCARD_RULES = frozenset({"ck", "er", "fk"})
 _EXCEPTION_RULES = frozenset({"www.ck"})
 
 
-def public_suffix(host: str) -> str:
-    """Longest matching public suffix of ``host`` under the snapshot."""
-    labels = host.split(".")
-    best = labels[-1]
-    best_len = 1
-    for start in range(len(labels)):
-        candidate = ".".join(labels[start:])
-        length = len(labels) - start
-        if candidate in _EXCEPTION_RULES:
-            # the exception name itself is registrable
-            return ".".join(labels[start + 1:])
-        if candidate in _PLAIN_RULES and length > best_len:
-            best, best_len = candidate, length
-        if start + 1 < len(labels):
-            rest = ".".join(labels[start + 1:])
-            if rest in _WILDCARD_RULES and length > best_len:
-                best, best_len = candidate, length
-    return best
-
-
 def pay_level_domain(host: str) -> str:
-    """Suffix plus one registrable label; the host itself if none is left."""
-    suffix = public_suffix(host)
-    suffix_len = len(suffix.split("."))
+    """Public suffix plus one label; the host itself if none is left."""
     labels = host.split(".")
-    if len(labels) <= suffix_len:
+    if labels[-1].isdigit():
         return host
-    return ".".join(labels[-(suffix_len + 1):])
+    for start in range(len(labels)):    # longest candidate suffix first
+        suffix, base = ".".join(labels[start:]), ".".join(labels[start + 1:])
+        if suffix in _EXCEPTION_RULES:
+            return suffix
+        if suffix in _PLAIN_RULES or base in _WILDCARD_RULES:
+            return ".".join(labels[max(start - 1, 0):])
+    return ".".join(labels[-2:])        # the default rule: the last label

@@ -312,13 +312,15 @@ _AUTHORITY_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*://[^/?#\x00-\x20]*"
 def _host_source(iri: str, policy: str):
     """The source of ``iri``'s host under ``policy``, None without a host,
     as where urlsplit rejects the IRI."""
+    # a trailing dot only marks the name as absolute (RFC 1034 section
+    # 3.1), so "a.org." is "a.org" and "." is no host
     try:
-        host = urlsplit(iri).hostname
+        host = (urlsplit(iri).hostname or "").removesuffix(".")
     except ValueError:
         return None
     if host and policy == POLICY_PLD:
         return pay_level_domain(host)
-    return host
+    return host or None
 
 
 # the host of an IRI depends only on its scheme and authority, which
@@ -331,8 +333,8 @@ def extract_source(iri: str, policy: str = POLICY_HOST) -> str | None:
     None when the IRI has no usable authority.
 
     ``host`` and ``graph`` take the lower-cased authority host of the IRI
-    handed in, since an IRI on its own names no graph; ``pld`` shortens
-    it to the registrable domain.
+    handed in, less one trailing root dot, since an IRI on its own names
+    no graph; ``pld`` shortens it to the registrable domain.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown source policy: {policy!r}")

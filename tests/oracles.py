@@ -5,6 +5,7 @@ trading speed for obviousness, so a disagreement points at the package.
 """
 
 import itertools
+from fractions import Fraction
 from functools import reduce
 from math import prod
 from operator import add, mul
@@ -13,6 +14,8 @@ import numpy as np
 
 from ldtruth.graph_model import SourceBeliefGraph
 from ldtruth.mrf import MarkovField, loopy_bp
+from ldtruth.public_suffix import (_EXCEPTION_RULES, _PLAIN_RULES,
+                                   _WILDCARD_RULES)
 from ldtruth.rdf_ingest import ClaimStore, ConflictSet, ObjectSupport
 from ldtruth.truth_engine import (DEFAULT_ENGINE, _unary_from_base,
                                   pairwise_tables, select_truth, smooth_trust)
@@ -45,6 +48,50 @@ def joint_sum_marginals(unary, coupling):
     return [reduce(add, itertools.compress(
                 joint, [s >> n - 1 - i & 1 for s in range(1 << n)]), 0) / z
             for i in range(n)]
+
+
+def fraction_marginals(unary, edges):
+    """P(state 1) per node, every joint weight an exact ``Fraction``, so
+    no product can overflow or underflow before the one final division."""
+    n = len(unary)
+    joint = {}
+    for states in itertools.product((0, 1), repeat=n):
+        weight = prod(Fraction(p[x]) for p, x in zip(unary, states))
+        for i, j, psi in edges:
+            weight *= Fraction(psi[states[i]][states[j]])
+        joint[states] = weight
+    z = sum(joint.values())
+    return [float(sum(w for s, w in joint.items() if s[i]) / z)
+            for i in range(n)]
+
+
+def reference_public_suffix(host):
+    """Longest suffix of ``host`` that a snapshot rule covers, the last
+    label by default; an exception rule anywhere returns its base."""
+    labels = host.split(".")
+    best = labels[-1]
+    best_len = 1
+    for start in range(len(labels)):
+        candidate = ".".join(labels[start:])
+        length = len(labels) - start
+        if candidate in _EXCEPTION_RULES:
+            return ".".join(labels[start + 1:])
+        if candidate in _PLAIN_RULES and length > best_len:
+            best, best_len = candidate, length
+        if start + 1 < len(labels):
+            rest = ".".join(labels[start + 1:])
+            if rest in _WILDCARD_RULES and length > best_len:
+                best, best_len = candidate, length
+    return best
+
+
+def reference_pay_level_domain(host):
+    """The public suffix plus one label; the host itself if none is left."""
+    suffix_len = len(reference_public_suffix(host).split("."))
+    labels = host.split(".")
+    if len(labels) <= suffix_len:
+        return host
+    return ".".join(labels[-(suffix_len + 1):])
 
 
 def _out_degrees(sbg):

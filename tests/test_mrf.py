@@ -12,8 +12,8 @@ from ldtruth.mrf import EXACT_NODES, MarkovField, loopy_bp
 from ldtruth.truth_engine import EngineConfig, pairwise_tables
 from ldtruth.values import NormalizedValue
 
-from oracles import (enum_marginals, joint_sum_marginals, random_loopy_field,
-                     random_tree_field)
+from oracles import (enum_marginals, fraction_marginals, joint_sum_marginals,
+                     random_loopy_field, random_tree_field)
 
 
 class TestFieldValidation:
@@ -136,13 +136,47 @@ class TestExactFields:
                 assert abs(got - want) <= 1e-12
 
     @pytest.mark.parametrize("pair, want", [((1e-300, 1e-300), 0.5),
-                                            ((1e-300, 3e-300), 0.75)])
-    def test_tiny_unaries_do_not_underflow(self, pair, want):
-        # every joint state's product of eight such potentials is 0
+                                            ((1e-300, 3e-300), 0.75),
+                                            ((1e300, 1e300), 0.5),
+                                            ((1e300, 3e300), 0.75)])
+    def test_extreme_unaries_stay_finite(self, pair, want):
+        # every joint state's product of eight such potentials underflows
+        # to 0 or overflows to inf
         result = loopy_bp(MarkovField([pair] * EXACT_NODES, []))
         assert result.rounds == 0
         for got in result.marginals:
             assert abs(got - want) <= 1e-12
+
+    def test_span_past_the_float_range(self):
+        # the winning state, (0, 1), weighs lo; the runner-up, (1, 0),
+        # weighs lo * lo * 1e308; (0, 0) and (1, 1) weigh lo * lo.  Over
+        # lo, with r = lo * 1e308, the marginals are (r + lo) / (1 + 2 lo
+        # + r) and (1 + lo) / (1 + 2 lo + r), which are r / (1 + r) and
+        # 1 / (1 + r) to far below a float's precision.  lo * lo is 0 as
+        # a float, so scaling the unaries or the weights alone cannot
+        # keep the runner-up
+        lo = 5e-324
+        field = MarkovField([(1.0, lo), (lo, 1.0)],
+                            [(0, 1, ((lo, lo), (1e308, lo)))])
+        r = lo * 1e308
+        assert 4.9e-16 < r < 5e-16
+        got = loopy_bp(field).marginals
+        assert got[0] == pytest.approx(r / (1 + r), rel=1e-12)
+        assert got[1] == pytest.approx(1 / (1 + r), rel=1e-15)
+
+    def test_overflow_and_underflow_in_one_field(self):
+        # all ones weighs about 3e1400 and all zeros about 1e-1400, past
+        # both ends of the float range; node 0 alone is undecided
+        unary = [(1.0, 3.0)] + [(1e-200, 1e200)] * (EXACT_NODES - 1)
+        psi = ((2.0, 1.0), (1.0, 2.0))
+        edges = [(i, i + 1, psi) for i in range(EXACT_NODES - 1)]
+        edges.append((0, EXACT_NODES - 1, psi))
+        got = loopy_bp(MarkovField(unary, edges)).marginals
+        want = fraction_marginals(unary, edges)
+        assert abs(want[0] - 12 / 13) <= 1e-12
+        for g, w in zip(got, want):
+            assert math.isfinite(g)
+            assert abs(g - w) <= 1e-12
 
 
 class TestGeneratedSum:

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies
 
 from ldtruth import rdf_ingest
-from ldtruth.public_suffix import pay_level_domain
+from ldtruth.public_suffix import (_EXCEPTION_RULES, _PLAIN_RULES,
+                                   _WILDCARD_RULES, pay_level_domain)
 from ldtruth.rdf_ingest import (
     _IRI_BODY,
     _parse_line,
@@ -33,7 +34,7 @@ from ldtruth.rdf_ingest import (
 from ldtruth.graph_model import EntityClusterMap
 from ldtruth.pipeline import parse_files
 from ldtruth.values import normalize_object
-from oracles import format_statement
+from oracles import format_statement, reference_pay_level_domain
 
 
 # absolute IRIs over the characters the parser accepts inside <...>
@@ -76,7 +77,8 @@ AUTHORITIES = strategies.builds(
                 "", "data.Example.CO.UK", "a.b.example.co.uk", "github.io",
                 "[::1]", "[FE80::1%25Eth0]", "[v1.fe]", "[not-ipv6]", "[::1",
                 "::1]", "h\u2100st", "ex ample.org", "ex\tample.org",
-                "\x01host.org", "isbn:0451450523", "."])),
+                "\x01host.org", "isbn:0451450523", ".", "Example.ORG.",
+                "10.0.0.1", "[::ffff:1.2.3.4]"])),
         strategies.sampled_from(["", ":", ":8080", ":port", ":8080:9"])))
 AFTER_AUTHORITY = strategies.sampled_from(
     ["", "/", "/path/x", "?q=1", "#frag", "/a?b#c", "?/#", "\t/x", " /x"])
@@ -467,12 +469,27 @@ class TestSourceExtraction:
                               POLICY_PLD) == "nytimes.com"
         assert extract_source("http://a.b.example.co.uk/x",
                               POLICY_PLD) == "example.co.uk"
+        # an IP literal is its own source: two publishers, not one "0.1"
+        assert extract_source("http://127.0.0.1:8890/e",
+                              POLICY_PLD) == "127.0.0.1"
+        assert extract_source("http://10.0.0.1/e", POLICY_PLD) == "10.0.0.1"
+        assert extract_source("http://[::ffff:1.2.3.4]/e",
+                              POLICY_PLD) == "::ffff:1.2.3.4"
+
+    @pytest.mark.parametrize("policy, expected", [
+        ("host", "a.example.org"), ("pld", "example.org"),
+        ("graph", "a.example.org")])
+    def test_trailing_root_dot_is_dropped(self, policy, expected):
+        # "a.example.org." names the same host as "a.example.org"
+        assert extract_source("http://a.example.org./x", policy) == expected
+        assert extract_source("http://A.Example.ORG/x", policy) == expected
 
     @pytest.mark.parametrize("iri", [
         "urn:isbn:0451450523",
         "http://[::1/x",        # urlsplit rejects the authority
         "http://[::1 /x",       # ... also where it reads the IRI whole
         "http:///x",
+        "http://./x",           # the root alone names no host
     ])
     def test_no_authority_is_no_source(self, iri):
         for policy in POLICIES:
@@ -515,10 +532,13 @@ class TestSourceExtraction:
         for tail in tails:
             iri = authority + tail
             for policy in POLICIES:
+                # less one trailing root dot, which only marks the
+                # name as absolute
                 try:
                     host = urlsplit(iri).hostname
                 except ValueError:
                     host = None
+                host = host and host.removesuffix(".") or None
                 expected = pay_level_domain(host) \
                     if host and policy == POLICY_PLD else host
                 assert extract_source(iri, policy) == expected
@@ -531,6 +551,47 @@ class TestSourceExtraction:
             assert extract_source(f"http://Once.Example.ORG:81{path}",
                                   POLICY_PLD) == "once.example.org"
         assert calls == ["once.example.org"]
+
+
+# hosts of the labels the snapshot's rules are made of, and of a few that
+# no rule names: empty, all digits, and plain
+SUFFIX_LABELS = sorted({label for rule in (*_PLAIN_RULES, *_WILDCARD_RULES,
+                                           *_EXCEPTION_RULES)
+                        for label in rule.split(".")}
+                       | {"", "a", "example", "1", "127"})
+SNAPSHOT_HOSTS = strategies.lists(strategies.sampled_from(SUFFIX_LABELS),
+                                  min_size=1, max_size=5).map(".".join)
+
+
+class TestPayLevelDomain:
+
+    @pytest.mark.parametrize("host, expected", [
+        ("a.b.ck", "a.b.ck"),                # wildcard *.ck: b.ck is a suffix
+        ("b.ck", "b.ck"),
+        ("www.ck", "www.ck"),                # exception !www.ck
+        ("x.www.ck", "www.ck"),
+        ("x.co.uk", "x.co.uk"),              # multi-label rule
+        ("a.b.x.co.uk", "x.co.uk"),
+        ("user.github.io", "user.github.io"),  # hosting domain
+        ("a.user.github.io", "user.github.io"),
+        ("co.uk", "co.uk"),                  # the host is itself a suffix
+        ("localhost", "localhost"),          # a single label
+        ("a.example.zz", "example.zz"),      # unlisted: the default rule
+        ("a..b.com", "b.com"),               # empty labels
+        ("127.0.0.1", "127.0.0.1"),          # an IP literal names no domain
+        ("10.0.0.1", "10.0.0.1"),
+        ("::ffff:1.2.3.4", "::ffff:1.2.3.4"),
+    ])
+    def test_snapshot_rules(self, host, expected):
+        assert pay_level_domain(host) == expected
+
+    @settings(max_examples=500, deadline=None)
+    @given(SNAPSHOT_HOSTS)
+    def test_matches_the_two_step_reference(self, host):
+        if host.split(".")[-1].isdigit():
+            assert pay_level_domain(host) == host
+        else:
+            assert pay_level_domain(host) == reference_pay_level_domain(host)
 
 
 def statements_from(text, fmt="ntriples"):
