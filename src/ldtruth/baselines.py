@@ -39,7 +39,7 @@ def vote_all(store: ClaimStore) -> list:
     return [vote(cs) for cs in store.conflict_sets.values()]
 
 
-def _confidences(cs: ConflictSet, trust: dict, sims) -> list:
+def _confidences(cs: ConflictSet, trust: dict, pairs) -> list:
     scores = []
     for obj in cs.objects:
         score = 0.0
@@ -47,15 +47,13 @@ def _confidences(cs: ConflictSet, trust: dict, sims) -> list:
             clipped = min(trust[source], 1.0 - 1e-12)
             score += -math.log1p(-clipped)
         scores.append(score)
-    m = len(scores)
-    adjusted = []
-    for i in range(m):
-        boost = 0.0
-        for j in range(m):
-            if j != i and sims[i][j] > 0.0:
-                boost += sims[i][j] * scores[j]
-        adjusted.append(scores[i] + BASE_SIM * boost)
-    return [1.0 / (1.0 + math.exp(-DAMPENING * a)) for a in adjusted]
+    # pairs ascend by (i, j): each boost adds its partners in ascending order
+    boost = [0.0] * len(scores)
+    for i, j, s in pairs:
+        boost[i] += s * scores[j]
+        boost[j] += s * scores[i]
+    return [1.0 / (1.0 + math.exp(-DAMPENING * (score + BASE_SIM * b)))
+            for score, b in zip(scores, boost)]
 
 
 def truthfinder(store: ClaimStore):
@@ -64,22 +62,20 @@ def truthfinder(store: ClaimStore):
     Returns (decisions, source trust, iterations, converged).
     """
     sets = store.conflict_sets
-    sim_tables = []
+    # per set, (i, j, similarity) for each similar pair with i < j
+    similar = []
     for cs in sets.values():
         values = [obj.value for obj in cs.objects]
-        table = [[0.0] * len(values) for _ in values]
-        for i in range(len(values)):
-            for j in range(i + 1, len(values)):
-                table[i][j] = table[j][i] = sim(values[i], values[j])
-        sim_tables.append(table)
+        similar.append([(i, j, s) for i, a in enumerate(values)
+                        for j in range(i + 1, len(values))
+                        if (s := sim(a, values[j])) > 0.0])
 
     trust = {s: INITIAL_TRUST for s in store.incidence}
     confidences = {}
     converged = False
-    iterations = 0
     for iterations in range(1, MAX_ITER + 1):
-        for (k, cs), sims in zip(sets.items(), sim_tables):
-            confidences[k] = _confidences(cs, trust, sims)
+        for (k, cs), pairs in zip(sets.items(), similar):
+            confidences[k] = _confidences(cs, trust, pairs)
         # a source with no claim in any conflict set keeps its initial trust
         fresh = source_trustworthiness(store, confidences, INITIAL_TRUST)
         shift = max(abs(fresh[s] - trust[s]) for s in trust) if trust else 0.0

@@ -144,7 +144,12 @@ def _config(args, filecfg: dict, section: str):
                                  ) from None
         if value is not None:
             given[key] = value
-    return _CONFIGS[section](**given)
+    try:
+        return _CONFIGS[section](**given)
+    except ValueError as exc:
+        if not entries:     # flags alone: the message names the setting
+            raise
+        raise ValueError(f"{args.config}: [{section}] {exc}") from None
 
 
 def _value_json(value) -> dict:

@@ -99,8 +99,7 @@ class GoldStandard:
 
     def to_tsv(self) -> str:
         lines = ["entity\tpredicate\tkind\tvalue"]
-        for (entity, predicate) in sorted(self.truths):
-            value = self.truths[(entity, predicate)]
+        for (entity, predicate), value in sorted(self.truths.items()):
             lines.append(f"{entity}\t{predicate}\t{value.kind}\t{value.render()}")
         return "\n".join(lines) + "\n"
 
@@ -384,25 +383,10 @@ def no_dominant_config(seed: int = 0) -> SynthConfig:
         decoy_concentration=1.8, seed=seed)
 
 
-def run_methods(store, priors, gold: GoldStandard, methods,
-                engine_cfg: EngineConfig = DEFAULT_ENGINE) -> dict:
-    """Score each requested method on an assembled store."""
-    report = {}
-    for method in methods:
-        start = time.perf_counter()
-        decisions, iterations, converged, trace = run_method(
-            method, store, priors, engine_cfg)
-        elapsed = time.perf_counter() - start
-        report[method] = {"accuracy": accuracy(decisions, gold),
-                          "seconds": elapsed, "iterations": iterations,
-                          "converged": converged, "trace": trace}
-    return report
-
-
 def run_benchmark(base_cfg: SynthConfig, seeds, methods=None,
                   engine_cfg: EngineConfig = DEFAULT_ENGINE,
                   prior_cfg: PriorConfig = DEFAULT_PRIOR) -> list:
-    """Generate, assemble and score one corpus per seed."""
+    """Generate, assemble and score each method on one corpus per seed."""
     methods = list(methods or (METHOD_ENGINE, METHOD_VOTE))
     for i, method in enumerate(methods):
         if method not in METHODS:
@@ -414,8 +398,15 @@ def run_benchmark(base_cfg: SynthConfig, seeds, methods=None,
         synth = generate(replace(base_cfg, seed=seed))
         statements = list(parse_triples(synth.triples, FORMAT_NTRIPLES))
         built = assemble(statements, prior_cfg=prior_cfg)
-        report = run_methods(built.store, built.priors, synth.gold, methods,
-                             engine_cfg)
+        report = {}
+        for method in methods:
+            start = time.perf_counter()
+            decisions, iterations, converged, trace = run_method(
+                method, built.store, built.priors, engine_cfg)
+            elapsed = time.perf_counter() - start
+            report[method] = {"accuracy": accuracy(decisions, synth.gold),
+                              "seconds": elapsed, "iterations": iterations,
+                              "converged": converged, "trace": trace}
         rows.append({"seed": seed, "report": report,
                      "conflict_sets": len(built.store.conflict_sets),
                      "unanimous_slots": synth.unanimous_slots})

@@ -13,9 +13,9 @@ with, so the next solve starts from them; a fresh field starts uniform.
 
 The exact sum runs generated straight-line code, one function per node
 count, compiled once per process, whose text holds only integers.  It
-gives finite marginals for any positive finite potentials: the weights
-are kept as mantissas and exponents, and a sum that leaves the float
-range is redone with the unary pairs folded into them.
+gives finite marginals for any positive finite potentials: a sum that
+leaves the float range is redone by folding the field's own tables, its
+edges and its unary pairs, into mantissas and exponents.
 """
 
 from functools import cache
@@ -35,9 +35,9 @@ class MarkovField:
     """``unary[i]`` is (phi(0), phi(1)); ``edges`` holds (i, j, psi) with
     i < j and ``psi[a][b]`` scoring state a at i against state b at j.
     Every potential is positive and finite.  ``unary`` may be replaced by
-    such pairs of the same length.  ``weights`` holds an exact field's
-    per-state mantissas and exponents, and ``messages`` a larger field's
-    messages from its last solve."""
+    such pairs of the same length.  ``coupling`` holds an exact field's
+    per-state edge weights, and ``messages`` a larger field's messages
+    from its last solve."""
 
     def __init__(self, unary: list, edges: list):
         self.unary = unary
@@ -53,8 +53,7 @@ class MarkovField:
                 raise ValueError("edge potentials must be positive and finite")
         self.exact = n <= EXACT_NODES
         if self.exact:
-            self.weights = _fold(n, ([1.0] * (1 << n), [0] * (1 << n)), edges)
-            self.coupling = [ldexp(m, e) for m, e in zip(*self.weights)]
+            self.coupling = [ldexp(m, e) for m, e in zip(*_fold(n, edges))]
             self.kernel = _joint_sum(n)
             return
         # messages are flat (m0, m1) pairs, i -> j on edge e at offset 4e
@@ -73,12 +72,12 @@ class MarkovField:
         self.messages = [0.5] * (4 * len(edges))
 
 
-def _fold(n, weights, factors):
-    """``weights``, per-state mantissas and exponents, times each table
-    (i, j, psi) scoring state a at node i against b at node j, shifted so
-    the largest exponent is 0.  That leaves the marginals' bits alone; no
-    weight then exceeds 1, and after k tables one is at least 2^-k."""
-    mant, expo = weights
+def _fold(n, factors):
+    """Per-state mantissas and exponents, from unit weights, of the product
+    of the tables (i, j, psi), each scoring state a at node i against b at
+    node j, shifted so the largest exponent is 0.  That keeps the marginals'
+    bits; no weight then exceeds 1, and after k tables one is at least 2^-k."""
+    mant, expo = [1.0] * (1 << n), [0] * (1 << n)
     for i, j, psi in factors:
         table = [[frexp(w) for w in row] for row in psi]
         cells = [table[a][b] for a, b in zip(_BITS[n][i], _BITS[n][j])]
@@ -140,10 +139,10 @@ def loopy_bp(field: MarkovField, damping: float = 0.3, tol: float = 1e-6,
         try:
             return BpResult(field.kernel(unary, field.coupling), True, 0)
         except ArithmeticError:
-            # a product left the float range: fold each unary pair in as
-            # its node's table against itself, then sum with unit unaries
-            mant, expo = _fold(len(unary), field.weights,
-                               [(i, i, (p, p)) for i, p in enumerate(unary)])
+            # a product left the float range: sum again with unit unaries,
+            # each pair refolded with the edges as its node's own table
+            mant, expo = _fold(len(unary), [
+                *field.edges, *((i, i, (p, p)) for i, p in enumerate(unary))])
             return BpResult(field.kernel([(1.0, 1.0)] * len(unary), [
                 ldexp(m, e) for m, e in zip(mant, expo)]), True, 0)
 

@@ -73,11 +73,8 @@ def compute_prior(sbg: SourceBeliefGraph,
     d = cfg.damping
     base = 1.0 - d
     br = [1.0] * len(order)
-    residual = float("inf")
-    sweeps = 0
     converged = False
-    while sweeps < cfg.max_sweeps:
-        sweeps += 1
+    for sweeps in range(1, cfg.max_sweeps + 1):
         nxt = []
         for j in range(len(order)):
             total = 0.0

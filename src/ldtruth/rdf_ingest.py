@@ -114,11 +114,11 @@ _LANG_RE = re.compile(r"@([a-zA-Z]+(?:-[a-zA-Z0-9]+)*)")
 _WS_RE = re.compile(r"[ \t]+")
 
 # The plain line: single spaces, no escapes, no blank nodes, nothing
-# after the dot.  Groups: subject, predicate, the object IRI or the
-# literal's lexical form, datatype and language tag, then the graph.
+# after the dot but a CRLF's CR.  Groups: subject, predicate, the object
+# IRI or the literal's lexical form, datatype and language tag, the graph.
 _PLAIN_LINE_RE = re.compile(
-    rf'<({_IRI_BODY})> <({_IRI_BODY})> (?:<({_IRI_BODY})>|"([^"\\]*)"'
-    rf'(?:\^\^<({_IRI_BODY})>|{_LANG_RE.pattern})?)(?: <({_IRI_BODY})>)? \.')
+    rf'<({_IRI_BODY})> <({_IRI_BODY})> (?:<({_IRI_BODY})>|"([^"\\\r]*)"'
+    rf'(?:\^\^<({_IRI_BODY})>|{_LANG_RE.pattern})?)(?: <({_IRI_BODY})>)? \.\r?')
 
 _ESCAPES = {
     "t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
@@ -260,41 +260,62 @@ def _set_aside(diagnostics, error, category: str, fatal: bool):
 
 def parse_triples(source, fmt: str = FORMAT_NTRIPLES, mode: str = "lenient",
                   diagnostics: list | None = None):
-    """Yield statements from a text, a string, or a binary line source.
+    """Statements, lazily, from a text, a string, or a binary line source.
 
-    A malformed, undecodable or blank-node line is set aside: recorded
-    in ``diagnostics`` while parsing goes on.  ``mode="strict"`` raises
-    on a malformed or undecodable line instead (a blank-node line is
-    still recorded), and without a ``diagnostics`` list every set-aside
-    line raises, in either mode.  Line numbers, on diagnostics and
-    errors, are 1-based positions in the input; a statement carries none.
+    CR, LF and CRLF each end a line; a byte order mark opening the input
+    is dropped.  A malformed, undecodable or blank-node line is set aside:
+    recorded in ``diagnostics`` while parsing goes on.  ``mode="strict"``
+    raises on a malformed or undecodable line instead (a blank-node line is
+    still recorded), and without a ``diagnostics`` list every set-aside line
+    raises, in either mode.  Line numbers, on diagnostics and errors, are
+    1-based positions in the input; a statement carries none.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format: {fmt!r}")
     if mode not in ("lenient", "strict"):
         raise ValueError(f"unknown mode: {mode!r}")
-    strict = mode == "strict"
     if isinstance(source, str):
         source = io.StringIO(source)
-    for lineno, text in enumerate(source, start=1):
+    return _statements(source, fmt, mode == "strict", diagnostics, 1)
+
+
+def _statements(items, fmt: str, strict: bool, diagnostics, first: int):
+    """``parse_triples`` over ``items`` numbered from ``first``, where an
+    item is a line up to an LF, or several if CRs inside it end lines."""
+    shift = 0       # lines ended by CRs inside earlier items
+    for lineno, text in enumerate(items, first):
         if isinstance(text, bytes):
             try:
                 text = text.decode("utf-8")
             except UnicodeDecodeError as exc:
-                _set_aside(diagnostics, EncodingError(lineno, str(exc)),
-                           "encoding", strict)
+                if b"\r" in text:   # decode its lines one by one
+                    lines = text.splitlines()
+                    yield from _statements(lines, fmt, strict, diagnostics,
+                                           lineno + shift)
+                    shift += len(lines) - 1
+                else:
+                    _set_aside(diagnostics, EncodingError(
+                        lineno + shift, str(exc)), "encoding", strict)
                 continue
-        text = text.rstrip("\r\n")
+        text = text.rstrip("\n")
         parsed = _parse_plain(text, fmt)
         if parsed is None:
+            if "\r" in text:   # a CR ends a line too
+                lines = text.removesuffix("\r").split("\r")
+                yield from _statements(lines, fmt, strict, diagnostics,
+                                       lineno + shift)
+                shift += len(lines) - 1
+                continue
+            if lineno == 1:
+                text = text.removeprefix("\ufeff")
             try:
-                parsed = _parse_line(text, lineno, fmt)
+                parsed = _parse_line(text, lineno + shift, fmt)
             except MalformedLineError as exc:
                 _set_aside(diagnostics, exc, "malformed", strict)
                 continue
             if parsed == "bnode":
                 _set_aside(diagnostics, MalformedLineError(
-                    lineno, "blank node outside supported subset"),
+                    lineno + shift, "blank node outside supported subset"),
                     "blank_node", False)
                 continue
         if parsed is not None:

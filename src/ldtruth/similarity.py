@@ -21,10 +21,6 @@ def levenshtein(a: str, b: str) -> int:
     """Plain edit distance, insertions deletions and substitutions at cost 1."""
     if a == b:
         return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
     if len(a) < len(b):
         a, b = b, a
     previous = list(range(len(b) + 1))

@@ -153,11 +153,8 @@ def pairwise_tables(values, cfg: EngineConfig = DEFAULT_ENGINE) -> list:
 def _unary_from_base(tau_base: list) -> list:
     # keeps both potentials positive when every supporter sits at 0 or 1
     margin = 1e-6
-    unary = []
-    for value in tau_base:
-        p = min(max(value, margin), 1.0 - margin)
-        unary.append((1.0 - p, p))
-    return unary
+    ps = [min(max(value, margin), 1.0 - margin) for value in tau_base]
+    return [(1.0 - p, p) for p in ps]
 
 
 def select_truth(cs: ConflictSet, tau: list, t_smoothed: dict) -> int:
@@ -202,7 +199,6 @@ def resolve_all(store: ClaimStore, priors: PriorBeliefs,
     converged = False
     bp_converged = True
     bp_rounds = 0
-    iteration = 0
     for iteration in range(1, cfg.outer_max + 1):
         deltas = []
         for (k, cs), fld in zip(sets.items(), fields):

@@ -139,9 +139,6 @@ class NormalizedValue(_ValueFields):
                     -1 if day is None else day)
         return (rank, self.payload)
 
-    def __str__(self):
-        return self.render()
-
 
 def _canonical_decimal(dec: Decimal) -> str:
     if dec == 0:

@@ -927,7 +927,7 @@ class TestNanSettings:
         (["resolve", "--outer-threshold", "nan"], None,
          "thresholds must be positive"),
         (["resolve"], "[prior]\ntolerance = nan\n",
-         "tolerance must be positive"),
+         "[prior] tolerance must be positive"),
         (["synth", "--support-skew", "nan"], None,
          "support_skew must be non-negative"),
     ], ids=["outer_threshold", "prior_tolerance", "support_skew"])
@@ -938,6 +938,7 @@ class TestNanSettings:
         if ini:
             (tmp_path / "nan.ini").write_text(ini)
             argv = [*argv, "--config", str(tmp_path / "nan.ini")]
+            message = f"{tmp_path / 'nan.ini'}: {message}"
         assert main([*argv, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.splitlines() == [f"ERROR: {message}"]
         assert not (tmp_path / "o").exists()
@@ -995,8 +996,13 @@ class TestConfigFileErrors:
         ("[engine]\nt0 = 30%\n", "[engine] t0: not a valid float: '30%'"),
         ("[engine]\ncoupling = 0.5\nt0 = %(coupling)s\n",
          "[engine] t0: not a valid float: '%(coupling)s'"),
+        # a value out of its config's range
+        ("[engine]\ncoupling = 1000\n", "[engine] coupling * "
+         "max(1, |dissimilar_false_factor|) must be at most 709"),
+        ("[prior]\ndamping = 1.5\n", "[prior] damping must be in [0, 1)"),
     ], ids=["bad_number", "bad_float", "bad_policy", "threads",
-            "byte_order_mark", "percent_sign", "interpolation"])
+            "byte_order_mark", "percent_sign", "interpolation",
+            "coupling_range", "damping_range"])
     def test_bad_value_names_the_file(self, corpus_dir, tmp_path, capsys,
                                       text, message):
         cfgfile = tmp_path / "bad.ini"
@@ -1006,6 +1012,16 @@ class TestConfigFileErrors:
         assert code == 1
         assert capsys.readouterr().err.splitlines() == [
             f"ERROR: {cfgfile}: {message}"]
+        assert not (tmp_path / "o").exists()
+
+    def test_bad_synth_value_names_the_file(self, tmp_path, capsys):
+        cfgfile = tmp_path / "bad.ini"
+        cfgfile.write_text("[synth]\nn_sources = 0\n", encoding="utf-8")
+        code = main(["synth", "--config", str(cfgfile),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"ERROR: {cfgfile}: [synth] all counts must be at least 1"]
         assert not (tmp_path / "o").exists()
 
     def test_bad_flag_value_keeps_its_message(self, corpus_dir, tmp_path,
@@ -1052,7 +1068,7 @@ class TestChecksBeforeParsing:
     @pytest.mark.parametrize("argv, ini, message", [
         (["resolve", "--coupling", "1000"], None,
          "coupling * max(1, |dissimilar_false_factor|) must be at most 709"),
-        (["resolve"], "[engine]\ncoupling = 1000\n",
+        (["resolve"], "[engine]\ncoupling = 1000\n", "run.ini: [engine] "
          "coupling * max(1, |dissimilar_false_factor|) must be at most 709"),
         (["prior", "--damping", "1.5"], None, "damping must be in [0, 1)"),
         (["resolve", "--alignment", "missing.tsv"], None,

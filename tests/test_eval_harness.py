@@ -9,7 +9,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ldtruth.baselines import METHOD_ENGINE, METHOD_TRUTHFINDER, METHOD_VOTE
+from ldtruth.baselines import (METHOD_ENGINE, METHOD_TRUTHFINDER, METHOD_VOTE,
+                               run_method)
 from ldtruth.eval_harness import (
     GoldStandard,
     MissingDecisionError,
@@ -19,7 +20,6 @@ from ldtruth.eval_harness import (
     generate,
     no_dominant_config,
     run_benchmark,
-    run_methods,
 )
 from ldtruth.pipeline import assemble
 from ldtruth.rdf_ingest import FORMAT_NTRIPLES, parse_triples
@@ -153,6 +153,25 @@ class TestGenerate:
                            [y for _, y in ranked], 1)[0]
         assert slope < -0.5
 
+    def test_skewed_draws_still_reach_every_source(self):
+        # one source holds nearly all the activity, so drawing five
+        # distinct supporters out of five falls back to taking the first
+        # source not yet drawn
+        cfg = SynthConfig(n_sources=5, n_entities=10,
+                          n_conflict_predicates=10, claims_min=5,
+                          claims_max=5, support_skew=10.0,
+                          values_per_conflict=2)
+        triples = generate(cfg).triples
+        assert generate(cfg).triples == triples
+        sources = {}
+        for host, entity, predicate in re.findall(
+                r"<http://(src\d+)\.example\.org/resource/(e\d+)> "
+                r"<http://schema\.example\.org/(p\d+)>", triples):
+            sources.setdefault((entity, predicate), []).append(host)
+        assert len(sources) == cfg.n_conflict_predicates
+        for hosts in sources.values():
+            assert len(hosts) == len(set(hosts)) == 5
+
     @pytest.mark.parametrize("low, high", [(2, 2), (3, 5)])
     def test_claims_per_slot_stay_within_bounds(self, low, high):
         cfg = SynthConfig(n_sources=20, n_entities=40,
@@ -214,9 +233,9 @@ class TestNoDominantConfig:
 class TestRunMethods:
 
     def test_reports_each_method(self):
-        synth, built = assemble_small()
-        report = run_methods(built.store, built.priors, synth.gold,
-                             (METHOD_ENGINE, METHOD_VOTE, METHOD_TRUTHFINDER))
+        [row] = run_benchmark(SMALL, seeds=(SMALL.seed,), methods=(
+            METHOD_ENGINE, METHOD_VOTE, METHOD_TRUTHFINDER))
+        report = row["report"]
         assert set(report) == {METHOD_ENGINE, METHOD_VOTE, METHOD_TRUTHFINDER}
         for method, row in report.items():
             assert 0.0 <= row["accuracy"] <= 1.0
@@ -227,9 +246,11 @@ class TestRunMethods:
             report[METHOD_ENGINE]["iterations"]
 
     def test_unknown_method_is_rejected(self):
-        synth, built = assemble_small()
         with pytest.raises(ValueError, match="unknown method"):
-            run_methods(built.store, built.priors, synth.gold, ("guessing",))
+            run_benchmark(SMALL, seeds=(SMALL.seed,), methods=("guessing",))
+        # run_benchmark rejects the name first; run_method checks it too
+        with pytest.raises(ValueError, match="unknown method"):
+            run_method("guessing", None, None)
 
 
 class TestRunBenchmark:

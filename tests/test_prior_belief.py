@@ -102,6 +102,9 @@ class TestNormalization:
         nbr = normalize_prior({"a": 0.7, "b": 0.7})
         assert nbr == {"a": 0.5, "b": 0.5}
 
+    def test_no_sources_map_to_nothing(self):
+        assert normalize_prior({}) == {}
+
     def test_range_property(self):
         rng = random.Random(404)
         for _ in range(20):

@@ -1,5 +1,6 @@
 """Line parser, source attribution, and claim building tests."""
 
+import gzip
 import io
 import random
 from urllib.parse import urlsplit
@@ -131,6 +132,57 @@ class TestLineParser:
     def test_crlf_and_tabs(self):
         st = parse_one('<http://a.org/s>\t<http://a.org/p>\t"x"\t.\r\n')
         assert st.object == "x"
+        # CR, LF and CRLF each end a line, in any mix, and line numbers
+        # count every one of them
+        first = '<http://a.org/s> <http://a.org/p> "x" .'
+        second = '<http://a.org/s> <http://a.org/p> "y" .'
+        for text in (f"{first}\r{second}\r", f"{first}\r\n\r{second}",
+                     f"{first}\r\r\n{second}\n", f"\r{first}\n{second}\r\n"):
+            for source in (text, io.BytesIO(text.encode("utf-8"))):
+                diagnostics = []
+                statements = list(parse_triples(source, diagnostics=diagnostics))
+                assert [st.object for st in statements] == ["x", "y"]
+                assert diagnostics == []
+        for source in (f"{first}\r\r{second}\r\nbroken\n{first}",
+                       io.BytesIO(f"{first}\r\r{second}\r\nbroken\n"
+                                  f"{first}".encode("utf-8"))):
+            diagnostics = []
+            statements = list(parse_triples(source, diagnostics=diagnostics))
+            assert [st.object for st in statements] == ["x", "y", "x"]
+            assert [(d.line, d.category) for d in diagnostics] == \
+                [(4, "malformed")]
+        # a raw CR, which a literal may not hold, ends the line there
+        diagnostics = []
+        statements = list(parse_triples(f'{first[:-5]}"a\rb" .\n{second}',
+                                        diagnostics=diagnostics))
+        assert [st.object for st in statements] == ["y"]
+        assert [(d.line, d.category) for d in diagnostics] == \
+            [(1, "malformed"), (2, "malformed")]
+        # an undecodable line among CR-ended ones loses that line alone
+        payload = f"{first}\r".encode("utf-8") + b'"\xff"\r' + \
+            f"{second}\rbroken\n".encode("utf-8")
+        diagnostics = []
+        statements = list(parse_triples(io.BytesIO(payload),
+                                        diagnostics=diagnostics))
+        assert [st.object for st in statements] == ["x", "y"]
+        assert [(d.line, d.category) for d in diagnostics] == \
+            [(2, "encoding"), (4, "malformed")]
+
+    def test_byte_order_mark_is_not_data(self, tmp_path):
+        text = ('\ufeff<http://a.org/s> <http://a.org/p> "x" .\n'
+                '<http://a.org/s> <http://a.org/p> "y" .\n')
+        for source in (text, io.BytesIO(text.encode("utf-8"))):
+            statements = list(parse_triples(source, mode="strict"))
+            assert [st.object for st in statements] == ["x", "y"]
+        path = tmp_path / "bom.nt.gz"
+        with gzip.open(path, "wt", encoding="utf-8") as handle:
+            handle.write(text)
+        statements = parse_files([str(path)], mode="strict")
+        assert [st.object for st in statements] == ["x", "y"]
+        # only before the first line
+        with pytest.raises(MalformedLineError) as err:
+            list(parse_triples(text + text, mode="strict"))
+        assert err.value.line == 3
 
     def test_nquads_graph_term(self):
         st = parse_one('<http://a.org/s> <http://a.org/p> "x" <http://g.org/g> .',
@@ -157,6 +209,9 @@ class TestLineParser:
         (r'<http://a.org/s> <http://a.org/p> "\u12G4" .', r"bad \u escape"),
         (r'<http://a.org/s> <http://a.org/p> "\uFFF" .', r"bad \u escape"),
         (r'<http://a.org/s> <http://a.org/p> "\U0010FFF" .', r"bad \U escape"),
+        ('<http://a.org/s> <http://a.org/p>', "unexpected end of line"),
+        ('_:-b <http://a.org/p> "x" .', "invalid blank node label"),
+        ('<http://a.org/s> <http://a.org/p> "x"@1 .', "bad language tag"),
     ])
     def test_malformed_lines_strict(self, line, fragment):
         with pytest.raises(MalformedLineError) as err:
@@ -500,6 +555,8 @@ class TestSourceExtraction:
             extract_source("http://a.org/x", "origin")
         with pytest.raises(ValueError):
             statement_source("http://a.org/x", None, "origin")
+        with pytest.raises(ValueError, match="unknown source policy"):
+            build_claims([], EntityClusterMap({}), policy="bogus")
 
     def test_policy_names_are_the_flag_names(self):
         assert POLICIES == ("host", "pld", "graph")
