@@ -147,8 +147,12 @@ def _config(args, filecfg: dict, section: str):
     try:
         return _CONFIGS[section](**given)
     except ValueError as exc:
-        if not entries:     # flags alone: the message names the setting
-            raise
+        try:    # a check the flags fail on their own keeps its bare message
+            _CONFIGS[section](**{key: value for key, value in given.items()
+                                 if getattr(args, key, None) is not None})
+        except ValueError as own:
+            if str(own) == str(exc):
+                raise
         raise ValueError(f"{args.config}: [{section}] {exc}") from None
 
 

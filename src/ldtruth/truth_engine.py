@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from functools import reduce
-from operator import add
+from operator import add, sub
 from typing import NamedTuple
 
 from .mrf import MarkovField, loopy_bp
@@ -150,13 +150,6 @@ def pairwise_tables(values, cfg: EngineConfig = DEFAULT_ENGINE) -> list:
     return edges
 
 
-def _unary_from_base(tau_base: list) -> list:
-    # keeps both potentials positive when every supporter sits at 0 or 1
-    margin = 1e-6
-    ps = [min(max(value, margin), 1.0 - margin) for value in tau_base]
-    return [(1.0 - p, p) for p in ps]
-
-
 def select_truth(cs: ConflictSet, tau: list, t_smoothed: dict) -> int:
     """Index of the winning candidate, the least under ``rank``.
 
@@ -202,12 +195,19 @@ def resolve_all(store: ClaimStore, priors: PriorBeliefs,
     for iteration in range(1, cfg.outer_max + 1):
         deltas = []
         for (k, cs), fld in zip(sets.items(), fields):
-            fld.unary = _unary_from_base(object_base_trust(cs, t_smoothed))
+            # keeps both potentials positive when every supporter sits at 0 or 1
+            unary = []
+            for p in object_base_trust(cs, t_smoothed):
+                if p < 1e-6:
+                    p = 1e-6
+                elif p > 1.0 - 1e-6:
+                    p = 1.0 - 1e-6
+                unary.append((1.0 - p, p))
+            fld.unary = unary
             result = loopy_bp(fld, cfg.bp_damping, cfg.bp_tol, cfg.bp_max)
             bp_converged = bp_converged and result.converged
             bp_rounds += result.rounds
-            deltas.extend(abs(new - old)
-                          for old, new in zip(tau[k], result.marginals))
+            deltas += map(abs, map(sub, result.marginals, tau[k]))
             tau[k] = result.marginals
         # a left fold, the same bits on every Python (see select_truth)
         mean = reduce(add, deltas) / len(deltas) if deltas else 0.0

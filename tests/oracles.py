@@ -7,7 +7,7 @@ trading speed for obviousness, so a disagreement points at the package.
 import itertools
 from fractions import Fraction
 from functools import reduce
-from math import prod
+from math import frexp, prod
 from operator import add, mul
 
 import numpy as np
@@ -17,8 +17,8 @@ from ldtruth.mrf import MarkovField, loopy_bp
 from ldtruth.public_suffix import (_EXCEPTION_RULES, _PLAIN_RULES,
                                    _WILDCARD_RULES)
 from ldtruth.rdf_ingest import ClaimStore, ConflictSet, ObjectSupport
-from ldtruth.truth_engine import (DEFAULT_ENGINE, _unary_from_base,
-                                  pairwise_tables, select_truth, smooth_trust)
+from ldtruth.truth_engine import (DEFAULT_ENGINE, pairwise_tables,
+                                  select_truth, smooth_trust)
 
 
 def enum_marginals(unary, edges):
@@ -48,6 +48,30 @@ def joint_sum_marginals(unary, coupling):
     return [reduce(add, itertools.compress(
                 joint, [s >> n - 1 - i & 1 for s in range(1 << n)]), 0) / z
             for i in range(n)]
+
+
+def fold_ref(n, factors):
+    """Per-state (mantissas, exponents) of the product of the tables
+    (i, j, psi), state s giving node i bit n - 1 - i of s, shifted so the
+    largest exponent is 0: each state looks its cell up in the table of
+    ``frexp`` pairs and multiplies, in factor order from 1.0 and 0."""
+    mant, expo = [1.0] * (1 << n), [0] * (1 << n)
+    for i, j, psi in factors:
+        table = [[frexp(w) for w in row] for row in psi]
+        cells = [table[s >> n - 1 - i & 1][s >> n - 1 - j & 1]
+                 for s in range(1 << n)]
+        mant = [m * c[0] for m, c in zip(mant, cells)]
+        expo = [e + c[1] for e, c in zip(expo, cells)]
+    top = max(expo)
+    return mant, [e - top for e in expo]
+
+
+def unary_from_base(tau_base):
+    """(1 - p, p) per candidate, p its base trust clamped into
+    [1e-6, 1 - 1e-6] so both potentials stay positive."""
+    margin = 1e-6
+    return [(1.0 - p, p)
+            for p in (min(max(v, margin), 1.0 - margin) for v in tau_base)]
 
 
 def fraction_marginals(unary, edges):
@@ -336,7 +360,7 @@ def reference_resolve(store, priors=None, cfg=DEFAULT_ENGINE):
                 for source in sorted(obj.sources):
                     total += t_smoothed[source]
                 base.append(total / len(obj.sources))
-            field = MarkovField(unary=_unary_from_base(base),
+            field = MarkovField(unary=unary_from_base(base),
                                 edges=set_edges)
             result = loopy_bp(field, cfg.bp_damping, cfg.bp_tol, cfg.bp_max)
             rounds += result.rounds

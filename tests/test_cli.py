@@ -1024,6 +1024,40 @@ class TestConfigFileErrors:
             f"ERROR: {cfgfile}: [synth] all counts must be at least 1"]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("text, flags, message", [
+        # the flag alone is out of range: the file is not to blame
+        ("[engine]\nt0 = 0.4\n", ["--coupling", "1000"],
+         "coupling * max(1, |dissimilar_false_factor|) must be at most 709"),
+        # the flag alone is in range; the file's factor takes it past 709
+        ("[engine]\ndissimilar_false_factor = -2\n", ["--coupling", "400"],
+         "{cfgfile}: [engine] coupling * max(1, |dissimilar_false_factor|) "
+         "must be at most 709"),
+    ], ids=["flag_at_fault", "file_at_fault"])
+    def test_range_error_names_the_file_only_when_it_is_at_fault(
+            self, corpus_dir, tmp_path, capsys, text, flags, message):
+        cfgfile = tmp_path / "mix.ini"
+        cfgfile.write_text(text, encoding="utf-8")
+        code = main(["resolve", "--input", str(corpus_dir / "corpus.nt"),
+                     "--config", str(cfgfile), *flags,
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "ERROR: " + message.format(cfgfile=cfgfile)]
+        assert not (tmp_path / "o").exists()
+
+    def test_flag_failing_only_against_a_default_blames_the_file(
+            self, tmp_path, capsys):
+        # --claims-min 5 fails alone against the default claims_max of 4,
+        # which the file raises to 10; the file's fidelity is what fails
+        cfgfile = tmp_path / "mix.ini"
+        cfgfile.write_text("[synth]\nclaims_max = 10\nsameas_fidelity = 2\n",
+                           encoding="utf-8")
+        code = main(["synth", "--config", str(cfgfile), "--claims-min", "5",
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"ERROR: {cfgfile}: [synth] sameas_fidelity must be in [0, 1]"]
+
     def test_bad_flag_value_keeps_its_message(self, corpus_dir, tmp_path,
                                               capsys):
         code = main(["resolve", "--input", str(corpus_dir / "corpus.nt"),

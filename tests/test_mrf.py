@@ -8,12 +8,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ldtruth.mrf import EXACT_NODES, MarkovField, loopy_bp
+from ldtruth.mrf import EXACT_NODES, MarkovField, _fold, loopy_bp
 from ldtruth.truth_engine import EngineConfig, pairwise_tables
 from ldtruth.values import NormalizedValue
 
-from oracles import (enum_marginals, fraction_marginals, joint_sum_marginals,
-                     random_loopy_field, random_tree_field)
+from oracles import (enum_marginals, fold_ref, fraction_marginals,
+                     joint_sum_marginals, random_loopy_field,
+                     random_tree_field)
 
 
 class TestFieldValidation:
@@ -202,6 +203,48 @@ class TestGeneratedSum:
                             edges=[(0, 2, ((1.0, 2.0), (2.0, 1.0)))])
         assert one.kernel is other.kernel
         assert one.kernel is not MarkovField([(1.0, 1.0)] * 2, []).kernel
+
+
+class TestFold:
+    """The fold behind an exact field's weights and the overflow rescue
+    must give the per-cell reference's mantissas and exponents bit for
+    bit, each state's bits taken from their definition."""
+
+    @staticmethod
+    def tables(rng, size):
+        """Random, frustrated and largest-allowed tables on ``size`` nodes."""
+        lo = 1e-300
+        numbers = [NormalizedValue.from_number(1_000_000 + i)
+                   for i in range(size)]
+        return [random_tree_field(rng, size)[1],
+                random_loopy_field(rng, size, extra_edges=size)[1],
+                [(i, j, ((lo, 1.0), (1.0, lo)))
+                 for i in range(size) for j in range(i + 1, size)],
+                [(0, j, ((1.0, 1.0), (lo, lo)) if j % 2 else
+                  ((lo, lo), (1.0, 1.0))) for j in range(1, size)],
+                # coupling * |dissimilar_false_factor| at the bound of 709
+                pairwise_tables(numbers, EngineConfig(coupling=709.0)),
+                pairwise_tables(numbers, EngineConfig(
+                    coupling=354.5, dissimilar_false_factor=-2.0))]
+
+    @pytest.mark.parametrize("size", range(EXACT_NODES + 1))
+    def test_matches_the_per_cell_fold_bit_for_bit(self, size):
+        rng = random.Random(size)
+        for edges in self.tables(rng, size):
+            field = MarkovField([(0.6, 0.4)] * size, edges)
+            assert field.coupling == [
+                math.ldexp(m, e) for m, e in zip(*fold_ref(size, edges))]
+            # the rescue's factors: the edges, then each node's unary pair
+            # as a table from the node to itself
+            unary = [(rng.uniform(1e299, 1e300), rng.uniform(1e299, 1e300))
+                     for _ in range(size)]
+            factors = [*edges, *((i, i, (p, p)) for i, p in enumerate(unary))]
+            mant, expo = _fold(size, factors)
+            assert (mant, expo) == fold_ref(size, factors)
+            if size >= 2:   # every state's unary product overflows
+                field.unary = unary
+                assert loopy_bp(field).marginals == joint_sum_marginals(
+                    [(1.0, 1.0)] * size, list(map(math.ldexp, mant, expo)))
 
 
 class TestTreeExactness:

@@ -4,7 +4,7 @@ import random
 import string
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import lev_ref
@@ -158,3 +158,42 @@ class TestSimilarityHypothesis:
     @given(values)
     def test_self_similarity_is_one(self, a):
         assert sim(a, a) == 1.0
+
+
+# any code point, mixed with a few shared letters so that pairs overlap;
+# the folding letters change length under casefold (sharp s to "ss", the
+# fi ligature to "fi", dotted capital I to "i" and a combining dot)
+_shared = st.sampled_from("abcé\u00df\ufb01\u0130ssfi")
+_texts = st.text(alphabet=_shared | st.characters(), max_size=20)
+_long_texts = st.text(alphabet=_shared | st.characters(), min_size=65,
+                      max_size=100)
+
+
+class TestEditDistanceHypothesis:
+    """The bit-parallel distance against the full table, for text of any
+    code points, the empty string, and strings wider than a 64-bit word."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_texts, _texts)
+    def test_matches_reference_and_is_symmetric(self, a, b):
+        assert levenshtein(a, b) == lev_ref(a, b) == levenshtein(b, a)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_long_texts, _long_texts | _texts)
+    def test_longer_than_a_machine_word(self, a, b):
+        assert levenshtein(a, b) == lev_ref(a, b) == levenshtein(b, a)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_texts, _texts)
+    def test_text_similarity_reads_the_casefolded_distance(self, a, b):
+        s, t = a.casefold(), b.casefold()
+        longest = max(len(s), len(t))
+        want = 1.0 - lev_ref(s, t) / longest if longest else 1.0
+        assert sim(NormalizedValue.from_text(a),
+                   NormalizedValue.from_text(b)) == want
+
+    def test_casefold_changes_the_length(self):
+        # "Straße" folds to "strasse", 7 characters, one insertion from
+        # "strase"; over the unfolded 6 characters it would read 1 - 1/6
+        assert sim(NormalizedValue.from_text("Stra\u00dfe"),
+                   NormalizedValue.from_text("strase")) == 1.0 - 1 / 7

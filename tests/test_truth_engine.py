@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ldtruth import truth_engine
 from ldtruth.eval_harness import SynthConfig, generate, no_dominant_config
 from ldtruth.mrf import EXACT_NODES
 from ldtruth.pipeline import assemble
@@ -17,7 +18,6 @@ from ldtruth.rdf_ingest import (FORMAT_NTRIPLES, ConflictSet, ObjectSupport,
 from ldtruth.similarity import sim
 from ldtruth.truth_engine import (
     EngineConfig,
-    _unary_from_base,
     decide,
     object_base_trust,
     pairwise_tables,
@@ -143,17 +143,43 @@ class TestPairwiseTables:
 
 
 class TestUnaryFromBase:
+    """``resolve_all``'s unary is (1 - p, p), p the candidate's mean
+    supporter trust clamped into [1e-6, 1 - 1e-6]; the first sweep's
+    smoothed trust is (nbr + t0) / 2, so a prior of 1.5 or -0.5 puts a
+    supporter at trust 1 or 0."""
 
-    def test_unary_comes_from_clamped_base(self):
-        unary = _unary_from_base([0.25, 1.0])
+    @staticmethod
+    def first_unary(monkeypatch, nbr):
+        seen = []
+
+        def spy(field, *args):
+            seen.append(list(field.unary))
+            return loopy_bp(field, *args)
+
+        loopy_bp = truth_engine.loopy_bp
+        monkeypatch.setattr(truth_engine, "loopy_bp", spy)
+        store = store_from_claims([("e", "p", number(3), "a.example"),
+                                   ("e", "p", number(7), "b.example"),
+                                   ("e", "p", number(7), "c.example")])
+        priors = PriorBeliefs(br={}, nbr=nbr, sweeps_used=1, residual=0.0,
+                              converged=True)
+        resolve_all(store, priors, EngineConfig(outer_max=1))
+        return seen[0]
+
+    def test_unary_comes_from_clamped_base(self, monkeypatch):
+        # number 3 backed at trust 0.25; number 7 by two sources at trust 1
+        unary = self.first_unary(monkeypatch, {
+            "a.example": 0.0, "b.example": 1.5, "c.example": 1.5})
         assert unary[0] == (0.75, 0.25)
         # base trust of exactly 1.0 is pulled inside the open interval
         assert unary[1][1] == 1.0 - 1e-6
         assert unary[1][0] == pytest.approx(1e-6, rel=1e-9)
 
-    def test_zero_base_stays_positive(self):
-        unary = _unary_from_base([0.0, 0.5])
-        assert unary[0] == (1.0 - 1e-6, 1e-6)
+    def test_zero_base_stays_positive(self, monkeypatch):
+        # number 3 backed at trust 0; number 7 at 0 and 1, a mean of 0.5
+        unary = self.first_unary(monkeypatch, {
+            "a.example": -0.5, "b.example": -0.5, "c.example": 1.5})
+        assert unary == [(1.0 - 1e-6, 1e-6), (0.5, 0.5)]
 
 
 class TestSelectTruth:
