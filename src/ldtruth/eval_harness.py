@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 import string
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import accumulate
 
 from .baselines import METHOD_ENGINE, METHOD_VOTE, METHODS, run_method
@@ -58,6 +58,9 @@ class SynthConfig:
     near_truth_rate: float = 0.0
 
     def __post_init__(self):
+        if any(f.type == "int" and not isinstance(getattr(self, f.name), int)
+               for f in fields(self)):
+            raise SynthConfigError("every count and the seed must be integers")
         if min(self.n_sources, self.n_entities,
                self.n_conflict_predicates, self.attachment_m) < 1:
             raise SynthConfigError("all counts must be at least 1")

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import gzip
-import io
 import zlib
 from contextlib import ExitStack
 from typing import NamedTuple
@@ -38,8 +37,8 @@ def parse_files(paths, fmt: str | None = None, mode: str = "lenient",
     statements = []
     with ExitStack() as stack:
         handles = [stack.enter_context(
-            io.BufferedReader(gzip.open(path)) if path.endswith(".gz")
-            else open(path, "rb")) for path in paths]
+            gzip.open(path) if path.endswith(".gz") else open(path, "rb"))
+            for path in paths]
         try:
             for path, handle in zip(paths, handles):
                 found = [] if diagnostics is not None else None

@@ -31,8 +31,8 @@ class PriorConfig(_PriorFields):
         # written so that NaN fails the check
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be at least 1")
+        if not (isinstance(self.max_sweeps, int) and self.max_sweeps >= 1):
+            raise ValueError("max_sweeps must be an integer of at least 1")
         return self
 
 

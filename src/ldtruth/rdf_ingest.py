@@ -1,12 +1,12 @@
 """Reading claim corpora from N-Triples and N-Quads files.
 
-The parser is line oriented and hand rolled: one statement per line.  A
-plain line is matched whole by one compiled pattern; any other line is
-scanned term by term.  Literals decode character escapes and ``\\u`` and
-``\\U`` escapes, IRIs only the last two.  It covers the slice of the
-grammar these corpora actually use.  Blank nodes are recognised but
-statements using them are set aside with a diagnostic, since every
-downstream structure keys on absolute IRIs.
+The parser is hand rolled: one statement per line, and Python's
+universal newlines end each line.  A plain line is matched whole by one
+compiled pattern; any other line is scanned term by term.  Literals
+decode character escapes and ``\\u`` and ``\\U`` escapes, IRIs only the
+last two.  It covers the slice of the grammar these corpora use.  Blank
+nodes are recognised but statements using them are set aside with a
+diagnostic, since every downstream structure keys on absolute IRIs.
 """
 
 from __future__ import annotations
@@ -111,14 +111,15 @@ _IRI_RE = re.compile(r"<(%s*(?:%s%s*)*)>" % (_IRI_CHAR, _UCHAR, _IRI_CHAR))
 _BNODE_RE = re.compile(r"_:[A-Za-z0-9][A-Za-z0-9._-]*")
 _LITERAL_RE = re.compile(r'"((?:[^"\\]|\\.)*)"')
 _LANG_RE = re.compile(r"@([a-zA-Z]+(?:-[a-zA-Z0-9]+)*)")
-_WS_RE = re.compile(r"[ \t]+")
+_WS_RE = re.compile(r"[ \t]*")
 
 # The plain line: single spaces, no escapes, no blank nodes, nothing
-# after the dot but a CRLF's CR.  Groups: subject, predicate, the object
-# IRI or the literal's lexical form, datatype and language tag, the graph.
+# after the dot.  Groups: subject, predicate, the object IRI or the
+# literal's lexical form, datatype and language tag, the graph.
 _PLAIN_LINE_RE = re.compile(
-    rf'<({_IRI_BODY})> <({_IRI_BODY})> (?:<({_IRI_BODY})>|"([^"\\\r]*)"'
-    rf'(?:\^\^<({_IRI_BODY})>|{_LANG_RE.pattern})?)(?: <({_IRI_BODY})>)? \.\r?')
+    rf'<({_IRI_BODY})> <({_IRI_BODY})> (?:<({_IRI_BODY})>|"([^"\\]*)"'
+    rf'(?:\^\^<({_IRI_BODY})>|{_LANG_RE.pattern})?)(?: <({_IRI_BODY})>)? \.')
+_ESCAPED_BYTE_RE = re.compile("[\udc80-\udcff]")  # surrogateescape's bytes
 
 _ESCAPES = {
     "t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
@@ -154,8 +155,7 @@ def _unescape(raw: str, line: int, iri: bool = False) -> str:
 
 
 def _skip_ws(text: str, pos: int) -> int:
-    match = _WS_RE.match(text, pos)
-    return match.end() if match else pos
+    return _WS_RE.match(text, pos).end()
 
 
 def _parse_term(text: str, pos: int, line: int, *, allow_literal: bool):
@@ -181,8 +181,7 @@ def _parse_term(text: str, pos: int, line: int, *, allow_literal: bool):
             raise MalformedLineError(line, "unterminated literal")
         lexical = _unescape(match.group(1), line)
         end = match.end()
-        datatype = None
-        lang = None
+        datatype = lang = None
         if text.startswith("^^", end):
             dt_match = _IRI_RE.match(text, end + 2)
             if not dt_match:
@@ -260,66 +259,62 @@ def _set_aside(diagnostics, error, category: str, fatal: bool):
 
 def parse_triples(source, fmt: str = FORMAT_NTRIPLES, mode: str = "lenient",
                   diagnostics: list | None = None):
-    """Statements, lazily, from a text, a string, or a binary line source.
+    """Statements, lazily, from a string, a binary stream, or text lines.
 
-    CR, LF and CRLF each end a line; a byte order mark opening the input
-    is dropped.  A malformed, undecodable or blank-node line is set aside:
+    A string or a binary stream (UTF-8, left open) is read with universal
+    newlines: CR, LF and CRLF each end a line; text lines keep their own
+    line ends.  A byte order mark opening the input is dropped.  A line
+    that is malformed, undecodable (holds U+DC80 to U+DCFF, which stand
+    for bytes that are not UTF-8) or uses a blank node is set aside:
     recorded in ``diagnostics`` while parsing goes on.  ``mode="strict"``
-    raises on a malformed or undecodable line instead (a blank-node line is
-    still recorded), and without a ``diagnostics`` list every set-aside line
-    raises, in either mode.  Line numbers, on diagnostics and errors, are
+    raises on a malformed or undecodable line instead, and without a
+    ``diagnostics`` list every set-aside line raises.  Line numbers are
     1-based positions in the input; a statement carries none.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format: {fmt!r}")
     if mode not in ("lenient", "strict"):
         raise ValueError(f"unknown mode: {mode!r}")
+    return _statements(source, fmt, mode == "strict", diagnostics)
+
+
+def _statements(source, fmt: str, strict: bool, diagnostics):
+    """``parse_triples`` over the text lines of ``source``."""
     if isinstance(source, str):
-        source = io.StringIO(source)
-    return _statements(source, fmt, mode == "strict", diagnostics, 1)
-
-
-def _statements(items, fmt: str, strict: bool, diagnostics, first: int):
-    """``parse_triples`` over ``items`` numbered from ``first``, where an
-    item is a line up to an LF, or several if CRs inside it end lines."""
-    shift = 0       # lines ended by CRs inside earlier items
-    for lineno, text in enumerate(items, first):
-        if isinstance(text, bytes):
-            try:
-                text = text.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                if b"\r" in text:   # decode its lines one by one
-                    lines = text.splitlines()
-                    yield from _statements(lines, fmt, strict, diagnostics,
-                                           lineno + shift)
-                    shift += len(lines) - 1
-                else:
-                    _set_aside(diagnostics, EncodingError(
-                        lineno + shift, str(exc)), "encoding", strict)
+        source = io.StringIO(source, newline=None)
+    binary = isinstance(source, (io.BufferedIOBase, io.RawIOBase))
+    lines = io.TextIOWrapper(source, "utf-8", "surrogateescape",
+                             newline=None) if binary else source
+    try:
+        for lineno, text in enumerate(lines, 1):
+            if not text.isascii() and _ESCAPED_BYTE_RE.search(text):
+                try:    # the error that decoding the line's bytes raises
+                    text.encode("utf-8", "surrogateescape").decode("utf-8")
+                    text.encode("utf-8")    # a string may spell out UTF-8
+                except UnicodeError as exc:
+                    _set_aside(diagnostics, EncodingError(lineno, str(exc)),
+                               "encoding", strict)
                 continue
-        text = text.rstrip("\n")
-        parsed = _parse_plain(text, fmt)
-        if parsed is None:
-            if "\r" in text:   # a CR ends a line too
-                lines = text.removesuffix("\r").split("\r")
-                yield from _statements(lines, fmt, strict, diagnostics,
-                                       lineno + shift)
-                shift += len(lines) - 1
-                continue
-            if lineno == 1:
-                text = text.removeprefix("\ufeff")
-            try:
-                parsed = _parse_line(text, lineno + shift, fmt)
-            except MalformedLineError as exc:
-                _set_aside(diagnostics, exc, "malformed", strict)
-                continue
-            if parsed == "bnode":
-                _set_aside(diagnostics, MalformedLineError(
-                    lineno + shift, "blank node outside supported subset"),
-                    "blank_node", False)
-                continue
-        if parsed is not None:
-            yield parsed
+            text = text.rstrip("\r\n")
+            parsed = _parse_plain(text, fmt)
+            if parsed is None:
+                if lineno == 1:
+                    text = text.removeprefix("\ufeff")
+                try:
+                    parsed = _parse_line(text, lineno, fmt)
+                except MalformedLineError as exc:
+                    _set_aside(diagnostics, exc, "malformed", strict)
+                    continue
+                if parsed == "bnode":
+                    _set_aside(diagnostics, MalformedLineError(
+                        lineno, "blank node outside supported subset"),
+                        "blank_node", False)
+                    continue
+            if parsed is not None:
+                yield parsed
+    finally:   # a wrapper that is collected closes the stream it wraps
+        if binary and not source.closed:
+            lines.detach()
 
 
 # ``scheme://authority``, ending where urlsplit ends the authority.  An

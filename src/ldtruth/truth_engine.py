@@ -51,8 +51,9 @@ class EngineConfig(_EngineFields):
         # written so that NaN fails the check
         if not (self.outer_threshold > 0 and self.bp_tol > 0):
             raise ValueError("thresholds must be positive")
-        if self.outer_max < 1 or self.bp_max < 1:
-            raise ValueError("iteration caps must be at least 1")
+        if not all(isinstance(cap, int) and cap >= 1
+                   for cap in (self.outer_max, self.bp_max)):
+            raise ValueError("iteration caps must be integers of at least 1")
         if not 0.0 <= self.bp_damping < 1.0:
             raise ValueError("bp_damping must be in [0, 1)")
         if not 0.0 <= self.edge_threshold <= 1.0:

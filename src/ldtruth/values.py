@@ -89,8 +89,9 @@ class NormalizedValue(_ValueFields):
     _make = classmethod(lambda cls, row: cls(*row))  # so _replace checks
 
     def __new__(cls, kind: str, payload):
-        # an unknown kind has no payload type, so nothing passes
-        if not isinstance(payload, _PAYLOAD_TYPE.get(kind, ())):
+        # an unknown kind has no payload type; no number is NaN or infinite
+        if not isinstance(payload, _PAYLOAD_TYPE.get(kind, ())) or (
+                kind == KIND_NUMBER and not payload.is_finite()):
             raise ValueError(f"no {kind!r} value holds {payload!r}")
         if kind == KIND_DATE:
             # the same calendar rule the parsers apply

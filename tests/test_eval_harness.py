@@ -73,6 +73,15 @@ class TestSynthConfig:
         with pytest.raises(SynthConfigError):
             SynthConfig(**kwargs)
 
+    @pytest.mark.parametrize("name", [
+        "n_sources", "n_entities", "n_conflict_predicates", "attachment_m",
+        "values_per_conflict", "claims_min", "claims_max", "seed"])
+    def test_counts_are_integers(self, name):
+        value = getattr(SynthConfig(), name)
+        for bad in (value + 0.5, float(value)):
+            with pytest.raises(SynthConfigError, match="must be integers"):
+                SynthConfig(**{name: bad})
+
 
 class TestGenerate:
 

@@ -126,3 +126,9 @@ class TestConfig:
             PriorConfig(tolerance=math.nan)
         with pytest.raises(ValueError):
             PriorConfig(max_sweeps=0)
+
+    @pytest.mark.parametrize("max_sweeps", [2.5, 200.0, "200"])
+    def test_sweep_cap_is_an_integer(self, max_sweeps):
+        # a fraction once passed here and died in compute_prior's loop
+        with pytest.raises(ValueError, match="max_sweeps must be an integer"):
+            PriorConfig(max_sweeps=max_sweeps)

@@ -2,7 +2,9 @@
 
 import gzip
 import io
+import os
 import random
+import tempfile
 from urllib.parse import urlsplit
 
 import pytest
@@ -337,6 +339,124 @@ class TestLineParser:
             list(parse_triples("", fmt="turtle"))
         with pytest.raises(ValueError):
             list(parse_triples("", mode="silent"))
+
+
+# one line of each kind the reader tells apart, as (bytes, what it
+# gives): a statement, None for a comment, or a set-aside category
+def _contract_line(kind, i):
+    s, p = f"http://a.org/s{i}", "http://a.org/p"
+    if kind == "plain":
+        return (f'<{s}> <{p}> "v{i}" .'.encode(),
+                RdfStatement(s, p, f"v{i}", True))
+    if kind == "term_parser":
+        return (f'<{s}>\t<{p}> "é\\t{i}"@en . # note'.encode(),
+                RdfStatement(s, p, f"é\t{i}", True, lang="en"))
+    if kind == "comment":
+        return f"# comment {i}".encode(), None
+    if kind == "malformed":
+        return f'<{s}> <{p}> "open{i} .'.encode(), "malformed"
+    if kind == "blank_node":
+        return f'_:b{i} <{p}> "x" .'.encode(), "blank_node"
+    if kind == "undecodable":
+        return f'<{s}> <{p}> "{i}\xff" .'.encode("latin-1"), "encoding"
+    # a bad sequence cut off by the line end
+    return f'<{s}> <{p}> "{i}" . \xe2\x82'.encode("latin-1"), "encoding"
+
+
+LINE_KINDS = ("plain", "term_parser", "comment", "malformed", "blank_node",
+              "undecodable", "cut_off")
+
+
+class TestLineEndContract:
+    """CR, LF and CRLF end a line in every reading of the same input, and
+    a line's number is its position in the input."""
+
+    @staticmethod
+    def _read(source, **kwargs):
+        diagnostics = []
+        statements = list(parse_triples(source, diagnostics=diagnostics,
+                                        **kwargs))
+        return statements, diagnostics
+
+    @settings(max_examples=80, deadline=None)
+    @given(strategies.lists(strategies.tuples(
+               strategies.sampled_from(LINE_KINDS),
+               strategies.sampled_from(["\n", "\r", "\r\n"])),
+               min_size=1, max_size=12),
+           strategies.sampled_from(["", "\n", "\r", "\r\n"]),
+           strategies.booleans())
+    def test_every_reading_agrees(self, lines, last_end, bom):
+        built = [_contract_line(kind, i) for i, (kind, _) in enumerate(lines)]
+        ends = [end for _, end in lines[:-1]] + [last_end]
+        payload = b"".join(raw + end.encode() for (raw, _), end in
+                           zip(built, ends))
+        if bom:
+            payload = b"\xef\xbb\xbf" + payload
+        expected = [got for _, got in built if isinstance(got, RdfStatement)]
+        set_aside = [(n, got) for n, (_, got) in enumerate(built, 1)
+                     if isinstance(got, str)]
+
+        stream = io.BytesIO(payload)
+        readings = {"bytes": self._read(stream)}
+        assert not stream.closed
+        stream.seek(0)
+        abandoned = parse_triples(stream, diagnostics=[])
+        next(abandoned, None)
+        del abandoned
+        assert not stream.closed
+        if "encoding" not in dict(set_aside).values():
+            readings["str"] = self._read(payload.decode("utf-8"))
+        for newline in (None, ""):
+            text = io.TextIOWrapper(io.BytesIO(payload), "utf-8",
+                                    "surrogateescape", newline=newline)
+            readings[f"text {newline!r}"] = self._read(text)
+        with tempfile.TemporaryDirectory() as folder:
+            path = os.path.join(folder, "input.nt.gz")
+            with gzip.open(path, "wb") as handle:
+                handle.write(payload)
+            found = []
+            readings["gzip"] = (parse_files([path], diagnostics=found),
+                                [d for _, d in found])
+            assert {p for p, _ in found} <= {path}
+
+        first = readings["bytes"][1]
+        for name, (statements, diagnostics) in readings.items():
+            assert statements == expected, name
+            assert [(d.line, d.category) for d in diagnostics] == \
+                set_aside, name
+            # the reasons agree too, the byte offsets of an encoding error
+            # included
+            assert diagnostics == first, name
+
+    def test_a_binary_stream_stays_open(self):
+        # a text wrapper that is collected closes the stream it wraps, so
+        # the reader lets go of the caller's stream however it stops
+        line = b'<http://a.org/s> <http://a.org/p> "x" .\n'
+        stream = io.BytesIO(line * 3)
+        parsed = parse_triples(stream)
+        next(parsed)
+        del parsed          # abandoned halfway through
+        assert not stream.closed
+        stream.seek(0)
+        assert len(list(parse_triples(stream))) == 3
+        assert not stream.closed
+        # a stream the caller closes halfway needs no letting go
+        parsed = parse_triples(stream)
+        stream.seek(0)
+        next(parsed)
+        stream.close()
+        parsed.close()
+
+    def test_text_lines_keep_their_own_ends(self):
+        # only a string or a binary stream is read with universal
+        # newlines, so a CR inside a list item is part of that line
+        line = '<http://a.org/s> <http://a.org/p> "x" .'
+        diagnostics = []
+        statements = list(parse_triples([f"{line}\r{line}\r\n", line],
+                                        diagnostics=diagnostics))
+        assert statements == [parse_one(line)]
+        assert [(d.line, d.category) for d in diagnostics] == \
+            [(1, "malformed")]
 
 
 class TestRoundTrip:

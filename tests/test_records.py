@@ -128,10 +128,17 @@ class TestChecksStayOn:
         (A, {"payload": Decimal(1)}),
         (NormalizedValue.from_date(2019, 3, 30), {"payload": (2019, 2, 30)}),
         (ConflictSet("e", "p", CANDIDATES), {"objects": CANDIDATES[:1]}),
+        (NormalizedValue.from_number(1), {"payload": Decimal("NaN")}),
+        (NormalizedValue.from_number(1), {"payload": Decimal("-Infinity")}),
+        (NormalizedValue.from_number(1), {"payload": Decimal("sNaN")}),
         (EngineConfig(), {"bp_tol": math.nan}),
+        (EngineConfig(), {"outer_max": 2.5}),
+        (EngineConfig(), {"bp_max": 2.5}),
         (PriorConfig(), {"tolerance": math.nan}),
-    ], ids=["value_payload", "value_date", "conflict_set", "engine",
-            "prior"])
+        (PriorConfig(), {"max_sweeps": 2.5}),
+    ], ids=["value_payload", "value_date", "value_nan", "value_infinity",
+            "value_snan", "conflict_set", "engine", "engine_outer_max",
+            "engine_bp_max", "prior", "prior_max_sweeps"])
     def test_replace_checks_what_it_builds(self, record, change):
         with pytest.raises(ValueError):
             record._replace(**change)

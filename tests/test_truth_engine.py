@@ -287,6 +287,9 @@ class TestEngineConfig:
         {"bp_damping": 1.0}, {"bp_damping": -0.1},
         {"edge_threshold": 1.5}, {"coupling": 0.0},
         {"outer_threshold": math.nan}, {"bp_tol": math.nan},
+        # an iteration cap is a count, so a fraction fails when it is set
+        # rather than as a range() argument in the middle of a run
+        {"outer_max": 2.5}, {"bp_max": 2.5}, {"outer_max": 20.0},
     ])
     def test_rejects_bad_settings(self, kwargs):
         with pytest.raises(ValueError):

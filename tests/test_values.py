@@ -230,6 +230,16 @@ class TestValueInvariants:
             with pytest.raises(ValueError):
                 NormalizedValue(kind, payload)
 
+    @pytest.mark.parametrize("number", [
+        float("nan"), float("inf"), float("-inf"), "NaN", "sNaN",
+        "-Infinity", Decimal("NaN")])
+    def test_number_is_finite(self, number):
+        # a NaN or infinite number would build, then raise in sim, in
+        # sort_key's comparisons or (sNaN) in render
+        with pytest.raises(ValueError, match="no 'number' value holds"):
+            NormalizedValue.from_number(number)
+        assert NormalizedValue.from_number(1e308).render() == "1E+308"
+
     def test_wildcard_month_with_day_rejected(self):
         with pytest.raises(ValueError):
             NormalizedValue.from_date(1886, None, 28)
