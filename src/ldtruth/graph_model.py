@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import NamedTuple
 
-from .rdf_ingest import extract_source, is_identity_link, statement_source
+from .rdf_ingest import _statement_source, is_identity_link, statement_source
 
 
 class SameAsGraph(NamedTuple):
@@ -66,7 +66,8 @@ def sameas_closure(graph: SameAsGraph) -> EntityClusterMap:
         return x
 
     for u, v, _ in graph.edges:
-        low, high = sorted((find(u), find(v)))
+        root_u, root_v = find(u), find(v)
+        low, high = (root_u, root_v) if root_u < root_v else (root_v, root_u)
         parent[high] = low
     # point every vertex at its root: the parent dict is the cluster map
     for v in parent:
@@ -107,7 +108,8 @@ def project_to_sbg(graph: SameAsGraph, policy: str = "host") -> SourceBeliefGrap
     sbg = SourceBeliefGraph()
     for u, v, g in graph.edges:
         endorser, reason = statement_source(u, g, policy)
-        endorsee = extract_source(v, policy) if reason is None else None
+        # extract_source(v), with the policy the line above checked
+        endorsee = None if reason else _statement_source(v, v, policy)[0]
         if endorsee:
             sbg.add_edge(endorser, endorsee)
         else:

@@ -109,7 +109,7 @@ _IRI_CHAR_RE = re.compile(_IRI_CHAR)
 _UCHAR = r"\\(?:u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})"
 _IRI_RE = re.compile(r"<(%s*(?:%s%s*)*)>" % (_IRI_CHAR, _UCHAR, _IRI_CHAR))
 _BNODE_RE = re.compile(r"_:[A-Za-z0-9][A-Za-z0-9._-]*")
-_LITERAL_RE = re.compile(r'"((?:[^"\\]|\\.)*)"')
+_LITERAL_RE = re.compile(r'"((?:[^"\\\n\r]|\\.)*)"')
 _LANG_RE = re.compile(r"@([a-zA-Z]+(?:-[a-zA-Z0-9]+)*)")
 _WS_RE = re.compile(r"[ \t]*")
 
@@ -117,7 +117,7 @@ _WS_RE = re.compile(r"[ \t]*")
 # after the dot.  Groups: subject, predicate, the object IRI or the
 # literal's lexical form, datatype and language tag, the graph.
 _PLAIN_LINE_RE = re.compile(
-    rf'<({_IRI_BODY})> <({_IRI_BODY})> (?:<({_IRI_BODY})>|"([^"\\]*)"'
+    rf'<({_IRI_BODY})> <({_IRI_BODY})> (?:<({_IRI_BODY})>|"([^"\\\n\r]*)"'
     rf'(?:\^\^<({_IRI_BODY})>|{_LANG_RE.pattern})?)(?: <({_IRI_BODY})>)? \.')
 _ESCAPED_BYTE_RE = re.compile("[\udc80-\udcff]")  # surrogateescape's bytes
 
@@ -198,15 +198,6 @@ def _parse_term(text: str, pos: int, line: int, *, allow_literal: bool):
     raise MalformedLineError(line, f"unexpected character {ch!r}")
 
 
-def _statement(subject, predicate, obj, is_literal, datatype, lang, graph):
-    """A line's statement, None if its subject or predicate is relative."""
-    # statements share one copy of each predicate and graph, which nearly
-    # every line repeats; subjects repeat too seldom to pay for the lookup
-    if ":" in subject and ":" in predicate:
-        return RdfStatement(subject, sys.intern(predicate), obj, is_literal,
-                            datatype, lang, graph and sys.intern(graph))
-
-
 def _parse_plain(text: str, fmt: str):
     """The statement of a plain line, or None to defer to ``_parse_line``:
     one pattern match instead of the term-by-term scan."""
@@ -214,10 +205,14 @@ def _parse_plain(text: str, fmt: str):
     if match is None:
         return None
     subject, predicate, iri, lexical, datatype, lang, graph = match.groups()
-    if graph is not None and fmt != FORMAT_NQUADS:
+    if (":" not in subject or ":" not in predicate
+            or graph is not None and fmt != FORMAT_NQUADS):
         return None
-    return _statement(subject, predicate, lexical if iri is None else iri,
-                      iri is None, datatype, lang, graph)
+    # statements share one copy of each predicate and graph, which nearly
+    # every line repeats; subjects repeat too seldom to pay for the lookup
+    return tuple.__new__(RdfStatement, (
+        subject, sys.intern(predicate), lexical if iri is None else iri,
+        iri is None, datatype, lang, graph and sys.intern(graph)))
 
 
 def _parse_line(text: str, lineno: int, fmt: str):
@@ -244,10 +239,10 @@ def _parse_line(text: str, lineno: int, fmt: str):
         raise MalformedLineError(lineno, "trailing garbage after dot")
     if None in (subject, predicate, obj, graph):
         return "bnode"
-    statement = _statement(subject[0], predicate[0], *obj, graph[0])
-    if statement is None:
+    if ":" not in subject[0] or ":" not in predicate[0]:
         raise MalformedLineError(lineno, "relative IRI in subject or predicate")
-    return statement
+    return RdfStatement(subject[0], sys.intern(predicate[0]), *obj,
+                        graph[0] and sys.intern(graph[0]))
 
 
 def _set_aside(diagnostics, error, category: str, fatal: bool):
@@ -268,8 +263,9 @@ def parse_triples(source, fmt: str = FORMAT_NTRIPLES, mode: str = "lenient",
     for bytes that are not UTF-8) or uses a blank node is set aside:
     recorded in ``diagnostics`` while parsing goes on.  ``mode="strict"``
     raises on a malformed or undecodable line instead, and without a
-    ``diagnostics`` list every set-aside line raises.  Line numbers are
-    1-based positions in the input; a statement carries none.
+    ``diagnostics`` list every set-aside line raises, as does, in every
+    mode, a text stream's own decoding error, as an ``EncodingError``.
+    Line numbers are 1-based positions in the input; a statement has none.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format: {fmt!r}")
@@ -285,6 +281,7 @@ def _statements(source, fmt: str, strict: bool, diagnostics):
     binary = isinstance(source, (io.BufferedIOBase, io.RawIOBase))
     lines = io.TextIOWrapper(source, "utf-8", "surrogateescape",
                              newline=None) if binary else source
+    lineno = 0
     try:
         for lineno, text in enumerate(lines, 1):
             if not text.isascii() and _ESCAPED_BYTE_RE.search(text):
@@ -312,6 +309,10 @@ def _statements(source, fmt: str, strict: bool, diagnostics):
                     continue
             if parsed is not None:
                 yield parsed
+    except UnicodeDecodeError as exc:   # a text stream's own decoder: fatal
+        # it decodes a block at a time, from within the line being read
+        head = exc.object[:exc.start] + b"."
+        raise EncodingError(lineno + len(head.splitlines()), str(exc)) from None
     finally:   # a wrapper that is collected closes the stream it wraps
         if binary and not source.closed:
             lines.detach()
@@ -352,11 +353,7 @@ def extract_source(iri: str, policy: str = POLICY_HOST) -> str | None:
     handed in, less one trailing root dot, since an IRI on its own names
     no graph; ``pld`` shortens it to the registrable domain.
     """
-    if policy not in POLICIES:
-        raise ValueError(f"unknown source policy: {policy!r}")
-    match = _AUTHORITY_RE.match(iri)
-    return (_authority_source(match.group(), policy) if match
-            else _host_source(iri, policy))
+    return statement_source(iri, iri, policy)[0]
 
 
 def load_alignment(path: str) -> dict:
@@ -395,11 +392,20 @@ def statement_source(subject: str, graph: str | None, policy: str):
     The one rule for claims and identity links alike: under the graph
     policy the graph's host states it, else ``subject``'s host or PLD.
     """
+    if policy not in POLICIES:
+        raise ValueError(f"unknown source policy: {policy!r}")
+    return _statement_source(subject, graph, policy)
+
+
+def _statement_source(subject: str, graph: str | None, policy: str):
+    """``statement_source`` past its policy check."""
     if policy == POLICY_NAMED_GRAPH:
         if graph is None:
             return None, "missing_graph"
         subject = graph
-    source = extract_source(subject, policy)
+    match = _AUTHORITY_RE.match(subject)
+    source = (_authority_source(match.group(), policy) if match
+              else _host_source(subject, policy))
     return source, None if source else "no_source"
 
 
@@ -422,32 +428,35 @@ def build_claims(statements, clusters, alignment: dict | None = None,
     by_slot = {}        # slot key -> value -> set of sources
     # (lexical, datatype) of a literal, or an IRI -> its normalized value
     normalized = {}
-    for st in statements:
-        if st.predicate == OWL_SAMEAS:
-            drop_counts["sameas" if is_identity_link(st)
-                        else "literal_sameas"] += 1
+    cluster = clusters.cluster_of.get   # clusters.cluster, less one call
+    for subject, predicate, obj, is_literal, datatype, _, graph in statements:
+        if predicate == OWL_SAMEAS:
+            drop_counts["literal_sameas" if is_literal else "sameas"] += 1
             continue
-        source, err = statement_source(st.subject, st.graph, policy)
+        source, err = _statement_source(subject, graph, policy)
         if err is not None:
             drop_counts[err] += 1
             continue
-        raw = (st.object, st.datatype) if st.is_literal else st.object
-        if raw not in normalized:
-            normalized[raw] = normalize_object(st.object, st.datatype,
-                                               is_iri=not st.is_literal)
-        value = normalized[raw]
+        raw = (obj, datatype) if is_literal else obj
+        value = normalized.get(raw)
+        if value is None and raw not in normalized:
+            value = normalized[raw] = normalize_object(obj, datatype,
+                                                       is_iri=not is_literal)
         if value is None:
             drop_counts["null_object"] += 1
             continue
-        predicate = alignment.get(st.predicate, st.predicate)
-        entity = clusters.cluster(st.subject)
-        backers = by_slot.setdefault((entity, predicate), {}) \
-                         .setdefault(value, set())
-        if source in backers:
+        key = (cluster(subject, subject), alignment.get(predicate, predicate))
+        support = by_slot.get(key)
+        if support is None:
+            by_slot[key] = {value: {source}}
+        elif (backers := support.get(value)) is None:
+            support[value] = {source}
+        elif source in backers:
             drop_counts["duplicate"] += 1
             continue
-        backers.add(source)
-        claims.append((entity, predicate, value, source))
+        else:
+            backers.add(source)
+        claims.append(key + (value, source))
 
     # slots ascend by key and candidates by value, so each source's
     # incidence list comes out ascending

@@ -66,6 +66,8 @@ _DATE_SHAPES = (
     (re.compile(r"^(\d{1,2})\s+([A-Za-z]+)\s+(\d{4})$"), 3, 2, 1),
     (re.compile(r"^([A-Za-z]+)\s+(\d{4})$"), 2, 1, None),
 )
+# one pass that every shape is in: most texts are no date at all
+_ANY_DATE_SHAPE = re.compile("|".join(p.pattern for p, *_ in _DATE_SHAPES))
 # a date datatype only cuts a dateTime's time and a trailing timezone
 # such as Z or +05:00 before the shapes above; gYear also takes a bare year
 _TIMEZONE = re.compile(r"(Z|[+-]\d\d:\d\d)$")
@@ -149,6 +151,8 @@ def _canonical_decimal(dec: Decimal) -> str:
 
 
 def _parse_date_lexical(text: str) -> tuple[int, int | None, int | None] | None:
+    if _ANY_DATE_SHAPE.match(text) is None:
+        return None
     for pattern, *groups in _DATE_SHAPES:
         match = pattern.match(text)
         if match:
@@ -214,4 +218,4 @@ def normalize_object(lexical: str, datatype: str | None = None,
     parts = parts or _parse_date_lexical(stripped)
     if parts is not None:
         return NormalizedValue(KIND_DATE, parts)
-    return NormalizedValue.from_text(" ".join(stripped.split()))
+    return NormalizedValue(KIND_TEXT, " ".join(stripped.split()))

@@ -5,6 +5,7 @@ trading speed for obviousness, so a disagreement points at the package.
 """
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from math import frexp, prod
@@ -16,9 +17,12 @@ from ldtruth.graph_model import SourceBeliefGraph
 from ldtruth.mrf import MarkovField, loopy_bp
 from ldtruth.public_suffix import (_EXCEPTION_RULES, _PLAIN_RULES,
                                    _WILDCARD_RULES)
-from ldtruth.rdf_ingest import ClaimStore, ConflictSet, ObjectSupport
+from ldtruth.rdf_ingest import (OWL_SAMEAS, ClaimStore, ConflictSet,
+                                ObjectSupport, statement_source)
 from ldtruth.truth_engine import (DEFAULT_ENGINE, pairwise_tables,
                                   select_truth, smooth_trust)
+from ldtruth.values import (_DATE_SHAPES, NormalizedValue, _checked,
+                            _component, normalize_object)
 
 
 def enum_marginals(unary, edges):
@@ -231,6 +235,67 @@ def store_from_claims(rows):
         hits.sort()
     return ClaimStore(claims=claims, conflict_sets=conflict_sets,
                       incidence=incidence, drop_counts={})
+
+
+def parse_date_ref(text):
+    """A date shape's (year, month, day), each shape tried in turn with no
+    screen in front: ``values._parse_date_lexical`` before its screen."""
+    for pattern, *groups in _DATE_SHAPES:
+        match = pattern.match(text)
+        if match:
+            return _checked(*(None if g is None else _component(match[g])
+                              for g in groups))
+    return None
+
+
+def build_claims_ref(statements, clusters, alignment=None, policy="host"):
+    """The claim build one statement at a time, every field read by name,
+    the source through the checked ``statement_source`` and each slot's
+    containers made by ``setdefault``: ``rdf_ingest.build_claims`` before
+    its loop was made lean."""
+    alignment = alignment or {}
+    drop_counts = Counter()
+    claims, by_slot, normalized = [], {}, {}
+    for st in statements:
+        if st.predicate == OWL_SAMEAS:
+            drop_counts["sameas" if not st.is_literal
+                        else "literal_sameas"] += 1
+            continue
+        source, err = statement_source(st.subject, st.graph, policy)
+        if err is not None:
+            drop_counts[err] += 1
+            continue
+        raw = (st.object, st.datatype) if st.is_literal else st.object
+        if raw not in normalized:
+            normalized[raw] = normalize_object(st.object, st.datatype,
+                                               is_iri=not st.is_literal)
+        value = normalized[raw]
+        if value is None:
+            drop_counts["null_object"] += 1
+            continue
+        predicate = alignment.get(st.predicate, st.predicate)
+        entity = clusters.cluster(st.subject)
+        backers = by_slot.setdefault((entity, predicate), {}) \
+                         .setdefault(value, set())
+        if source in backers:
+            drop_counts["duplicate"] += 1
+            continue
+        backers.add(source)
+        claims.append((entity, predicate, value, source))
+    incidence = {source: [] for source in sorted({c[3] for c in claims})}
+    conflict_sets = {}
+    for key in sorted(k for k, support in by_slot.items() if len(support) > 1):
+        support = by_slot[key]
+        objects = []
+        for slot, value in enumerate(sorted(support,
+                                            key=NormalizedValue.sort_key)):
+            sources = tuple(sorted(support[value]))
+            objects.append(ObjectSupport(value, sources))
+            for source in sources:
+                incidence[source].append((key, slot))
+        conflict_sets[key] = ConflictSet(key[0], key[1], tuple(objects))
+    return ClaimStore(claims=claims, conflict_sets=conflict_sets,
+                      incidence=incidence, drop_counts=drop_counts)
 
 
 def _escape_literal(text: str) -> str:

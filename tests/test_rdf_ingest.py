@@ -37,7 +37,8 @@ from ldtruth.rdf_ingest import (
 from ldtruth.graph_model import EntityClusterMap
 from ldtruth.pipeline import parse_files
 from ldtruth.values import normalize_object
-from oracles import format_statement, reference_pay_level_domain
+from oracles import (build_claims_ref, format_statement,
+                     reference_pay_level_domain)
 
 
 # absolute IRIs over the characters the parser accepts inside <...>
@@ -269,6 +270,50 @@ class TestLineParser:
         assert diagnostics[0].category == "encoding"
         with pytest.raises(EncodingError):
             list(parse_triples(io.BytesIO(payload), mode="strict"))
+
+    @pytest.mark.parametrize("end", ["\r", "\n"], ids=["cr", "lf"])
+    @pytest.mark.parametrize("tail", ["", "^^<http://a.org/t>", "@en"],
+                             ids=["plain", "typed", "tagged"])
+    def test_raw_line_end_inside_a_literal_is_malformed(self, end, tail,
+                                                         tmp_path):
+        # N-Triples' STRING_LITERAL_QUOTE holds neither CR nor LF; a list
+        # can hand over either, a text stream opened with newline="\n" a CR
+        bad = f'<http://a.org/s> <http://a.org/p> "a{end}b"{tail} .'
+        ok = '<http://a.org/s> <http://a.org/p> "ok" .'
+        path = tmp_path / "lines.nt"
+        path.write_text(ok + "\n" + bad + "\n", encoding="utf-8",
+                        newline="")
+        sources = [lambda: [ok, bad]]
+        if end == "\r":
+            sources.append(lambda: open(path, encoding="utf-8", newline="\n"))
+        for opened in sources:
+            diagnostics = []
+            source = opened()
+            statements = list(parse_triples(source, diagnostics=diagnostics))
+            getattr(source, "close", lambda: None)()
+            assert [st.object for st in statements] == ["ok"]
+            assert [(d.line, d.category, d.reason) for d in diagnostics] == \
+                [(2, "malformed", "unterminated literal")]
+
+    @pytest.mark.parametrize("mode", ["lenient", "strict"])
+    @pytest.mark.parametrize("end", ["\n", "\r", "\r\n"],
+                             ids=["lf", "cr", "crlf"])
+    @pytest.mark.parametrize("bad", [2, 400], ids=["line2", "line400"])
+    def test_strictly_decoded_stream_names_the_line(self, tmp_path, mode,
+                                                     end, bad):
+        # the caller's decoder raises and cannot go on, so every mode
+        # raises, naming the line that holds the byte
+        lines = [f'<http://a.org/s{i}> <http://a.org/p> "x{i}" .'
+                 for i in range(1, 501)]
+        lines[bad - 1] = lines[bad - 1].replace('"x', '"\udcff')
+        path = tmp_path / "strict.nt"
+        path.write_bytes(end.join(lines).encode("utf-8", "surrogateescape"))
+        with open(path, encoding="utf-8") as handle, \
+                pytest.raises(EncodingError) as err:
+            list(parse_triples(handle, mode=mode, diagnostics=[]))
+        assert err.value.line == bad
+        assert "invalid start byte" in err.value.reason
+        assert str(err.value).startswith(f"line {bad}: 'utf-8' codec")
 
     @pytest.mark.parametrize("mode, bad, error, reason", [
         ("lenient", b'<http://a.org/s> <http://a.org/p> "open .',
@@ -887,6 +932,87 @@ class TestBuildClaims:
         sources = {s for obj in store.conflict_sets[key].objects
                    for s in obj.sources}
         assert sources == {"one.example.org", "two.example.org"}
+
+
+# statements that reach every drop reason under each policy: identity
+# and literal sameAs, subjects and graphs with no host, triples under the
+# graph policy, NULL and blank literals, and repeats of one claim
+_XSD_INT = "http://www.w3.org/2001/XMLSchema#integer"
+CLAIM_SUBJECTS = ("http://a.example.org/e1", "http://b.example.org/e1",
+                  "http://a.example.org/e2", "http://sub.a.example.co.uk/e1",
+                  "urn:x:1")
+CLAIM_OBJECTS = (("1", True, _XSD_INT), ("01", True, _XSD_INT),
+                 ("1", True, None), ("x", True, None), (" x ", True, None),
+                 ("NULL", True, None), ("", True, None),
+                 ("1886-10-28", True, None), ("http://o.org/1", False, None),
+                 ("http://b.example.org/e1", False, None))
+CLAIM_STATEMENTS = strategies.lists(strategies.builds(
+    lambda subject, predicate, obj, graph: RdfStatement(
+        subject, predicate, *obj, graph=graph),
+    strategies.sampled_from(CLAIM_SUBJECTS),
+    strategies.sampled_from(("http://v.org/p", "http://v.org/q", OWL_SAMEAS)),
+    strategies.sampled_from(CLAIM_OBJECTS),
+    strategies.sampled_from((None, "http://g.example.org/g",
+                             "http://a.example.org/g", "urn:g:1"))),
+    max_size=30)
+
+
+def same_store(store, ref):
+    assert store.claims == ref.claims
+    assert list(store.conflict_sets.items()) == \
+        list(ref.conflict_sets.items())
+    assert list(store.incidence.items()) == list(ref.incidence.items())
+    assert store.drop_counts == ref.drop_counts
+
+
+class TestBuildClaimsReference:
+    @settings(max_examples=300, deadline=None)
+    @given(CLAIM_STATEMENTS, strategies.sampled_from(POLICIES),
+           strategies.dictionaries(strategies.sampled_from(CLAIM_SUBJECTS),
+                                   strategies.sampled_from(CLAIM_SUBJECTS)),
+           strategies.sampled_from(
+               (None, {"http://v.org/q": "http://v.org/p"})))
+    def test_matches_the_one_statement_at_a_time_build(
+            self, statements, policy, cluster_of, alignment):
+        clusters = EntityClusterMap(cluster_of)
+        same_store(build_claims(statements, clusters, alignment, policy),
+                   build_claims_ref(statements, clusters, alignment, policy))
+
+    @pytest.mark.parametrize("policy, reasons", [
+        ("host", {"sameas", "literal_sameas", "no_source", "null_object",
+                  "duplicate"}),
+        ("pld", {"sameas", "literal_sameas", "no_source", "null_object",
+                 "duplicate"}),
+        ("graph", {"sameas", "literal_sameas", "no_source", "null_object",
+                   "duplicate", "missing_graph"}),
+    ])
+    def test_every_drop_reason(self, policy, reasons):
+        # one list that takes each reason the policy can give, and the
+        # same store from both builds
+        graph = "http://g.example.org/g"
+        rows = [("http://a.example.org/e1", OWL_SAMEAS,
+                 "http://b.example.org/e1", False, None, graph),
+                ("http://a.example.org/e1", OWL_SAMEAS, "x", True, None, graph),
+                ("urn:x:1", "http://v.org/p", "x", True, None, "urn:g:1"),
+                ("http://a.example.org/e1", "http://v.org/p", "NULL", True,
+                 None, graph),
+                ("http://a.example.org/e1", "http://v.org/p", "1", True,
+                 _XSD_INT, graph),
+                ("http://a.example.org/e1", "http://v.org/p", "01", True,
+                 _XSD_INT, graph),
+                ("http://b.example.org/e1", "http://v.org/p", "2", True,
+                 _XSD_INT, graph),
+                ("http://b.example.org/e1", "http://v.org/p", "2", True,
+                 _XSD_INT, None)]
+        statements = [RdfStatement(s, p, o, lit, dt, graph=g)
+                      for s, p, o, lit, dt, g in rows]
+        clusters = EntityClusterMap({"http://b.example.org/e1":
+                                     "http://a.example.org/e1"})
+        store = build_claims(statements, clusters, policy=policy)
+        assert set(store.drop_counts) == reasons
+        assert store.conflict_sets
+        same_store(store, build_claims_ref(statements, clusters,
+                                           policy=policy))
 
 
 class TestAlignmentTable:

@@ -7,7 +7,7 @@ import types
 from decimal import Decimal
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldtruth.eval_harness import _literal_for
@@ -17,8 +17,10 @@ from ldtruth.values import (
     KIND_REFERENCE,
     KIND_TEXT,
     NormalizedValue,
+    _parse_date_lexical,
     normalize_object,
 )
+from oracles import parse_date_ref
 
 XSD = "http://www.w3.org/2001/XMLSchema#"
 
@@ -200,6 +202,39 @@ class TestDates:
     def test_typed_text_comes_from_the_uncut_form(self, lexical, datatype):
         value = normalize_object(lexical, XSD + datatype)
         assert (value.kind, value.payload) == (KIND_TEXT, lexical.strip())
+
+
+# date-like text: every shape, its parts drawn from ASCII digits, digits
+# that \d also matches (Arabic-Indic, fullwidth, Devanagari), wildcards,
+# month names and stray words, joined by mixed whitespace, with text
+# before or after that may break the shape
+DATE_TEMPLATES = ("{y}-{m}-{d}", "{y}-{m}", "{m}/{d}/{y}", "{d}{w}{n}{w}{y}",
+                  "{n}{w}{y}", "{y}{w}{m}")
+YEARS = ("1886", "2024", "0000", "188", "\u0661\u0668\u0668\u0666",
+         "\uff11\uff18\uff18\uff16", "\u0967\u096e\u096e\u096c")
+PARTS = ("10", "2", "02", "31", "29", "13", "0", "123", "#",
+         "\u0661\u0660", "\uff12", "\u0968\u0966")
+NAMES = ("October", "OCT", "sept", "Feb", "Mayo", "x")
+SPACES = (" ", "  ", "\t", "\n", "\u00a0", "\u2003", " \t", "")
+EDGES = ("", "", " ", "\n", "x", "-")
+
+
+@st.composite
+def date_like(draw):
+    pick = lambda options: draw(st.sampled_from(options))   # noqa: E731
+    text = pick(DATE_TEMPLATES).format(y=pick(YEARS), m=pick(PARTS),
+                                       d=pick(PARTS), n=pick(NAMES),
+                                       w=pick(SPACES))
+    return pick(EDGES) + text + pick(EDGES)
+
+
+class TestDateScreen:
+    @settings(max_examples=400, deadline=None)
+    @given(date_like() | st.text(st.sampled_from(
+        "0123456789#-/ \t\n\u0663\uff15aZ"), max_size=12))
+    def test_screen_keeps_every_shape_result(self, text):
+        # the one-pattern screen turns away only texts no shape matches
+        assert _parse_date_lexical(text) == parse_date_ref(text)
 
 
 class TestTextAndReferences:
