@@ -267,12 +267,11 @@ def cmd_prior(args, run, prior) -> tuple:
 
 
 def cmd_synth(args, synth) -> tuple:
+    from dataclasses import asdict
     from .eval_harness import generate
     result = generate(synth)
-    manifest = {"seed": synth.seed, "n_sources": synth.n_sources,
-                "n_entities": synth.n_entities,
-                "n_conflict_predicates": synth.n_conflict_predicates,
-                "values_per_conflict": synth.values_per_conflict,
+    # every generator setting, so that the corpus can be drawn again
+    manifest = {**asdict(synth),
                 "reliability_range": [synth.reliability_low,
                                       synth.reliability_high],
                 "claims_range": synth.claims_range,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import NamedTuple
 
-from .rdf_ingest import _statement_source, is_identity_link, statement_source
+from .rdf_ingest import extract_source, is_identity_link, statement_source
 
 
 class SameAsGraph(NamedTuple):
@@ -108,8 +108,7 @@ def project_to_sbg(graph: SameAsGraph, policy: str = "host") -> SourceBeliefGrap
     sbg = SourceBeliefGraph()
     for u, v, g in graph.edges:
         endorser, reason = statement_source(u, g, policy)
-        # extract_source(v), with the policy the line above checked
-        endorsee = None if reason else _statement_source(v, v, policy)[0]
+        endorsee = None if reason else extract_source(v, policy)
         if endorsee:
             sbg.add_edge(endorser, endorsee)
         else:

@@ -102,8 +102,9 @@ class ClaimStore(NamedTuple):
     drop_counts: dict
 
 
-_IRI_CHAR = r'[^<>"{}|^`\\\x00-\x20]'
-_IRI_BODY = _IRI_CHAR + "*"
+_IRI_NOT = r'<>"{}|^`\\\x00-\x20'  # what no IRI holds written out
+_IRI_CHAR = f"[^{_IRI_NOT}]"
+_IRI_BODY = f"[^{_IRI_NOT}:]*:{_IRI_CHAR}*"    # absolute: a scheme, then ":"
 _IRI_CHAR_RE = re.compile(_IRI_CHAR)
 # an IRI may also write any character as \uXXXX or \UXXXXXXXX
 _UCHAR = r"\\(?:u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})"
@@ -154,6 +155,14 @@ def _unescape(raw: str, line: int, iri: bool = False) -> str:
     return _ESCAPE_RE.sub(decode, raw)
 
 
+def _iri(raw: str, line: int) -> str:
+    """The text of an IRI term, which must be absolute once unescaped."""
+    iri = _unescape(raw, line, iri=True)
+    if ":" not in iri:
+        raise MalformedLineError(line, "relative IRI")
+    return iri
+
+
 def _skip_ws(text: str, pos: int) -> int:
     return _WS_RE.match(text, pos).end()
 
@@ -168,8 +177,7 @@ def _parse_term(text: str, pos: int, line: int, *, allow_literal: bool):
         match = _IRI_RE.match(text, pos)
         if not match:
             raise MalformedLineError(line, "unterminated or invalid IRI")
-        return (_unescape(match.group(1), line, iri=True), False, None,
-                None), match.end()
+        return (_iri(match.group(1), line), False, None, None), match.end()
     if ch == "_":
         match = _BNODE_RE.match(text, pos)
         if not match:
@@ -186,7 +194,7 @@ def _parse_term(text: str, pos: int, line: int, *, allow_literal: bool):
             dt_match = _IRI_RE.match(text, end + 2)
             if not dt_match:
                 raise MalformedLineError(line, "bad datatype IRI")
-            datatype = _unescape(dt_match.group(1), line, iri=True)
+            datatype = _iri(dt_match.group(1), line)
             end = dt_match.end()
         elif text.startswith("@", end):
             lang_match = _LANG_RE.match(text, end)
@@ -205,8 +213,7 @@ def _parse_plain(text: str, fmt: str):
     if match is None:
         return None
     subject, predicate, iri, lexical, datatype, lang, graph = match.groups()
-    if (":" not in subject or ":" not in predicate
-            or graph is not None and fmt != FORMAT_NQUADS):
+    if graph is not None and fmt != FORMAT_NQUADS:
         return None
     # statements share one copy of each predicate and graph, which nearly
     # every line repeats; subjects repeat too seldom to pay for the lookup
@@ -239,8 +246,6 @@ def _parse_line(text: str, lineno: int, fmt: str):
         raise MalformedLineError(lineno, "trailing garbage after dot")
     if None in (subject, predicate, obj, graph):
         return "bnode"
-    if ":" not in subject[0] or ":" not in predicate[0]:
-        raise MalformedLineError(lineno, "relative IRI in subject or predicate")
     return RdfStatement(subject[0], sys.intern(predicate[0]), *obj,
                         graph[0] and sys.intern(graph[0]))
 
@@ -328,7 +333,9 @@ _AUTHORITY_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*://[^/?#\x00-\x20]*"
 
 def _host_source(iri: str, policy: str):
     """The source of ``iri``'s host under ``policy``, None without a host,
-    as where urlsplit rejects the IRI."""
+    as where urlsplit rejects the IRI.  Each cache miss checks ``policy``."""
+    if policy not in POLICIES:
+        raise ValueError(f"unknown source policy: {policy!r}")
     # a trailing dot only marks the name as absolute (RFC 1034 section
     # 3.1), so "a.org." is "a.org" and "." is no host
     try:
@@ -392,13 +399,6 @@ def statement_source(subject: str, graph: str | None, policy: str):
     The one rule for claims and identity links alike: under the graph
     policy the graph's host states it, else ``subject``'s host or PLD.
     """
-    if policy not in POLICIES:
-        raise ValueError(f"unknown source policy: {policy!r}")
-    return _statement_source(subject, graph, policy)
-
-
-def _statement_source(subject: str, graph: str | None, policy: str):
-    """``statement_source`` past its policy check."""
     if policy == POLICY_NAMED_GRAPH:
         if graph is None:
             return None, "missing_graph"
@@ -419,7 +419,7 @@ def build_claims(statements, clusters, alignment: dict | None = None,
     claims; they feed the graph stage instead.  An ``owl:sameAs`` with a
     literal object is neither, and counts as ``literal_sameas``.
     """
-    if policy not in POLICIES:
+    if policy not in POLICIES:     # an empty input looks up no source
         raise ValueError(f"unknown source policy: {policy!r}")
     alignment = alignment or {}
     drop_counts = Counter()
@@ -428,12 +428,12 @@ def build_claims(statements, clusters, alignment: dict | None = None,
     by_slot = {}        # slot key -> value -> set of sources
     # (lexical, datatype) of a literal, or an IRI -> its normalized value
     normalized = {}
-    cluster = clusters.cluster_of.get   # clusters.cluster, less one call
+    cluster = clusters.cluster
     for subject, predicate, obj, is_literal, datatype, _, graph in statements:
         if predicate == OWL_SAMEAS:
             drop_counts["literal_sameas" if is_literal else "sameas"] += 1
             continue
-        source, err = _statement_source(subject, graph, policy)
+        source, err = statement_source(subject, graph, policy)
         if err is not None:
             drop_counts[err] += 1
             continue
@@ -445,7 +445,7 @@ def build_claims(statements, clusters, alignment: dict | None = None,
         if value is None:
             drop_counts["null_object"] += 1
             continue
-        key = (cluster(subject, subject), alignment.get(predicate, predicate))
+        key = (cluster(subject), alignment.get(predicate, predicate))
         support = by_slot.get(key)
         if support is None:
             by_slot[key] = {value: {source}}

@@ -10,6 +10,7 @@ from fractions import Fraction
 from functools import reduce
 from math import frexp, prod
 from operator import add, mul
+from urllib.parse import urlsplit
 
 import numpy as np
 
@@ -120,6 +121,26 @@ def reference_pay_level_domain(host):
     if len(labels) <= suffix_len:
         return host
     return ".".join(labels[-(suffix_len + 1):])
+
+
+def statement_source_ref(subject, graph, policy):
+    """The source of a statement about ``subject`` in ``graph`` as README
+    words the rule: the host urlsplit reads from the graph IRI under the
+    graph policy, else from the subject, less one trailing root dot; under
+    ``pld`` its pay-level domain, unless its last label is all digits, as
+    an IP literal's is.  (source, None), or (None, reason) for none."""
+    if policy == "graph":
+        if graph is None:
+            return None, "missing_graph"
+        subject = graph
+    try:
+        host = urlsplit(subject).hostname
+    except ValueError:
+        host = None
+    host = host and host.removesuffix(".")
+    if host and policy == "pld" and not host.split(".")[-1].isdigit():
+        host = reference_pay_level_domain(host)
+    return (host, None) if host else (None, "no_source")
 
 
 def _out_degrees(sbg):

@@ -1,6 +1,7 @@
 """End-to-end command line behavior, run in process through main()."""
 
 import argparse
+import dataclasses
 import gc
 import gzip
 import hashlib
@@ -59,6 +60,23 @@ class TestSynthCommand:
                 slots[subject, predicate] = slots.get((subject, predicate),
                                                       0) + 1
         assert max(slots.values()) <= drawn[1]
+
+    def test_manifest_draws_the_corpus_again(self, tmp_path):
+        out = tmp_path / "s"
+        assert main(["synth", *SYNTH_FLAGS, "--fidelity", "0.2",
+                     "--attachment", "3", "--support-skew", "0",
+                     "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        names = [f.name for f in dataclasses.fields(eval_harness.SynthConfig)]
+        assert manifest.keys() == {*names, "reliability_range",
+                                   "claims_range", "gold_slots",
+                                   "unanimous_slots"}
+        assert (manifest["sameas_fidelity"], manifest["attachment_m"],
+                manifest["support_skew"]) == (0.2, 3, 0.0)
+        again = eval_harness.generate(
+            eval_harness.SynthConfig(**{n: manifest[n] for n in names}))
+        assert again.triples.encode("utf-8") == \
+            (out / "corpus.nt").read_bytes()
 
     def test_rerun_is_byte_identical(self, corpus_dir, tmp_path):
         again = tmp_path / "again"

@@ -4,13 +4,14 @@ import random
 
 from oracles import bfs_components
 from ldtruth.graph_model import (
+    EntityClusterMap,
     SameAsGraph,
     build_sameas_graph,
     project_to_sbg,
     sameas_closure,
 )
 from ldtruth.rdf_ingest import (FORMAT_NQUADS, POLICY_NAMED_GRAPH,
-                                 POLICY_PLD, parse_triples)
+                                 POLICY_PLD, build_claims, parse_triples)
 
 
 def identity_corpus():
@@ -48,6 +49,32 @@ class TestClosure:
         assert clusters.cluster("http://d.org/z2") == "http://d.org/z"
         assert clusters.members["http://a.org/x"] == [
             "http://a.org/x", "http://b.org/x", "http://c.org/x"]
+
+    def test_relative_link_target_joins_nothing(self):
+        # <foo> names no resource, so it cannot make a.org's x and
+        # b.org's y one entity, nor key a.org's claims to "foo"
+        diagnostics = []
+        statements = list(parse_triples(
+            '<http://a.org/x> <http://www.w3.org/2002/07/owl#sameAs> <foo> .\n'
+            '<http://b.org/y> <http://www.w3.org/2002/07/owl#sameAs> <foo> .\n'
+            '<http://a.org/x> <http://v.org/p> "1" .\n',
+            diagnostics=diagnostics))
+        assert diagnostics == [(1, "malformed", "relative IRI"),
+                               (2, "malformed", "relative IRI")]
+        clusters = sameas_closure(build_sameas_graph(statements))
+        assert clusters.cluster_of == {}
+        assert [claim[0] for claim in build_claims(statements,
+                                                   clusters).claims] == \
+            ["http://a.org/x"]
+
+    def test_claims_name_entities_by_the_cluster_method(self):
+        class Tagged(EntityClusterMap):
+            def cluster(self, iri):
+                return "entity:" + iri
+
+        statements = parse_triples('<http://a.org/x> <http://v.org/p> "1" .')
+        assert build_claims(statements, Tagged({})).claims[0][0] == \
+            "entity:http://a.org/x"
 
     def test_untouched_iri_is_its_own_cluster(self):
         clusters = sameas_closure(build_sameas_graph(identity_corpus()))

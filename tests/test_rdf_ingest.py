@@ -5,7 +5,6 @@ import io
 import os
 import random
 import tempfile
-from urllib.parse import urlsplit
 
 import pytest
 from hypothesis import given, settings
@@ -34,15 +33,15 @@ from ldtruth.rdf_ingest import (
     parse_triples,
     statement_source,
 )
-from ldtruth.graph_model import EntityClusterMap
+from ldtruth.graph_model import EntityClusterMap, SameAsGraph, project_to_sbg
 from ldtruth.pipeline import parse_files
 from ldtruth.values import normalize_object
 from oracles import (build_claims_ref, format_statement,
-                     reference_pay_level_domain)
+                     reference_pay_level_domain, statement_source_ref)
 
 
-# absolute IRIs over the characters the parser accepts inside <...>
-IRIS = strategies.from_regex(r"[a-z][a-z0-9+.-]*:" + _IRI_BODY, fullmatch=True)
+# every IRI the grammar takes inside <...>: absolute, so with a colon
+IRIS = strategies.from_regex(_IRI_BODY, fullmatch=True)
 
 
 def _statements(obj, **annotations):
@@ -215,6 +214,9 @@ class TestLineParser:
         ('<http://a.org/s> <http://a.org/p>', "unexpected end of line"),
         ('_:-b <http://a.org/p> "x" .', "invalid blank node label"),
         ('<http://a.org/s> <http://a.org/p> "x"@1 .', "bad language tag"),
+        # an IRI is checked as it is read, before a later fault
+        ('<rel> <http://a.org/p> _:b .', "relative IRI"),
+        ('<http://a.org/s> <http://a.org/p> <rel> . junk', "relative IRI"),
     ])
     def test_malformed_lines_strict(self, line, fragment):
         with pytest.raises(MalformedLineError) as err:
@@ -565,6 +567,27 @@ CAFE = "http://dbpedia.org/resource/Caf"
 
 
 class TestIriEscapes:
+    @pytest.mark.parametrize("separator", [" ", "\t"],
+                             ids=["plain", "term_parser"])
+    @pytest.mark.parametrize("position", sorted(IRI_POSITIONS))
+    def test_relative_iri_is_one_bad_line(self, position, separator):
+        # an IRI needs a colon once unescaped, in every position, however
+        # the line is spaced; one written as \u003A counts
+        template = IRI_POSITIONS[position].replace(" ", separator, 1)
+        assert _parse_plain(template.format("rel/x"), FORMAT_NQUADS) is None
+        text = "\n".join((template.format("rel/x"),
+                          template.format(r"Caf\u00E9/x"),
+                          template.format(r"urn\u003Ax"), ""))
+        diagnostics = []
+        statements = list(parse_triples(text, fmt=FORMAT_NQUADS,
+                                        diagnostics=diagnostics))
+        assert statements == [parse_one(template.format("urn:x"),
+                                        fmt=FORMAT_NQUADS)]
+        assert diagnostics == [(1, "malformed", "relative IRI"),
+                               (2, "malformed", "relative IRI")]
+        with pytest.raises(MalformedLineError, match="line 1: relative IRI"):
+            list(parse_triples(text, fmt=FORMAT_NQUADS, mode="strict"))
+
     @pytest.mark.parametrize("mode", ["lenient", "strict"])
     @pytest.mark.parametrize("position", sorted(IRI_POSITIONS))
     def test_uchar_decodes(self, position, mode):
@@ -716,12 +739,36 @@ class TestSourceExtraction:
             assert extract_source(iri, policy) is None
 
     def test_unknown_policy(self):
-        with pytest.raises(ValueError):
-            extract_source("http://a.org/x", "origin")
-        with pytest.raises(ValueError):
-            statement_source("http://a.org/x", None, "origin")
-        with pytest.raises(ValueError, match="unknown source policy"):
-            build_claims([], EntityClusterMap({}), policy="bogus")
+        # first with a cold authority cache, then with each authority
+        # cached under a valid policy: every entry point still raises
+        rdf_ingest._authority_source.cache_clear()
+        link = SameAsGraph([("http://a.org/x", "http://b.org/y", None)])
+        claim = RdfStatement("http://a.org/x", "http://a.org/p", "v", True)
+        for warm in (False, True):
+            if warm:
+                assert project_to_sbg(link).multiplicity == \
+                    {("a.org", "b.org"): 1}
+                assert len(build_claims([claim], EntityClusterMap({}))
+                           .claims) == 1
+            for policy in ("origin", None, "HOST"):
+                for call in (
+                        lambda: extract_source("http://a.org/x", policy),
+                        lambda: extract_source("urn:isbn:1", policy),
+                        lambda: statement_source("http://a.org/x", None,
+                                                 policy),
+                        lambda: statement_source("http://a.org/x",
+                                                 "http://b.org/g", policy),
+                        lambda: project_to_sbg(link, policy),
+                        lambda: build_claims([claim], EntityClusterMap({}),
+                                             policy=policy),
+                        lambda: build_claims([], EntityClusterMap({}),
+                                             policy=policy)):
+                    with pytest.raises(ValueError,
+                                       match="unknown source policy"):
+                        call()
+        # one that the cache cannot hash fails as loudly, as a TypeError
+        with pytest.raises(TypeError):
+            extract_source("http://a.org/x", ["host"])
 
     def test_policy_names_are_the_flag_names(self):
         assert POLICIES == ("host", "pld", "graph")
@@ -747,23 +794,20 @@ class TestSourceExtraction:
 
     @settings(max_examples=300, deadline=None)
     @given(AUTHORITIES, strategies.lists(AFTER_AUTHORITY, min_size=2,
-                                         max_size=2))
-    def test_cached_host_matches_urlsplit(self, authority, tails):
+                                         max_size=2),
+           strategies.none() | strategies.tuples(AUTHORITIES, AFTER_AUTHORITY)
+           .map("".join))
+    def test_cached_host_matches_urlsplit(self, authority, tails, graph):
         # two IRIs share each authority, so the second lookup of every
-        # policy hits the cache the first one filled
+        # policy hits the cache the first one filled; the reference reads
+        # every host with urlsplit and the two-step pay-level domain
         for tail in tails:
             iri = authority + tail
             for policy in POLICIES:
-                # less one trailing root dot, which only marks the
-                # name as absolute
-                try:
-                    host = urlsplit(iri).hostname
-                except ValueError:
-                    host = None
-                host = host and host.removesuffix(".") or None
-                expected = pay_level_domain(host) \
-                    if host and policy == POLICY_PLD else host
-                assert extract_source(iri, policy) == expected
+                assert statement_source(iri, graph, policy) == \
+                    statement_source_ref(iri, graph, policy)
+                assert extract_source(iri, policy) == \
+                    statement_source_ref(iri, iri, policy)[0]
 
     def test_authority_is_looked_up_once(self, monkeypatch):
         calls = []

@@ -202,3 +202,21 @@ def test_resolve_loads_nothing_it_does_not_run(tmp_path):
         assert (out / "decisions.jsonl").read_text().count("\n") == 1
         assert UNUSED_BY_RESOLVE.isdisjoint(imported), name
         assert UNUSED_BY_RESOLVE.isdisjoint(ran), name
+
+
+def test_no_module_imports_another_modules_private_name():
+    # a leading underscore keeps a name to its own module; a rule that a
+    # second module needs is given a public name
+    package = os.path.dirname(ldtruth.__file__)
+    borrowed = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("ldtruth")):
+                borrowed += [f"{name}: {alias.name}" for alias in node.names
+                             if alias.name.startswith("_")]
+    assert borrowed == []
