@@ -93,8 +93,18 @@ def _synth_config(**given):
     return SynthConfig(**given)
 
 
-# what each section builds; "run" settings stay a plain dict
-_CONFIGS = {"run": dict, "prior": PriorConfig, "engine": EngineConfig,
+def _run_config(policy: str = "host", threads: int = 1) -> dict:
+    """The [run] settings; --policy has choices, so only a file's fails."""
+    if policy not in POLICIES:
+        raise ValueError(f"policy: {policy!r} is not one of "
+                         f"{', '.join(sorted(POLICIES))}")
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
+    return {"policy": policy, "threads": threads}
+
+
+# what each section builds
+_CONFIGS = {"run": _run_config, "prior": PriorConfig, "engine": EngineConfig,
             "synth": _synth_config}
 
 
@@ -151,8 +161,8 @@ def _config(args, filecfg: dict, section: str):
             _CONFIGS[section](**{key: value for key, value in given.items()
                                  if getattr(args, key, None) is not None})
         except ValueError as own:
-            if str(own) == str(exc):
-                raise
+            if str(own) == str(exc):    # a [run] flag names itself
+                raise ValueError(f"--{own}" if section == "run" else own)
         raise ValueError(f"{args.config}: [{section}] {exc}") from None
 
 
@@ -183,30 +193,22 @@ def _decisions_jsonl(decisions, store, method: str, iterations=None,
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _ingest(args, run: dict):
-    policy = run.get("policy", "host")
-    if policy not in POLICIES:  # a file value: --policy has choices
-        raise ValueError(f"{args.config}: [run] policy: {policy!r} is not "
-                         f"one of {', '.join(sorted(POLICIES))}")
-    if run.get("threads", 1) < 1:
-        where = "--threads" if args.threads is not None \
-            else f"{args.config}: [run] threads"
-        raise ValueError(f"{where} must be at least 1")
+def _ingest(args):
     mode = "strict" if args.strict else "lenient"
     diagnostics = []
     statements = parse_files(args.input, fmt=args.format, mode=mode,
                              diagnostics=diagnostics)
     for path, diag in diagnostics:
         print(f"WARN {path}:{diag.line} {diag.reason}", file=sys.stderr)
-    return statements, policy
+    return statements
 
 
 def _assemble(args, run: dict, prior_cfg: PriorConfig = DEFAULT_PRIOR):
     """Parse and assemble the input; returns (assembled, statement count).
     The statements are freed on return: nothing downstream needs them."""
     alignment = load_alignment(args.alignment) if args.alignment else None
-    statements, policy = _ingest(args, run)
-    built = assemble(statements, policy=policy, alignment=alignment,
+    statements = _ingest(args)
+    built = assemble(statements, policy=run["policy"], alignment=alignment,
                      prior_cfg=prior_cfg)
     _warn_dropped(built.store.drop_counts, "statements")
     _warn_dropped(built.link_drops, "identity links")
@@ -248,8 +250,7 @@ def cmd_resolve(args, run, prior, engine) -> tuple:
 
 
 def cmd_prior(args, run, prior) -> tuple:
-    statements, policy = _ingest(args, run)
-    sbg = project_to_sbg(build_sameas_graph(statements), policy)
+    sbg = project_to_sbg(build_sameas_graph(_ingest(args)), run["policy"])
     priors = compute_prior(sbg, prior)
     _warn_dropped(sbg.drop_counts, "identity links")
     if not sbg.multiplicity:
@@ -356,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = subs[name] = sub.add_parser(name, help=text)
         p.set_defaults(func=func, sections=sections)
         if "run" in sections:
-            p.add_argument("--input", nargs="+", required=True,
+            p.add_argument("--input", nargs="+", action="extend",
+                           required=True,
                            help="triple files (.nt/.nq, optionally .gz)")
             p.add_argument("--format", choices=FORMATS)
             p.add_argument("--strict", action="store_true",

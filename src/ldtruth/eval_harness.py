@@ -125,18 +125,15 @@ def _entity_iri(host: str, entity_idx: int) -> str:
 
 def _weighted_distinct(rng, population, cum_weights, k: int) -> list:
     chosen = []
-    taken = set()
     guard = 0
     while len(chosen) < k:
         pick = rng.choices(population, cum_weights=cum_weights)[0]
         guard += 1
-        if pick not in taken:
-            taken.add(pick)
+        if pick not in chosen:
             chosen.append(pick)
         elif guard > 50 * k:
             for candidate in population:
-                if candidate not in taken:
-                    taken.add(candidate)
+                if candidate not in chosen:
                     chosen.append(candidate)
                     break
     return chosen
@@ -211,13 +208,11 @@ def _near_decoy(rng, kind: str, gold: NormalizedValue):
 
 def _distinct_decoys(rng, kind, gold, count):
     decoys = []
-    seen = {gold}
     slot = 0
     while len(decoys) < count:
         candidate = _decoy_value(rng, kind, gold, slot)
         slot += 1
-        if candidate not in seen:
-            seen.add(candidate)
+        if candidate != gold and candidate not in decoys:
             decoys.append(candidate)
         if slot > 60 * (count + 1):
             raise SynthConfigError("could not draw distinct decoy values")

@@ -104,8 +104,10 @@ class ClaimStore(NamedTuple):
 
 _IRI_NOT = r'<>"{}|^`\\\x00-\x20'  # what no IRI holds written out
 _IRI_CHAR = f"[^{_IRI_NOT}]"
-_IRI_BODY = f"[^{_IRI_NOT}:]*:{_IRI_CHAR}*"    # absolute: a scheme, then ":"
+_SCHEME = "[A-Za-z][A-Za-z0-9+.-]*:"  # how an absolute IRI opens (RFC 3987)
+_IRI_BODY = f"{_SCHEME}{_IRI_CHAR}*"
 _IRI_CHAR_RE = re.compile(_IRI_CHAR)
+_SCHEME_RE = re.compile(_SCHEME)
 # an IRI may also write any character as \uXXXX or \UXXXXXXXX
 _UCHAR = r"\\(?:u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})"
 _IRI_RE = re.compile(r"<(%s*(?:%s%s*)*)>" % (_IRI_CHAR, _UCHAR, _IRI_CHAR))
@@ -158,7 +160,7 @@ def _unescape(raw: str, line: int, iri: bool = False) -> str:
 def _iri(raw: str, line: int) -> str:
     """The text of an IRI term, which must be absolute once unescaped."""
     iri = _unescape(raw, line, iri=True)
-    if ":" not in iri:
+    if not _SCHEME_RE.match(iri):
         raise MalformedLineError(line, "relative IRI")
     return iri
 
@@ -327,8 +329,7 @@ def _statements(source, fmt: str, strict: bool, diagnostics):
 # IRI with whitespace or a control character there, which urlsplit
 # strips or deletes, does not match and goes to urlsplit whole, so the
 # cache only sees authorities that urlsplit reads as written.
-_AUTHORITY_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*://[^/?#\x00-\x20]*"
-                           r"(?![^/?#])")
+_AUTHORITY_RE = re.compile(_SCHEME + r"//[^/?#\x00-\x20]*(?![^/?#])")
 
 
 def _host_source(iri: str, policy: str):

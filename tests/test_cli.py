@@ -186,6 +186,16 @@ class TestResolveCommand:
             assert (outs[0] / name).read_bytes() == \
                 (outs[1] / name).read_bytes()
 
+    def test_repeated_input_flag_reads_every_file(self, tmp_path, capsys):
+        # --input a.nt --input b.nt reads both, as --input a.nt b.nt does
+        argv = ["resolve"]
+        for name in ("a", "b"):
+            path = tmp_path / f"{name}.nt"
+            path.write_text(f'<http://{name}.org/s> <http://a.org/p> "x" .\n')
+            argv += ["--input", str(path)]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err.startswith("statements=2 claims=2 ")
+
     def test_gzip_input_matches_plain(self, corpus_dir, tmp_path):
         packed = tmp_path / "corpus.nt.gz"
         packed.write_bytes(gzip.compress(
@@ -1125,7 +1135,19 @@ class TestChecksBeforeParsing:
         (["prior", "--damping", "1.5"], None, "damping must be in [0, 1)"),
         (["resolve", "--alignment", "missing.tsv"], None,
          "[Errno 2] No such file or directory: 'missing.tsv'"),
-    ], ids=["engine_flag", "engine_file", "prior_flag", "alignment"])
+        # the [run] settings are checked with the rest, before the table
+        (["resolve", "--alignment", "missing.tsv", "--threads", "0"], None,
+         "--threads must be at least 1"),
+        (["resolve", "--alignment", "missing.tsv"], "[run]\nthreads = 0\n",
+         "run.ini: [run] threads must be at least 1"),
+        (["baseline", "--alignment", "missing.tsv", "--threads", "0"], None,
+         "--threads must be at least 1"),
+        (["baseline", "--alignment", "missing.tsv"], "[run]\npolicy = x\n",
+         "run.ini: [run] policy: 'x' is not one of graph, host, pld"),
+    ], ids=["engine_flag", "engine_file", "prior_flag", "alignment",
+            "run_flag_before_alignment", "run_file_before_alignment",
+            "baseline_run_flag_before_alignment",
+            "baseline_run_file_before_alignment"])
     def test_bad_setting_is_reported_before_a_missing_input(
             self, tmp_path, capsys, monkeypatch, parsed, inputs, argv, ini,
             message):

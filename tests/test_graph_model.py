@@ -51,16 +51,20 @@ class TestClosure:
             "http://a.org/x", "http://b.org/x", "http://c.org/x"]
 
     def test_relative_link_target_joins_nothing(self):
-        # <foo> names no resource, so it cannot make a.org's x and
-        # b.org's y one entity, nor key a.org's claims to "foo"
+        # <foo> names no resource, nor does <:x>, whose colon opens no
+        # scheme, so neither can make a.org's x and b.org's y one entity,
+        # nor key a.org's claims to "foo" or ":x"
+        same = "<http://www.w3.org/2002/07/owl#sameAs>"
         diagnostics = []
         statements = list(parse_triples(
-            '<http://a.org/x> <http://www.w3.org/2002/07/owl#sameAs> <foo> .\n'
-            '<http://b.org/y> <http://www.w3.org/2002/07/owl#sameAs> <foo> .\n'
+            f"<http://a.org/x> {same} <foo> .\n"
+            f"<http://b.org/y> {same} <foo> .\n"
+            f"<http://a.org/x> {same} <:x> .\n"
+            f"<http://b.org/y> {same} <:x> .\n"
             '<http://a.org/x> <http://v.org/p> "1" .\n',
             diagnostics=diagnostics))
-        assert diagnostics == [(1, "malformed", "relative IRI"),
-                               (2, "malformed", "relative IRI")]
+        assert diagnostics == [(line, "malformed", "relative IRI")
+                               for line in range(1, 5)]
         clusters = sameas_closure(build_sameas_graph(statements))
         assert clusters.cluster_of == {}
         assert [claim[0] for claim in build_claims(statements,

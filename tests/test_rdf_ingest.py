@@ -571,20 +571,23 @@ class TestIriEscapes:
                              ids=["plain", "term_parser"])
     @pytest.mark.parametrize("position", sorted(IRI_POSITIONS))
     def test_relative_iri_is_one_bad_line(self, position, separator):
-        # an IRI needs a colon once unescaped, in every position, however
-        # the line is spaced; one written as \u003A counts
+        # an IRI must open with an RFC 3987 scheme once unescaped, in every
+        # position, however the line is spaced; a colon written as \u003A
+        # counts, but a colon alone, or one after a slash, is no scheme
         template = IRI_POSITIONS[position].replace(" ", separator, 1)
-        assert _parse_plain(template.format("rel/x"), FORMAT_NQUADS) is None
-        text = "\n".join((template.format("rel/x"),
-                          template.format(r"Caf\u00E9/x"),
+        relative = ("rel/x", r"Caf\u00E9/x", ":x", "a/b:c", "1http://x",
+                    r"\u003Ax")
+        for iri in relative:
+            assert _parse_plain(template.format(iri), FORMAT_NQUADS) is None
+        text = "\n".join((*map(template.format, relative),
                           template.format(r"urn\u003Ax"), ""))
         diagnostics = []
         statements = list(parse_triples(text, fmt=FORMAT_NQUADS,
                                         diagnostics=diagnostics))
         assert statements == [parse_one(template.format("urn:x"),
                                         fmt=FORMAT_NQUADS)]
-        assert diagnostics == [(1, "malformed", "relative IRI"),
-                               (2, "malformed", "relative IRI")]
+        assert diagnostics == [(line, "malformed", "relative IRI")
+                               for line in range(1, len(relative) + 1)]
         with pytest.raises(MalformedLineError, match="line 1: relative IRI"):
             list(parse_triples(text, fmt=FORMAT_NQUADS, mode="strict"))
 
