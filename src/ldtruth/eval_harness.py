@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 import string
 import time
+from bisect import bisect
 from dataclasses import dataclass, field, fields, replace
 from itertools import accumulate
 
@@ -119,23 +120,34 @@ def _source_host(i: int) -> str:
     return f"src{i:03d}.example.org"
 
 
-def _entity_iri(host: str, entity_idx: int) -> str:
-    return f"http://{host}/resource/e{entity_idx:06d}"
+def _weighted_draw(rng, cum_weights):
+    """A function that draws an index with one ``rng.random()``, the one
+    ``rng.choices(range(len(cum_weights)), cum_weights=cum_weights)[0]``
+    draws on Python 3.10 to 3.13, bisecting alike.  Every weight list of
+    ``generate`` holds a 1.0 and none outside [0, 1], so the total that
+    ``choices`` checks on every call is positive and finite."""
+    random = rng.random
+    total = cum_weights[-1] + 0.0
+    hi = len(cum_weights) - 1
+
+    def draw():
+        return bisect(cum_weights, random() * total, 0, hi)
+    return draw
 
 
-def _weighted_distinct(rng, population, cum_weights, k: int) -> list:
+def _weighted_distinct(draw, n: int, k: int) -> list:
+    """``k`` distinct indices below ``n`` in the order ``draw`` first
+    gives them; once 50 * k draws bring nothing new, the lowest index not
+    yet chosen."""
     chosen = []
     guard = 0
     while len(chosen) < k:
-        pick = rng.choices(population, cum_weights=cum_weights)[0]
+        pick = draw()
         guard += 1
         if pick not in chosen:
             chosen.append(pick)
         elif guard > 50 * k:
-            for candidate in population:
-                if candidate not in chosen:
-                    chosen.append(candidate)
-                    break
+            chosen.append(next(i for i in range(n) if i not in chosen))
     return chosen
 
 
@@ -245,25 +257,26 @@ def generate(cfg: SynthConfig) -> SynthResult:
     rng = random.Random(cfg.seed)
     n = cfg.n_sources
     hosts = [_source_host(i) for i in range(n)]
+    # an entity's IRI is its source's prefix and its six-digit number
+    prefix = [f"http://{host}/resource/e" for host in hosts]
     # each source's reliability, by source number
     reliability = [rng.uniform(cfg.reliability_low, cfg.reliability_high)
                    for _ in range(n)]
 
     ranks = list(range(n))
     rng.shuffle(ranks)
-    # weights go to choices accumulated once, not again on every draw;
-    # choices takes the same path either way, so the draws are the same.
-    # A skew of 0 weighs every source 1.0, since x ** -0.0 == 1.0.
-    activity = list(accumulate((rank + 1.0) ** -cfg.support_skew
-                               for rank in ranks))
-    population = list(range(n))
+    # source activity: the source of rank r weighs (r + 1) ** -skew, so
+    # rank 0 weighs 1.0, and a skew of 0 weighs every source 1.0, since
+    # x ** -0.0 == 1.0.  Each weighted pick is one random() and a bisect
+    # of the weights accumulated here, once per corpus (_weighted_draw).
+    draw_source = _weighted_draw(rng, list(accumulate(
+        (rank + 1.0) ** -cfg.support_skew for rank in ranks)))
     # popular wrong values: earlier decoy slots soak up more false claims
-    decoy_cum = list(accumulate(
+    draw_decoy = _weighted_draw(rng, list(accumulate(
         (q + 1) ** -cfg.decoy_concentration
-        for q in range(cfg.values_per_conflict - 1)))
+        for q in range(cfg.values_per_conflict - 1))))
 
-    claim_lines = []
-    sameas_lines = []
+    lines = []
     gold = GoldStandard()
     pending_gold = []
     mentioned = {}
@@ -289,10 +302,10 @@ def generate(cfg: SynthConfig) -> SynthResult:
         def false_draw():
             if near is not None and rng.random() < cfg.near_truth_rate:
                 return near
-            return rng.choices(decoys, cum_weights=decoy_cum)[0]
+            return decoys[draw_decoy()]
 
         count = rng.randint(cmin, cmax)
-        supporters = _weighted_distinct(rng, population, activity, count)
+        supporters = _weighted_distinct(draw_source, n, count)
         for attempt in range(26):
             asserted = [gold_value if rng.random() < reliability[s]
                         else false_draw() for s in supporters]
@@ -305,9 +318,8 @@ def generate(cfg: SynthConfig) -> SynthResult:
         conflicting = len(set(asserted)) >= 2
         members = mentioned.setdefault(entity_idx, [])
         for s, value in zip(supporters, asserted):
-            subject = _entity_iri(hosts[s], entity_idx)
-            claim_lines.append(
-                f"<{subject}> <{predicate}> {_literal_for(rng, value)} .")
+            lines.append(f"<{prefix[s]}{entity_idx:06d}> <{predicate}> "
+                         f"{_literal_for(rng, value)} .")
             if s not in members:
                 members.append(s)
         if conflicting:
@@ -318,21 +330,23 @@ def generate(cfg: SynthConfig) -> SynthResult:
 
     filler_predicate = "http://schema.example.org/label"
     for entity_idx in range(cfg.n_conflict_predicates, cfg.n_entities):
-        pair = _weighted_distinct(rng, population, activity, 2)
-        mentioned[entity_idx] = list(pair)
-        label = f"e{entity_idx:06d}"
+        pair = _weighted_distinct(draw_source, n, 2)
+        mentioned[entity_idx] = pair
+        number = f"{entity_idx:06d}"
         for s in pair:
-            subject = _entity_iri(hosts[s], entity_idx)
-            claim_lines.append(f'<{subject}> <{filler_predicate}> "{label}" .')
+            lines.append(f'<{prefix[s]}{number}> <{filler_predicate}> '
+                         f'"e{number}" .')
 
     for entity_idx in sorted(mentioned):
         members = mentioned[entity_idx]
+        number = f"{entity_idx:06d}"
+        # the most reliable of members[:q], the first of them on a tie
+        best = members[0]
         for q in range(1, len(members)):
             new = members[q]
-            links = min(cfg.attachment_m, q)
-            for _ in range(links):
+            for _ in range(min(cfg.attachment_m, q)):
                 if rng.random() < cfg.sameas_fidelity:
-                    other = max(members[:q], key=reliability.__getitem__)
+                    other = best
                 else:
                     other = members[rng.randrange(q)]
                 a, b = new, other
@@ -341,17 +355,20 @@ def generate(cfg: SynthConfig) -> SynthResult:
                 # a is now the less reliable endpoint
                 if rng.random() >= cfg.sameas_fidelity:
                     a, b = b, a
-                sameas_lines.append(
-                    f"<{_entity_iri(hosts[a], entity_idx)}> <{OWL_SAMEAS}> "
-                    f"<{_entity_iri(hosts[b], entity_idx)}> .")
+                lines.append(f"<{prefix[a]}{number}> <{OWL_SAMEAS}> "
+                             f"<{prefix[b]}{number}> .")
+            if reliability[new] > reliability[best]:
+                best = new
 
+    # a cluster is named by its least member IRI, once per entity
+    cluster = {e: min(f"{prefix[s]}{e:06d}" for s in mentioned[e])
+               for e in {e for e, _, _ in pending_gold}}
     for entity_idx, predicate, gold_value in pending_gold:
-        cluster = min(_entity_iri(hosts[s], entity_idx)
-                      for s in mentioned[entity_idx])
-        gold.truths[(cluster, predicate)] = gold_value
+        gold.truths[(cluster[entity_idx], predicate)] = gold_value
 
-    triples = "\n".join(claim_lines + sameas_lines) + "\n"
-    return SynthResult(triples=triples, gold=gold,
+    # the empty last line ends the corpus with a newline
+    lines.append("")
+    return SynthResult(triples="\n".join(lines), gold=gold,
                        reliabilities=dict(zip(hosts, reliability)),
                        unanimous_slots=unanimous)
 

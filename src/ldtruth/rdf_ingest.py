@@ -273,6 +273,10 @@ def parse_triples(source, fmt: str = FORMAT_NTRIPLES, mode: str = "lenient",
     ``diagnostics`` list every set-aside line raises, as does, in every
     mode, a text stream's own decoding error, as an ``EncodingError``.
     Line numbers are 1-based positions in the input; a statement has none.
+    That error's number alone is counted from the stream's decode block,
+    and is one short when the block before it ends in a CR that no LF
+    follows: the decoder holds that CR back and exposes no state that
+    shows it.  A binary stream, as the commands read, numbers it exactly.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format: {fmt!r}")

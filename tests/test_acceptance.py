@@ -6,6 +6,7 @@ to hold with margin; a tripped assert means behavior drifted, not that a
 tolerance was tight.
 """
 
+import hashlib
 import random
 import resource
 import time
@@ -273,8 +274,12 @@ def test_criterion_8_scale_envelope(capsys, tmp_path):
     def body():
         cfg = SynthConfig(n_sources=300, n_entities=130000,
                           n_conflict_predicates=7500, seed=7)
+        triples = generate(cfg).triples
+        # the generator's bytes, pinned at full scale
+        assert hashlib.sha256(triples.encode("utf-8")).hexdigest() == \
+            "fbaef2a2750dbcd1e69d819206dca0ee3410074f2cf92f65a49f46e50026dde1"
         corpus = tmp_path / "scale.nt"
-        corpus.write_text(generate(cfg).triples)
+        corpus.write_text(triples)
         out = tmp_path / "out"
         start = time.perf_counter()
         code = main(["resolve", "--input", str(corpus), "--out", str(out)])

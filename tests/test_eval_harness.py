@@ -2,12 +2,16 @@
 
 import hashlib
 import math
+import random
 import re
 from collections import Counter
 from dataclasses import replace
+from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies
 
 from ldtruth.baselines import (METHOD_ENGINE, METHOD_TRUTHFINDER, METHOD_VOTE,
                                run_method)
@@ -16,6 +20,7 @@ from ldtruth.eval_harness import (
     MissingDecisionError,
     SynthConfig,
     SynthConfigError,
+    _weighted_draw,
     accuracy,
     generate,
     no_dominant_config,
@@ -81,6 +86,41 @@ class TestSynthConfig:
         for bad in (value + 0.5, float(value)):
             with pytest.raises(SynthConfigError, match="must be integers"):
                 SynthConfig(**{name: bad})
+
+
+class TestWeightedDraw:
+    """Every corpus byte rests on this: a weighted pick draws what
+    Random.choices draws for one item, from the same single random()."""
+
+    # skew 0 weighs every rank 1.0; at skew 1100 every rank but rank 0
+    # underflows to 0.0, so only one index can be drawn
+    @pytest.mark.parametrize("skew", [0.0, 2.0, 1100.0],
+                             ids=["flat", "skew_2", "underflow"])
+    @settings(max_examples=150, deadline=None)
+    @given(seed=strategies.integers(0, 2 ** 64),
+           ranks=strategies.integers(1, 40).flatmap(
+               lambda n: strategies.permutations(range(n))))
+    def test_picks_what_choices_picks(self, skew, seed, ranks):
+        cum = list(accumulate((rank + 1.0) ** -skew for rank in ranks))
+        population = [f"item{i}" for i in range(len(cum))]
+        ours, theirs = random.Random(seed), random.Random(seed)
+        draw = _weighted_draw(ours, cum)
+        for _ in range(3):
+            assert population[draw()] == \
+                theirs.choices(population, cum_weights=cum)[0]
+            # each took exactly one random(), so the streams stay in step
+            assert ours.random() == theirs.random()
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=strategies.integers(0, 2 ** 64),
+           weights=strategies.lists(
+               strategies.floats(1e-300, 1e300), min_size=1, max_size=40))
+    def test_any_positive_weights(self, seed, weights):
+        cum = list(accumulate(weights))
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert _weighted_draw(ours, cum)() == theirs.choices(
+            range(len(cum)), cum_weights=cum)[0]
+        assert ours.random() == theirs.random()
 
 
 class TestGenerate:

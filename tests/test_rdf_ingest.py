@@ -273,6 +273,32 @@ class TestLineParser:
         with pytest.raises(EncodingError):
             list(parse_triples(io.BytesIO(payload), mode="strict"))
 
+    def test_a_bad_byte_after_a_block_ending_cr_names_its_line(self,
+                                                               tmp_path):
+        # 72 + 203 * 40 bytes end the first 8 KB block on a CR; a strict
+        # text stream's decoder holds that CR back, so its error may name
+        # the line before, while the byte reading the commands use names
+        # line 205
+        first = b'<http://a.org/s> <http://a.org/p> "' + b"a" * 33 + b'" .\r'
+        line = b'<http://a.org/s> <http://a.org/p> "x" .\r'
+        payload = first + line * 203 + line.replace(b"x", b"\xff")
+        assert len(first + line * 203) == 8192
+        path = tmp_path / "cr.nt"
+        path.write_bytes(payload)
+        with pytest.raises(EncodingError) as err:
+            list(parse_triples(io.BytesIO(payload), mode="strict"))
+        assert err.value.line == 205
+        with pytest.raises(EncodingError) as err:
+            parse_files([str(path)], mode="strict")
+        assert err.value.line == 205
+        found = []
+        assert len(parse_files([str(path)], diagnostics=found)) == 204
+        assert [(d.line, d.category) for _, d in found] == [(205, "encoding")]
+        with pytest.raises(EncodingError) as err:
+            list(parse_triples(io.TextIOWrapper(io.BytesIO(payload), "utf-8",
+                                                newline=None), mode="strict"))
+        assert err.value.line in (204, 205)
+
     @pytest.mark.parametrize("end", ["\r", "\n"], ids=["cr", "lf"])
     @pytest.mark.parametrize("tail", ["", "^^<http://a.org/t>", "@en"],
                              ids=["plain", "typed", "tagged"])
