@@ -172,6 +172,7 @@ def _value_json(value) -> dict:
 
 def _decisions_jsonl(decisions, store, method: str, iterations=None,
                      converged=None) -> str:
+    encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps' output
     lines = []
     for d in decisions:
         cs = store.conflict_sets[(d.entity, d.predicate)]
@@ -189,7 +190,7 @@ def _decisions_jsonl(decisions, store, method: str, iterations=None,
             record["iterations"] = iterations
         if converged is not None:
             record["converged"] = converged
-        lines.append(json.dumps(record, sort_keys=True))
+        lines.append(encode(record))
     return "\n".join(lines) + ("\n" if lines else "")
 
 

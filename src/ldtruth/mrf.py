@@ -13,9 +13,14 @@ with, so the next solve starts from them; a fresh field starts uniform.
 
 The exact sum runs generated straight-line code, one function per node
 count, compiled once per process, whose text holds only integers.  It
-gives finite marginals for any positive finite potentials: a sum that
-leaves the float range is redone by folding the field's own tables, its
-edges and its unary pairs, into mantissas and exponents.
+takes each product of the first k nodes' potentials once, for all the
+states that share it, and the fold behind its coupling weights takes
+each table's ``frexp`` once and looks each state's cell up by index.
+Neither moves a bit: the same multiplications happen in the same left to
+right order, and ``1 * x`` and ``0 + e`` are exact.  It gives finite
+marginals for any positive finite potentials: a sum that leaves the
+float range is redone by folding the field's own tables, its edges and
+its unary pairs, into mantissas and exponents.
 """
 
 from functools import cache
@@ -26,9 +31,6 @@ from typing import NamedTuple
 # propagation on trees of similarity tables (cost table in CHANGES.md),
 # and a cycle adds nothing to its cost
 EXACT_NODES = 8
-# _BITS[n][i][s]: state of node i in joint state s of an n-node field
-_BITS = [[bytes(s >> n - 1 - i & 1 for s in range(1 << n)) for i in range(n)]
-         for n in range(EXACT_NODES + 1)]
 
 
 class MarkovField:
@@ -46,14 +48,15 @@ class MarkovField:
         for p0, p1 in unary:
             if not (0.0 < p0 < inf and 0.0 < p1 < inf):
                 raise ValueError("unary potentials must be positive and finite")
-        for i, j, psi in edges:
+        for i, j, ((a, b), (c, d)) in edges:
             if not 0 <= i < j < n:
                 raise ValueError(f"bad edge endpoints ({i}, {j})")
-            if not all(0.0 < w < inf for w in (*psi[0], *psi[1])):
+            if not (0.0 < a < inf and 0.0 < b < inf
+                    and 0.0 < c < inf and 0.0 < d < inf):
                 raise ValueError("edge potentials must be positive and finite")
         self.exact = n <= EXACT_NODES
         if self.exact:
-            self.coupling = [ldexp(m, e) for m, e in zip(*_fold(n, edges))]
+            self.coupling = list(map(ldexp, *_fold(n, edges)))
             self.kernel = _joint_sum(n)
             return
         # messages are flat (m0, m1) pairs, i -> j on edge e at offset 4e
@@ -79,12 +82,20 @@ def _fold(n, factors):
     bits; no weight then exceeds 1, and after k tables one is at least 2^-k."""
     mant, expo = [1.0] * (1 << n), [0] * (1 << n)
     for i, j, psi in factors:
-        table = [[frexp(w) for w in row] for row in psi]
-        cells = [table[a][b] for a, b in zip(_BITS[n][i], _BITS[n][j])]
-        mant = [m * c[0] for m, c in zip(mant, cells)]
-        expo = [e + c[1] for e, c in zip(expo, cells)]
+        m, e = zip(*map(frexp, (*psi[0], *psi[1])))
+        at = _cells(n)[i][j]
+        mant = [x * m[c] for x, c in zip(mant, at)]
+        expo = [x + e[c] for x, c in zip(expo, at)]
     top = max(expo)
     return mant, [e - top for e in expo]
+
+
+@cache
+def _cells(n):
+    """``_cells(n)[i][j][s]`` is 2a + b, the cell of a flat 2x2 table for
+    state a of node i and b of node j in joint state s (bit n - 1 - i)."""
+    bits = [[s >> n - 1 - i & 1 for s in range(1 << n)] for i in range(n)]
+    return [[bytes(2*x + y for x, y in zip(a, b)) for b in bits] for a in bits]
 
 
 @cache
@@ -92,23 +103,24 @@ def _joint_sum(n):
     """``joint(unary, coupling)``: P(state 1) of every node of an n-node
     field whose 2^n joint states have the given coupling weights.  A
     state's weight is ``1 * phi_0 * ... * phi_n-1 * coupling``, as ``prod``
-    multiplies, and every sum adds left to right from 0; a total that is
-    0 or not finite raises ArithmeticError."""
+    multiplies, from shared prefix products ``p<bits>``; sums add left to
+    right from 0, and a total of 0 or not finite raises ArithmeticError."""
     states = range(1 << n)
-    bits = _BITS[n]
+    names = [""]
     lines = ["def joint(unary, coupling):",
-             " " + "".join(f"w{s}, " for s in states) + "= coupling"]
+             " " + "".join(f"w{s}, " for s in states) + "= coupling", " p = 1"]
     if n:
         lines.append(" " + "".join(f"(u{i}, v{i}), " for i in range(n))
                      + "= unary")
-    for s in states:
-        lines.append(f" j{s} = 1" + "".join(
-            f" * {'uv'[bits[i][s]]}{i}" for i in range(n))
-            + f" * w{s}")
+    for i in range(n):
+        names = [f"{name}{b}" for name in names for b in "01"]
+        lines += (f" p{name} = p{name[:-1]} * {'uv'[int(name[-1])]}{i}"
+                  for name in names)
+    lines += (f" j{s} = p{name} * w{s}" for s, name in zip(states, names))
     lines.append(" z = 0" + "".join(f" + j{s}" for s in states))
     lines.append(" if not 0 < z < inf: raise ArithmeticError")
     lines.append(" return [" + ", ".join(
-        "(0" + "".join(f" + j{s}" for s in states if bits[i][s])
+        "(0" + "".join(f" + j{s}" for s in states if s >> n - 1 - i & 1)
         + ") / z" for i in range(n)) + "]")
     space = {"inf": inf}
     exec(compile("\n".join(lines), "<ldtruth.mrf.joint>", "exec"), space)

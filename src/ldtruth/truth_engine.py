@@ -154,12 +154,16 @@ def pairwise_tables(values, cfg: EngineConfig = DEFAULT_ENGINE) -> list:
 def select_truth(cs: ConflictSet, tau: list, t_smoothed: dict) -> int:
     """Index of the winning candidate, the least under ``rank``.
 
-    Highest truth probability wins; exact ties fall back to broader
-    support, then to larger summed supporter trust, then to the smallest
-    value in canonical order so the outcome never depends on input
+    Highest truth probability wins, alone if unique; exact ties fall back
+    to broader support, then to larger summed supporter trust, then to the
+    smallest value in canonical order so the outcome never depends on input
     order.  Sums here fold left to right: from Python 3.12 ``sum``
     compensates float sums, which would make the bits version-dependent.
     """
+    top = max(tau)
+    if tau.count(top) == 1:
+        return tau.index(top)
+
     def rank(i):
         obj = cs.objects[i]
         trust = reduce(add, (t_smoothed.get(s, 0.5) for s in obj.sources), 0.0)
@@ -188,13 +192,14 @@ def resolve_all(store: ClaimStore, priors: PriorBeliefs,
     t = {s: cfg.t0 for s in store.incidence}
     t_smoothed = smooth_trust(t, priors.nbr)
     tau = {k: [0.5] * len(cs.objects) for k, cs in sets.items()}
+    last = [0.5] * sum(map(len, tau.values()))  # tau's lists, joined
 
     trace = []
     converged = False
     bp_converged = True
     bp_rounds = 0
     for iteration in range(1, cfg.outer_max + 1):
-        deltas = []
+        marginals = []
         for (k, cs), fld in zip(sets.items(), fields):
             # keeps both potentials positive when every supporter sits at 0 or 1
             unary = []
@@ -208,8 +213,10 @@ def resolve_all(store: ClaimStore, priors: PriorBeliefs,
             result = loopy_bp(fld, cfg.bp_damping, cfg.bp_tol, cfg.bp_max)
             bp_converged = bp_converged and result.converged
             bp_rounds += result.rounds
-            deltas += map(abs, map(sub, result.marginals, tau[k]))
+            marginals += result.marginals
             tau[k] = result.marginals
+        deltas = list(map(abs, map(sub, marginals, last)))
+        last = marginals
         # a left fold, the same bits on every Python (see select_truth)
         mean = reduce(add, deltas) / len(deltas) if deltas else 0.0
         peak = max(deltas, default=0.0)

@@ -212,6 +212,24 @@ class TestSelectTruth:
         assert decision.chosen == number(7)
         assert decision.scores == (0.5, 0.5)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.deferred(lambda: scored_sets()))  # defined below, by tied_sets
+    def test_picks_the_least_under_the_full_key(self, spec):
+        """A unique top score wins alone; the pick is always the one the
+        full key picks, supporter trust summed left to right."""
+        cs, scores, trust, tied = spec
+        assert (scores.count(max(scores)) > 1) == tied
+
+        def rank(i):
+            obj = cs.objects[i]
+            total = 0.0
+            for source in obj.sources:
+                total += trust.get(source, 0.5)
+            return (-scores[i], -len(obj.sources), -total,
+                    obj.value.sort_key())
+        assert (select_truth(cs, scores, trust)
+                == min(range(len(scores)), key=rank))
+
 
 def outranks(cs, tau, trust, j, i):
     """Whether candidate j comes before candidate i in the documented
@@ -247,6 +265,29 @@ def tied_sets(draw):
                         min_size=size, max_size=size))
     trust = {s: draw(levels) for s in pool if draw(st.booleans())}
     return ConflictSet("e", "p", objects), tau, trust
+
+
+@st.composite
+def scored_sets(draw):
+    """A tie-prone set and trust with scores in the engine's style (truth
+    probabilities) or vote's (support counts as floats), and whether the
+    top score is tied: two candidates share it, or exactly one holds it."""
+    cs, _, trust = draw(tied_sets())
+    size = len(cs.objects)
+    if draw(st.booleans()):
+        scores = draw(st.lists(st.floats(0.0, 1.0), min_size=size,
+                               max_size=size, unique=True))
+    else:
+        scores = [float(len(obj.sources)) for obj in cs.objects]
+    top = max(scores)
+    tied = draw(st.booleans())
+    if tied:
+        a, b = draw(st.lists(st.integers(0, size - 1), min_size=2,
+                             max_size=2, unique=True))
+        scores[a] = scores[b] = top
+    elif scores.count(top) > 1:
+        scores[scores.index(top)] += 1.0
+    return cs, scores, trust, tied
 
 
 class TestWinnerKey:
